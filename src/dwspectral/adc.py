@@ -77,6 +77,8 @@ def load_adc_raw(path, slice_index: int = 0) -> Band:
     data = path.read_bytes()
     if data[:4] != _RAW_MAGIC:
         raise FormatError(f"{path}: bad magic, not a raw ADC file")
+    if len(data) < 12:
+        raise FormatError(f"{path}: truncated header, {len(data)} of 12 bytes")
     width, height = struct.unpack("<II", data[4:12])
     expected = width * height * 8
     payload = data[12 : 12 + expected]

@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 
 from .core_image import (
-    FULL_SCALE,
     Band,
     ClassLabel,
     LabelMap,
     SampleSet,
     SpectralStack,
+    read_json,
 )
 from .errors import (
     ContractError,
@@ -82,8 +82,7 @@ class PolyModel:
     """3x10 weight matrix mapping quadratic features to class scores."""
 
     weights: np.ndarray
-    normalize: bool = True
-    feature_dim: int = 3
+    feature_dim = 3  # expand_quadratic takes exactly 3 features
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -98,7 +97,7 @@ class PolyModel:
         return expand_quadratic(features) @ self.weights.T
 
 
-def train_polynomial(samples: SampleSet, normalize: bool = True) -> PolyModel:
+def train_polynomial(samples: SampleSet) -> PolyModel:
     """Ridge-regularized least-squares fit of one-hot targets against the
     quadratic feature expansion; fully deterministic."""
     if len(samples) < 10:
@@ -121,7 +120,7 @@ def train_polynomial(samples: SampleSet, normalize: bool = True) -> PolyModel:
         raise NumericalError(f"normal equations unsolvable: {exc}") from exc
     if not np.all(np.isfinite(weights)):
         raise NumericalError("polynomial fit produced non-finite weights")
-    return PolyModel(weights, normalize=normalize)
+    return PolyModel(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +152,6 @@ class MlpModel:
     hidden_weights: np.ndarray
     output_weights: np.ndarray
     config: MlpConfig = field(default_factory=MlpConfig)
-    normalize: bool = True
-    feature_dim: int = 3
     epochs_run: int = 0
 
     def __post_init__(self):
@@ -171,6 +168,10 @@ class MlpModel:
         object.__setattr__(self, "hidden_weights", wh)
         object.__setattr__(self, "output_weights", wo)
 
+    @property
+    def feature_dim(self) -> int:
+        return self.hidden_weights.shape[1] - 1
+
     def scores(self, features: np.ndarray) -> np.ndarray:
         return mlp_forward(self.hidden_weights, self.output_weights, features)
 
@@ -179,13 +180,19 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def mlp_forward(wh: np.ndarray, wo: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Batch forward pass; returns (n, 3) sigmoid outputs."""
+def _mlp_layers(wh: np.ndarray, wo: np.ndarray, features: np.ndarray):
+    """Batch forward pass; returns the input and the hidden layer, each with
+    a trailing bias column of ones, and the (n, 3) sigmoid outputs."""
     x = np.asarray(features, dtype=np.float64)
     xb = np.hstack([x, np.ones((x.shape[0], 1))])
     h = _sigmoid(xb @ wh.T)
     hb = np.hstack([h, np.ones((h.shape[0], 1))])
-    return _sigmoid(hb @ wo.T)
+    return xb, hb, _sigmoid(hb @ wo.T)
+
+
+def mlp_forward(wh: np.ndarray, wo: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Batch forward pass; returns (n, 3) sigmoid outputs."""
+    return _mlp_layers(wh, wo, features)[2]
 
 
 def mlp_loss_and_gradients(
@@ -195,11 +202,8 @@ def mlp_loss_and_gradients(
 
     Shared by training (per-sample calls) and the finite-difference check.
     """
-    x = np.asarray(features, dtype=np.float64)
-    xb = np.hstack([x, np.ones((x.shape[0], 1))])
-    h = _sigmoid(xb @ wh.T)
-    hb = np.hstack([h, np.ones((h.shape[0], 1))])
-    y = _sigmoid(hb @ wo.T)
+    xb, hb, y = _mlp_layers(wh, wo, features)
+    h = hb[:, :MLP_HIDDEN]
     err = y - targets
     loss = 0.5 * float(np.sum(err * err))
     d_out = err * y * (1.0 - y)
@@ -209,7 +213,7 @@ def mlp_loss_and_gradients(
     return loss, grad_wh, grad_wo
 
 
-def train_mlp(samples: SampleSet, cfg: MlpConfig, normalize: bool = True) -> MlpModel:
+def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
     """Online backpropagation with per-epoch shuffling and linearly decaying
     learning rate; stops when the epoch mean-squared error reaches the
     configured target."""
@@ -217,7 +221,7 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig, normalize: bool = True) -> Mlp
     if samples.feature_dim != 3:
         raise ContractError(f"MLP expects 3 features, got {samples.feature_dim}")
     if x.min() < 0.0 or x.max() > 1.0:
-        raise ValidationError("MLP features must be normalized into [0, 1]")
+        raise ValidationError("MLP features must be scaled into [0, 1]")
     if np.unique(samples.labels).size < 2:
         raise DegenerateInputError("training set must span at least 2 classes")
     targets = _one_hot(samples.labels, low=0.1, high=0.9)
@@ -251,7 +255,7 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig, normalize: bool = True) -> Mlp
         if mse <= cfg.target_error:
             epochs_run = epoch + 1
             break
-    return MlpModel(wh, wo, config=cfg, normalize=normalize, epochs_run=epochs_run)
+    return MlpModel(wh, wo, config=cfg, epochs_run=epochs_run)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,6 @@ class SomModel:
     neurons: np.ndarray
     class_of_neuron: tuple | None = None
     config: SomConfig = field(default_factory=SomConfig)
-    normalize: bool = True
 
     def __post_init__(self):
         w = np.asarray(self.neurons, dtype=np.float64)
@@ -304,9 +307,7 @@ class SomModel:
         return np.argmin(d2, axis=1)
 
 
-def train_som(
-    samples: SampleSet, cfg: SomConfig, normalize: bool = True
-) -> SomModel:
+def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     """Competitive training on a 3-neuron chain; labels in ``samples`` are
     ignored. Neurons start at 3 distinct seeded training samples; updates
     are winner-take-all with a radius-1 neighborhood during the early
@@ -338,7 +339,7 @@ def train_som(
             for j in (win - 1, win + 1):
                 if 0 <= j < SOM_NEURONS:
                     w[j] += eta * SOM_NEIGHBOR_WEIGHT * (xi - w[j])
-    return SomModel(w, config=cfg, normalize=normalize)
+    return SomModel(w, config=cfg)
 
 
 def label_som(model: SomModel, samples: SampleSet) -> SomModel:
@@ -357,24 +358,17 @@ def label_som(model: SomModel, samples: SampleSet) -> SomModel:
             raise LabelingError(f"neuron {j} wins no samples; cannot label it")
         counts = np.bincount(won, minlength=len(ClassLabel) + 1)
         assignment.append(ClassLabel(int(np.argmax(counts))))
-    return SomModel(
-        model.neurons,
-        class_of_neuron=tuple(assignment),
-        config=model.config,
-        normalize=model.normalize,
-    )
+    return SomModel(model.neurons, class_of_neuron=tuple(assignment), config=model.config)
 
 
-def train_ko_adc(
-    adc: Band, truth_samples: SampleSet, cfg: SomConfig
-) -> SomModel:
+def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
     """Monospectral SOM over scalar diffusion values: unsupervised training
     followed by majority-vote labeling."""
     if truth_samples.feature_dim != 1:
         raise ContractError(
             f"ADC samples must be scalar, got dim {truth_samples.feature_dim}"
         )
-    model = train_som(truth_samples, cfg, normalize=False)
+    model = train_som(truth_samples, cfg)
     return label_som(model, truth_samples)
 
 
@@ -385,6 +379,7 @@ Model = PolyModel | MlpModel | SomModel
 
 
 def _input_features(model: Model, image: SpectralStack | Band) -> np.ndarray:
+    """Stack bands scaled into [0, 1]; an ADC map's values as they are."""
     if isinstance(image, SpectralStack):
         feats = image.pixel_features()
     else:
@@ -394,8 +389,6 @@ def _input_features(model: Model, image: SpectralStack | Band) -> np.ndarray:
             f"model expects {model.feature_dim} features, "
             f"input provides {feats.shape[1]}"
         )
-    if model.normalize:
-        feats = feats / FULL_SCALE
     return feats
 
 
@@ -420,17 +413,12 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
 
 def model_to_json(model: Model) -> dict:
     if isinstance(model, PolyModel):
-        return {
-            "kind": "po",
-            "weights": model.weights.tolist(),
-            "normalize": model.normalize,
-        }
+        return {"kind": "po", "weights": model.weights.tolist()}
     if isinstance(model, MlpModel):
         return {
             "kind": "mlp",
             "hidden_weights": model.hidden_weights.tolist(),
             "output_weights": model.output_weights.tolist(),
-            "normalize": model.normalize,
             "epochs_run": model.epochs_run,
             "config": {
                 "eta0": model.config.eta0,
@@ -448,7 +436,6 @@ def model_to_json(model: Model) -> dict:
                 if model.class_of_neuron is None
                 else [int(c) for c in model.class_of_neuron]
             ),
-            "normalize": model.normalize,
             "config": {
                 "eta0": model.config.eta0,
                 "max_iters": model.config.max_iters,
@@ -459,15 +446,16 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(doc: dict) -> Model:
+    """Inverse of model_to_json. Keys it does not read are ignored, such as
+    the scaling flag that older model files carry."""
     kind = doc.get("kind")
     if kind == "po":
-        return PolyModel(np.array(doc["weights"]), normalize=doc["normalize"])
+        return PolyModel(np.array(doc["weights"]))
     if kind == "mlp":
         return MlpModel(
             np.array(doc["hidden_weights"]),
             np.array(doc["output_weights"]),
             config=MlpConfig(**doc["config"]),
-            normalize=doc["normalize"],
             epochs_run=doc.get("epochs_run", 0),
         )
     if kind == "som":
@@ -475,7 +463,6 @@ def model_from_json(doc: dict) -> Model:
             np.array(doc["neurons"]),
             class_of_neuron=doc["class_of_neuron"],
             config=SomConfig(**doc["config"]),
-            normalize=doc["normalize"],
         )
     raise FormatError(f"unknown model kind {kind!r}")
 
@@ -485,9 +472,13 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a model JSON file; a malformed document, or one with a missing
+    or ill-typed key, raises FormatError naming the file."""
     path = Path(path)
+    doc = read_json(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    return model_from_json(doc)
+        return model_from_json(doc)
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, ValidationError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -25,10 +25,12 @@ from .classifiers import (
     train_som,
 )
 from .core_image import (
+    config_from_json,
     extract_band_samples,
     extract_samples,
     load_labelmap,
     load_stack,
+    read_json,
     save_labelmap,
     save_stack,
 )
@@ -78,8 +80,7 @@ def _write_run_record(args, inputs, out_dir=None, out_file=None) -> None:
 def _load_acq(path) -> AcquisitionParams:
     if path is None:
         return AcquisitionParams()
-    doc = json.loads(Path(path).read_text())
-    return AcquisitionParams(**doc)
+    return config_from_json(AcquisitionParams, read_json(Path(path)), path)
 
 
 def _require_file(path, what: str) -> Path:
@@ -148,13 +149,13 @@ def cmd_train(args) -> None:
         else:
             raise ValidationError("ko-adc training needs --adc or --stack")
         samples = extract_band_samples(band, labels)
-        model = train_ko_adc(band, samples, SomConfig(seed=args.seed))
+        model = train_ko_adc(samples, SomConfig(seed=args.seed))
     else:
         if not args.stack:
             raise ValidationError(f"{args.method} training needs --stack")
         stack = load_stack(_require_file(args.stack, "stack manifest"))
         inputs.append(args.stack)
-        samples = extract_samples(stack, labels, normalize=True)
+        samples = extract_samples(stack, labels)
         if args.method == "po":
             model = train_polynomial(samples)
         elif args.method == "mlp":

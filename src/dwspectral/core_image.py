@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 
-FULL_SCALE = 65535  # 16-bit PGM maxval; also the feature normalization divisor
+FULL_SCALE = 65535  # 16-bit PGM maxval; stack features are divided by it
 
 
 class ClassLabel(IntEnum):
@@ -98,8 +98,9 @@ class SpectralStack:
         return self.bands[0].slice_index
 
     def pixel_features(self) -> np.ndarray:
-        """All pixels as feature rows, shape (height*width, n_bands), row-major."""
-        return np.stack([b.data.ravel() for b in self.bands], axis=1)
+        """All pixels as feature rows scaled into [0, 1] by FULL_SCALE,
+        shape (height*width, n_bands), row-major."""
+        return np.stack([b.data.ravel() for b in self.bands], axis=1) / FULL_SCALE
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,6 @@ class SampleSet:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_dim: int = field(default=0)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
@@ -140,11 +140,6 @@ class SampleSet:
             raise ValidationError("features must be a 2-D (n, d) array")
         if feats.shape[0] == 0:
             raise ValidationError("sample set must be non-empty")
-        dim = self.feature_dim or feats.shape[1]
-        if feats.shape[1] != dim:
-            raise ValidationError(
-                f"feature vectors have length {feats.shape[1]}, expected {dim}"
-            )
         if labs.shape != (feats.shape[0],):
             raise ValidationError("labels must align one-to-one with features")
         if not np.isin(labs, [int(c) for c in ClassLabel]).all():
@@ -153,7 +148,10 @@ class SampleSet:
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "feature_dim", dim)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -256,6 +254,25 @@ def save_labelmap(labelmap: LabelMap, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# JSON documents
+
+def read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # also undecodable bytes
+        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def config_from_json(cls, doc, where):
+    """``cls(**doc)``; a non-object document, an unknown key or an ill-typed
+    value raises FormatError naming ``where``."""
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # Stack manifests
 
 def load_stack(manifest_path) -> SpectralStack:
@@ -265,10 +282,7 @@ def load_stack(manifest_path) -> SpectralStack:
     "slice_index": int}; band paths are resolved relative to the manifest.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    manifest = read_json(manifest_path)
     for key in ("bands", "b_values"):
         if key not in manifest:
             raise FormatError(f"{manifest_path}: missing manifest key {key!r}")
@@ -304,14 +318,9 @@ def save_stack(stack: SpectralStack, out_dir, prefix: str = "band") -> Path:
 # ---------------------------------------------------------------------------
 # Sample extraction
 
-def extract_samples(
-    stack: SpectralStack, labels: LabelMap, normalize: bool = True
-) -> SampleSet:
-    """One sample per labeled pixel, row-major order.
-
-    Feature i of a pixel is its intensity in band i, divided by the full
-    16-bit scale when ``normalize`` is set.
-    """
+def extract_samples(stack: SpectralStack, labels: LabelMap) -> SampleSet:
+    """One sample per labeled pixel, row-major order; feature i of a pixel
+    is its intensity in band i divided by the full 16-bit scale."""
     if (labels.width, labels.height) != (stack.width, stack.height):
         raise DimensionError(
             f"label map {labels.width}x{labels.height} does not match "
@@ -319,10 +328,7 @@ def extract_samples(
         )
     if labels.width * labels.height == 0:
         raise ValidationError("label map is empty")
-    feats = stack.pixel_features()
-    if normalize:
-        feats = feats / FULL_SCALE
-    return SampleSet(feats, labels.labels.ravel())
+    return SampleSet(stack.pixel_features(), labels.labels.ravel())
 
 
 def extract_band_samples(band: Band, labels: LabelMap) -> SampleSet:

@@ -23,13 +23,13 @@ from .classifiers import (
     train_som,
 )
 from .core_image import (
-    LabelMap,
-    SpectralStack,
+    config_from_json,
     extract_band_samples,
     extract_samples,
+    read_json,
     save_labelmap,
 )
-from .errors import ConfigurationError, FormatError, ValidationError
+from .errors import ConfigurationError
 from .metrics import (
     MetricsReport,
     VolumeReport,
@@ -89,18 +89,17 @@ def load_experiment_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from JSON; omitted keys take defaults and a
     phantom spec path is resolved relative to the config file."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_json(path)
     phantom = default_phantom_spec()
     if doc.get("phantom_spec"):
         spec_path = Path(doc["phantom_spec"])
         if not spec_path.is_absolute():
             spec_path = path.parent / spec_path
         phantom = load_phantom_spec(spec_path)
-    acq = AcquisitionParams(**doc["acquisition"]) if doc.get("acquisition") else AcquisitionParams()
-    adc_cfg = AdcConfig(**doc["adc"]) if doc.get("adc") else AdcConfig()
+    acq = config_from_json(
+        AcquisitionParams, doc.get("acquisition") or {}, f"{path}: acquisition"
+    )
+    adc_cfg = config_from_json(AdcConfig, doc.get("adc") or {}, f"{path}: adc")
     kwargs = {}
     for key in ("training_slice", "noise_levels", "seeds", "classifiers"):
         if key in doc and doc[key] is not None:
@@ -159,9 +158,8 @@ def train_models(cfg: ExperimentConfig, stacks, truth) -> dict:
     """
     stack_t = stacks[cfg.training_slice]
     truth_t = truth[cfg.training_slice]
-    samples = extract_samples(stack_t, truth_t, normalize=True)
+    samples = extract_samples(stack_t, truth_t)
     models = {name: {} for name in cfg.classifiers}
-    po_model = None
     if "PO" in models:
         po_model = train_polynomial(samples)
         for seed in cfg.seeds:
@@ -177,9 +175,7 @@ def train_models(cfg: ExperimentConfig, stacks, truth) -> dict:
         adc_t = adc_map(stack_t, cfg.adc)
         adc_samples = extract_band_samples(adc_t, truth_t)
         for seed in cfg.seeds:
-            models["KO-ADC"][seed] = train_ko_adc(
-                adc_t, adc_samples, SomConfig(seed=seed)
-            )
+            models["KO-ADC"][seed] = train_ko_adc(adc_samples, SomConfig(seed=seed))
     return models
 
 
@@ -191,33 +187,42 @@ def _classify_volume(name: str, model, stacks, adc_cfg: AdcConfig):
     return preds
 
 
-def _evaluate(preds, truth) -> tuple[MetricsReport, VolumeReport]:
-    cm = merge_confusions(confusion(p, t) for p, t in zip(preds, truth))
-    return report_from_confusion(cm), volumes(preds)
+def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
+    """Score every (noise level, seed) cell: perturb every band of every
+    slice, recompute the ADC map from the noisy bands, classify with each
+    trained model and score against the noiseless phantom truth. Level 0
+    leaves the bands as they are."""
+
+    def run_cell(level: float, seed: int):
+        noisy = [add_noise_to_stack(st, level, seed) for st in stacks]
+        out = []
+        for name in cfg.classifiers:
+            preds = _classify_volume(name, models[name][seed], noisy, cfg.adc)
+            cm = merge_confusions(confusion(p, t) for p, t in zip(preds, truth))
+            report = report_from_confusion(cm)
+            out.append(CellResult(name, level, seed, report, volumes(preds)))
+        return out
+
+    grid = [(lvl, seed) for lvl in levels for seed in cfg.seeds]
+    cells = []
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+        for chunk in pool.map(lambda args: run_cell(*args), grid):
+            cells.extend(chunk)
+    cells.sort(key=CellResult.sort_key)
+    return cells
 
 
 def run_baseline(cfg: ExperimentConfig, out_dir=None) -> BaselineResult:
-    """Noiseless end-to-end run: render, train, classify all slices, score
-    against phantom truth; optionally writes baseline.json/csv and the
+    """Noiseless end-to-end run: render, train, then score the zero-noise
+    cell of every seed; optionally writes baseline.json/csv and the
     polynomial-net ground-truth maps."""
     stacks, truth = render_phantom(cfg.phantom, cfg.acquisition)
     models = train_models(cfg, stacks, truth)
-    cells = []
-    pred_cache = {}
-    for name in cfg.classifiers:
-        for seed in cfg.seeds:
-            key = (name, id(models[name][seed]))
-            if key not in pred_cache:
-                pred_cache[key] = _classify_volume(
-                    name, models[name][seed], stacks, cfg.adc
-                )
-            report, volume = _evaluate(pred_cache[key], truth)
-            cells.append(CellResult(name, 0.0, seed, report, volume))
-    cells.sort(key=CellResult.sort_key)
-
+    cells = _score_cells(cfg, stacks, truth, models, (0.0,))
     ground_truth_maps = []
     if "PO" in cfg.classifiers:
-        ground_truth_maps = pred_cache[("PO", id(models["PO"][cfg.seeds[0]]))]
+        po_model = models["PO"][cfg.seeds[0]]
+        ground_truth_maps = _classify_volume("PO", po_model, stacks, cfg.adc)
 
     result = BaselineResult(cells, models, stacks, truth, ground_truth_maps)
     if out_dir is not None:
@@ -233,12 +238,8 @@ def run_baseline(cfg: ExperimentConfig, out_dir=None) -> BaselineResult:
 def run_sweep(
     cfg: ExperimentConfig, out_dir=None, baseline: BaselineResult | None = None
 ) -> SweepResult:
-    """Noise sweep with models trained once on the noiseless training slice.
-
-    Each (level, seed) cell perturbs every band of every slice, recomputes
-    the ADC map from the noisy bands, classifies with each trained model and
-    scores against the noiseless phantom truth.
-    """
+    """Noise sweep over ``cfg.noise_levels`` x ``cfg.seeds`` with models
+    trained once on the noiseless training slice (see _score_cells)."""
     if not cfg.noise_levels:
         raise ConfigurationError("sweep needs at least one noise level")
     if baseline is None:
@@ -246,23 +247,7 @@ def run_sweep(
         models = train_models(cfg, stacks, truth)
     else:
         stacks, truth, models = baseline.stacks, baseline.truth, baseline.models
-
-    def run_cell(level: float, seed: int):
-        noisy = [add_noise_to_stack(st, level, seed) for st in stacks]
-        out = []
-        for name in cfg.classifiers:
-            preds = _classify_volume(name, models[name][seed], noisy, cfg.adc)
-            report, volume = _evaluate(preds, truth)
-            out.append(CellResult(name, level, seed, report, volume))
-        return out
-
-    grid = [(lvl, seed) for lvl in cfg.noise_levels for seed in cfg.seeds]
-    cells = []
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for chunk in pool.map(lambda args: run_cell(*args), grid):
-            cells.extend(chunk)
-    cells.sort(key=CellResult.sort_key)
-
+    cells = _score_cells(cfg, stacks, truth, models, cfg.noise_levels)
     result = SweepResult(cells)
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -108,8 +108,7 @@ def kappa(cm: ConfusionMatrix) -> float:
 
 
 def metrics_report(pred: LabelMap, truth: LabelMap) -> MetricsReport:
-    cm = confusion(pred, truth)
-    return MetricsReport(cm, overall_accuracy(cm), kappa(cm))
+    return report_from_confusion(confusion(pred, truth))
 
 
 def report_from_confusion(cm: ConfusionMatrix) -> MetricsReport:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core_image import FULL_SCALE, Band, ClassLabel, LabelMap, SpectralStack
+from .core_image import FULL_SCALE, Band, ClassLabel, LabelMap, SpectralStack, read_json
 from .errors import ConfigurationError, FormatError, ValidationError
 
 # Headroom left above the brightest noiseless pixel so additive noise does
@@ -249,10 +248,7 @@ def default_phantom_spec(
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from JSON (see phantom_spec_to_json for schema)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_json(path)
     try:
         shapes = tuple(
             Shape(s["kind"], _LABEL_NAMES[s["label"]], s["params"])

@@ -119,6 +119,12 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_adc_raw(path)
 
+    def test_raw_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.adc"
+        path.write_bytes(b"ADCF" + bytes(7))
+        with pytest.raises(FormatError, match="truncated header"):
+            load_adc_raw(path)
+
     def test_pgm_sidecar_records_scale(self, tmp_path, default_volume):
         import json
 

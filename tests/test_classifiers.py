@@ -21,7 +21,6 @@ from dwspectral.classifiers import (
     train_som,
 )
 from dwspectral.core_image import (
-    Band,
     ClassLabel,
     LabelMap,
     SampleSet,
@@ -282,7 +281,7 @@ class TestLabelSom:
             np.array([[0.1]] * 10 + [[0.12]] * 2 + [[0.5]] * 5 + [[0.9]] * 5),
             np.array([1] * 10 + [2] * 2 + [2] * 5 + [3] * 5),
         )
-        model = SomModel(np.array([[0.1], [0.5], [0.9]]), normalize=False)
+        model = SomModel(np.array([[0.1], [0.5], [0.9]]))
         labeled = label_som(model, samples)
         assert labeled.class_of_neuron[0] == ClassLabel.CSF
 
@@ -291,13 +290,13 @@ class TestLabelSom:
             np.array([[0.1]] * 10 + [[0.5]] * 3 + [[0.9]] * 3),
             np.array([1] * 5 + [2] * 5 + [2] * 3 + [3] * 3),
         )
-        model = SomModel(np.array([[0.1], [0.5], [0.9]]), normalize=False)
+        model = SomModel(np.array([[0.1], [0.5], [0.9]]))
         labeled = label_som(model, samples)
         assert labeled.class_of_neuron[0] == ClassLabel.CSF
 
     def test_unwon_neuron_raises(self):
         samples = SampleSet(np.array([[0.1]] * 5 + [[0.2]] * 5), np.array([1] * 5 + [2] * 5))
-        model = SomModel(np.array([[0.1], [0.2], [50.0]]), normalize=False)
+        model = SomModel(np.array([[0.1], [0.2], [50.0]]))
         with pytest.raises(LabelingError, match="neuron 2"):
             label_som(model, samples)
 
@@ -392,8 +391,7 @@ class TestKoAdc:
         )
         labels = np.concatenate([np.full(300, 3), np.full(100, 2), np.full(50, 1)])
         samples = SampleSet(vals.reshape(-1, 1), labels)
-        band = Band(450, 1, vals.reshape(1, 450))
-        model = train_ko_adc(band, samples, SomConfig(seed=4, max_iters=500))
+        model = train_ko_adc(samples, SomConfig(seed=4, max_iters=500))
         order = np.argsort(model.neurons.ravel())
         got = [int(model.class_of_neuron[i]) for i in order]
         assert got == [3, 2, 1]
@@ -401,15 +399,14 @@ class TestKoAdc:
     def test_constant_adc_rejected(self):
         vals = np.full(100, 5e-4)
         samples = SampleSet(vals.reshape(-1, 1), np.full(100, 2))
-        band = Band(100, 1, vals.reshape(1, 100))
         with pytest.raises(DegenerateInputError):
-            train_ko_adc(band, samples, SomConfig())
+            train_ko_adc(samples, SomConfig())
 
     def test_noiseless_phantom_exact_recovery(self, default_volume):
         stacks, truth = default_volume
         band = adc_map(stacks[13])
         samples = extract_band_samples(band, truth[13])
-        model = train_ko_adc(band, samples, SomConfig(seed=1))
+        model = train_ko_adc(samples, SomConfig(seed=1))
         for stack, lm in zip(stacks, truth):
             pred = classify(model, adc_map(stack))
             assert kappa(confusion(pred, lm)) == 1.0
@@ -439,9 +436,7 @@ class TestSerialization:
         m = SomModel(
             np.array([[0.1], [0.5], [0.9]]),
             class_of_neuron=(3, 2, 1),
-            normalize=False,
         )
         r = self._round_trip(m)
         np.testing.assert_array_equal(r.neurons, m.neurons)
         assert r.class_of_neuron == (ClassLabel.BACKGROUND, ClassLabel.MATTER, ClassLabel.CSF)
-        assert r.normalize is False

@@ -142,6 +142,91 @@ class TestSweepCommand:
         assert all(len(h) == 64 for h in doc["input_digests"].values())
 
 
+def assert_one_error_line(argv, capsys) -> str:
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.fixture(scope="module")
+def model_docs(phantom_dir, tmp_path_factory):
+    """One trained model document per kind: po, mlp and som (method ko)."""
+    out = tmp_path_factory.mktemp("models")
+    docs = {}
+    for method in ("po", "mlp", "ko"):
+        path = out / f"{method}.json"
+        assert main(
+            ["train", "--method", method,
+             "--stack", str(phantom_dir / "slice_03_manifest.json"),
+             "--labels", str(phantom_dir / "truth_03.pgm"), "--out", str(path)]
+        ) == 0
+        docs[method] = json.loads(path.read_text())
+    return docs
+
+
+def classify_argv(phantom_dir, doc, out_dir, name="model"):
+    """Write ``doc`` as a model file; returns the model path and the argv
+    that classifies slice 2 with it."""
+    model = out_dir / f"{name}.json"
+    model.write_text(json.dumps(doc))
+    stack = phantom_dir / "slice_02_manifest.json"
+    argv = ["classify", "--model", model, "--stack", stack, "--out", model.with_suffix(".pgm")]
+    return model, argv
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize(
+        "method, key",
+        [("po", "weights"), ("mlp", "output_weights"), ("ko", "neurons")],
+    )
+    def test_missing_key_exits_2(
+        self, phantom_dir, model_docs, tmp_path, capsys, method, key
+    ):
+        doc = {k: v for k, v in model_docs[method].items() if k != key}
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        assert str(model) in err and key in err
+
+    def test_unknown_config_field_exits_2(
+        self, phantom_dir, model_docs, tmp_path, capsys
+    ):
+        doc = json.loads(json.dumps(model_docs["mlp"]))
+        doc["config"]["bogus"] = 1
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        assert str(model) in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("method", ["po", "mlp", "ko"])
+    def test_legacy_normalize_key_still_loads(
+        self, phantom_dir, model_docs, tmp_path, method
+    ):
+        """Model files written before scaling was fixed by input kind carry
+        a "normalize" flag; it is ignored and the predictions are unchanged."""
+        docs = {"legacy": {**model_docs[method], "normalize": True},
+                "current": model_docs[method]}
+        for name, doc in docs.items():
+            _, argv = classify_argv(phantom_dir, doc, tmp_path, name)
+            assert main([str(a) for a in argv]) == 0
+        legacy_pred = (tmp_path / "legacy.pgm").read_bytes()
+        assert legacy_pred == (tmp_path / "current.pgm").read_bytes()
+
+
+class TestMalformedConfigFiles:
+    @pytest.mark.parametrize("text", ["{bad", '{"k_const": 1, "bogus": 2}'])
+    def test_phantom_acq_exits_2(self, tmp_path, capsys, text):
+        acq = tmp_path / "acq.json"
+        acq.write_text(text)
+        argv = ["phantom", "--acq", acq, "--out", tmp_path / "o"]
+        assert str(acq) in assert_one_error_line(argv, capsys)
+
+    def test_baseline_config_unknown_acquisition_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"acquisition": {"bogus": 1}}))
+        argv = ["baseline", "--config", cfg, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert "acquisition" in err and "bogus" in err
+
+
 class TestArgumentErrors:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

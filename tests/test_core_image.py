@@ -194,14 +194,14 @@ class TestExtractSamples:
     def test_single_pixel_identity(self):
         stack = self._stack([[100], [80], [60]], 1, 1)
         lm = LabelMap(1, 1, np.array([[1]]))
-        s = extract_samples(stack, lm, normalize=False)
-        assert s.features.tolist() == [[100, 80, 60]]
+        s = extract_samples(stack, lm)
+        np.testing.assert_array_equal(s.features, stack.pixel_features())
         assert s.labels.tolist() == [int(ClassLabel.CSF)]
 
     def test_single_pixel_normalized(self):
         stack = self._stack([[100], [80], [60]], 1, 1)
         lm = LabelMap(1, 1, np.array([[1]]))
-        s = extract_samples(stack, lm, normalize=True)
+        s = extract_samples(stack, lm)
         np.testing.assert_allclose(
             s.features, [[100 / 65535, 80 / 65535, 60 / 65535]]
         )
@@ -210,9 +210,10 @@ class TestExtractSamples:
         values = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
         stack = self._stack(values, 2, 2)
         lm = LabelMap(2, 2, np.array([[1, 2], [3, 2]]))
-        s = extract_samples(stack, lm, normalize=False)
+        s = extract_samples(stack, lm)
         assert len(s) == 4
-        np.testing.assert_array_equal(s.features[:, 0], [0, 1, 2, 3])
+        expected = np.array([0, 1, 2, 3]) / FULL_SCALE
+        np.testing.assert_array_equal(s.features[:, 0], expected)
         assert s.labels.tolist() == [1, 2, 3, 2]
 
     def test_dimension_mismatch(self):
@@ -233,7 +234,7 @@ class TestExtractSamples:
         bands = tuple(band(row, 3, 2) for row in np.vstack([values[0], values[1]]))
         stack = SpectralStack(bands, (0.0, 500.0))
         lm = LabelMap(3, 2, np.full((2, 3), 2))
-        s = extract_samples(stack, lm, normalize=True)
+        s = extract_samples(stack, lm)
         assert s.features.min() >= 0.0 and s.features.max() <= 1.0
 
     def test_band_samples_scalar(self):
