@@ -5,7 +5,7 @@ SOM, and the monospectral SOM applied to the ADC map."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,8 @@ from .core_image import (
 from .errors import (
     ContractError,
     DegenerateInputError,
-    FormatError,
     LabelingError,
     NumericalError,
-    TrainingError,
     ValidationError,
 )
 
@@ -151,8 +149,8 @@ class MlpModel:
 
     hidden_weights: np.ndarray
     output_weights: np.ndarray
-    config: MlpConfig = field(default_factory=MlpConfig)
     epochs_run: int = 0
+    config: MlpConfig = field(default_factory=MlpConfig)
 
     def __post_init__(self):
         wh = np.asarray(self.hidden_weights, dtype=np.float64)
@@ -251,7 +249,7 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
             wh -= eta * np.outer(d_hid, xi)
         mse = sq_err / (n * N_CLASSES)
         if not np.isfinite(mse):
-            raise TrainingError(f"MLP diverged at epoch {epoch}")
+            raise NumericalError(f"MLP diverged at epoch {epoch}")
         if mse <= cfg.target_error:
             epochs_run = epoch + 1
             break
@@ -411,60 +409,41 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
 # ---------------------------------------------------------------------------
 # Model serialization (JSON)
 
+# A model file holds the kind, then every field of the model's dataclass in
+# declaration order; a nested config is written as its own fields.
+MODEL_KINDS = {
+    "po": (PolyModel, None),
+    "mlp": (MlpModel, MlpConfig),
+    "som": (SomModel, SomConfig),
+}
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return asdict(value) if is_dataclass(value) else value
+
+
 def model_to_json(model: Model) -> dict:
-    if isinstance(model, PolyModel):
-        return {"kind": "po", "weights": model.weights.tolist()}
-    if isinstance(model, MlpModel):
-        return {
-            "kind": "mlp",
-            "hidden_weights": model.hidden_weights.tolist(),
-            "output_weights": model.output_weights.tolist(),
-            "epochs_run": model.epochs_run,
-            "config": {
-                "eta0": model.config.eta0,
-                "target_error": model.config.target_error,
-                "max_epochs": model.config.max_epochs,
-                "seed": model.config.seed,
-            },
-        }
-    if isinstance(model, SomModel):
-        return {
-            "kind": "som",
-            "neurons": model.neurons.tolist(),
-            "class_of_neuron": (
-                None
-                if model.class_of_neuron is None
-                else [int(c) for c in model.class_of_neuron]
-            ),
-            "config": {
-                "eta0": model.config.eta0,
-                "max_iters": model.config.max_iters,
-                "seed": model.config.seed,
-            },
-        }
-    raise ContractError(f"unknown model type {type(model).__name__}")
+    kind = next(k for k, (cls, _) in MODEL_KINDS.items() if isinstance(model, cls))
+    doc = {"kind": kind}
+    doc.update((f.name, _plain(getattr(model, f.name))) for f in fields(model))
+    return doc
 
 
 def model_from_json(doc: dict) -> Model:
-    """Inverse of model_to_json. Keys it does not read are ignored, such as
-    the scaling flag that older model files carry."""
-    kind = doc.get("kind")
-    if kind == "po":
-        return PolyModel(np.array(doc["weights"]))
-    if kind == "mlp":
-        return MlpModel(
-            np.array(doc["hidden_weights"]),
-            np.array(doc["output_weights"]),
-            config=MlpConfig(**doc["config"]),
-            epochs_run=doc.get("epochs_run", 0),
-        )
-    if kind == "som":
-        return SomModel(
-            np.array(doc["neurons"]),
-            class_of_neuron=doc["class_of_neuron"],
-            config=SomConfig(**doc["config"]),
-        )
-    raise FormatError(f"unknown model kind {kind!r}")
+    """Inverse of model_to_json. Every field is required except
+    ``epochs_run``; other keys, such as the scaling flag that older model
+    files carry, are ignored."""
+    kind = doc["kind"]
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls, config_cls = MODEL_KINDS[kind]
+    names = [f.name for f in fields(cls) if f.name != "epochs_run" or f.name in doc]
+    kwargs = {name: doc[name] for name in names}
+    if config_cls is not None:
+        kwargs["config"] = config_cls(**kwargs["config"])
+    return cls(**kwargs)
 
 
 def save_model(model: Model, path) -> None:
@@ -474,11 +453,4 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a model JSON file; a malformed document, or one with a missing
     or ill-typed key, raises FormatError naming the file."""
-    path = Path(path)
-    doc = read_json(path)
-    try:
-        return model_from_json(doc)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, ValidationError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return read_json(path, model_from_json)

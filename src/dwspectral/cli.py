@@ -25,7 +25,6 @@ from .classifiers import (
     train_som,
 )
 from .core_image import (
-    config_from_json,
     extract_band_samples,
     extract_samples,
     load_labelmap,
@@ -34,7 +33,7 @@ from .core_image import (
     save_labelmap,
     save_stack,
 )
-from .errors import ContractError, PipelineError, ValidationError
+from .errors import PipelineError, ValidationError
 from .harness import (
     ExperimentConfig,
     load_experiment_config,
@@ -51,13 +50,18 @@ from .physics import (
 )
 
 
+# Flags that name an input file; the run record holds the digest of each given.
+INPUT_FLAGS = (
+    "spec", "acq", "config", "stack", "adc", "labels", "model", "pred", "truth",
+)
+
+
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_run_record(args, inputs, out_dir=None, out_file=None) -> None:
+def _write_run_record(args, target: Path) -> None:
+    inputs = [getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None)]
     record = {
         "command": args.command,
         "version": __version__,
@@ -67,85 +71,55 @@ def _write_run_record(args, inputs, out_dir=None, out_file=None) -> None:
             for k, v in sorted(vars(args).items())
             if k not in ("func", "command") and v is not None
         },
-        "input_digests": {str(p): _sha256(p) for p in inputs if Path(p).is_file()},
+        "input_digests": {p: _sha256(p) for p in inputs if Path(p).is_file()},
     }
-    if out_dir is not None:
-        target = Path(out_dir) / "run.json"
-    else:
-        out_file = Path(out_file)
-        target = out_file.parent / (out_file.name + ".run.json")
     target.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _load_acq(path) -> AcquisitionParams:
-    if path is None:
-        return AcquisitionParams()
-    return config_from_json(AcquisitionParams, read_json(Path(path)), path)
-
-
-def _require_file(path, what: str) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"{what} not found: {path}")
-    return path
+def _record_beside(out_file: Path) -> Path:
+    return out_file.with_name(out_file.name + ".run.json")
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands; each returns the path of its run record.
 
-def cmd_phantom(args) -> None:
-    inputs = []
-    if args.spec:
-        spec = load_phantom_spec(_require_file(args.spec, "phantom spec"))
-        inputs.append(args.spec)
-    else:
-        spec = default_phantom_spec()
+def cmd_phantom(args) -> Path:
+    spec = load_phantom_spec(args.spec) if args.spec else default_phantom_spec()
+    acq = AcquisitionParams()
     if args.acq:
-        _require_file(args.acq, "acquisition file")
-        inputs.append(args.acq)
-    acq = _load_acq(args.acq)
+        acq = read_json(args.acq, lambda doc: AcquisitionParams(**doc))
     stacks, truth = render_phantom(spec, acq)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for s, (stack, lm) in enumerate(zip(stacks, truth)):
         save_stack(stack, out, prefix=f"slice_{s:02d}")
         save_labelmap(lm, out / f"truth_{s:02d}.pgm")
-    _write_run_record(args, inputs, out_dir=out)
+    return out / "run.json"
 
 
-def cmd_noise(args) -> None:
-    stack = load_stack(_require_file(args.stack, "stack manifest"))
-    noisy = add_noise_to_stack(stack, args.xi, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_stack(noisy, out, prefix="noisy")
-    _write_run_record(args, [args.stack], out_dir=out)
+def cmd_noise(args) -> Path:
+    noisy = add_noise_to_stack(load_stack(args.stack), args.xi, args.seed)
+    save_stack(noisy, args.out, prefix="noisy")
+    return Path(args.out) / "run.json"
 
 
-def cmd_adc(args) -> None:
-    stack = load_stack(_require_file(args.stack, "stack manifest"))
+def cmd_adc(args) -> Path:
     cfg = AdcConfig(
         c_const=args.c, normalize_by_terms=args.normalize, epsilon=args.epsilon
     )
-    band = adc_map(stack, cfg)
+    band = adc_map(load_stack(args.stack), cfg)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_adc_raw(band, out.with_suffix(".adc"))
     save_adc_pgm(band, out.with_suffix(".pgm"))
-    _write_run_record(args, [args.stack], out_file=out.with_suffix(".adc"))
+    return _record_beside(out.with_suffix(".adc"))
 
 
-def cmd_train(args) -> None:
-    labels = load_labelmap(_require_file(args.labels, "label map"))
-    inputs = [args.labels]
+def cmd_train(args) -> Path:
+    labels = load_labelmap(args.labels)
     if args.method == "ko-adc":
         if args.adc:
-            band = load_adc_raw(_require_file(args.adc, "raw ADC file"))
-            inputs.append(args.adc)
+            band = load_adc_raw(args.adc)
         elif args.stack:
-            stack = load_stack(_require_file(args.stack, "stack manifest"))
-            band = adc_map(stack, AdcConfig())
-            inputs.append(args.stack)
+            band = adc_map(load_stack(args.stack), AdcConfig())
         else:
             raise ValidationError("ko-adc training needs --adc or --stack")
         samples = extract_band_samples(band, labels)
@@ -153,71 +127,49 @@ def cmd_train(args) -> None:
     else:
         if not args.stack:
             raise ValidationError(f"{args.method} training needs --stack")
-        stack = load_stack(_require_file(args.stack, "stack manifest"))
-        inputs.append(args.stack)
-        samples = extract_samples(stack, labels)
+        samples = extract_samples(load_stack(args.stack), labels)
         if args.method == "po":
             model = train_polynomial(samples)
         elif args.method == "mlp":
             model = train_mlp(samples, MlpConfig(seed=args.seed))
         else:  # ko
             model = label_som(train_som(samples, SomConfig(seed=args.seed)), samples)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, out)
-    _write_run_record(args, inputs, out_file=out)
+    save_model(model, args.out)
+    return _record_beside(Path(args.out))
 
 
-def cmd_classify(args) -> None:
-    model = load_model(_require_file(args.model, "model file"))
-    inputs = [args.model]
+def cmd_classify(args) -> Path:
+    model = load_model(args.model)
     if args.stack:
-        image = load_stack(_require_file(args.stack, "stack manifest"))
-        inputs.append(args.stack)
+        image = load_stack(args.stack)
     elif args.adc:
-        image = load_adc_raw(_require_file(args.adc, "raw ADC file"))
-        inputs.append(args.adc)
+        image = load_adc_raw(args.adc)
     else:
         raise ValidationError("classify needs --stack or --adc")
-    labelmap = classify(model, image)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    save_labelmap(labelmap, out)
-    _write_run_record(args, inputs, out_file=out)
+    save_labelmap(classify(model, image), args.out)
+    return _record_beside(Path(args.out))
 
 
-def cmd_eval(args) -> None:
-    pred = load_labelmap(_require_file(args.pred, "prediction map"))
-    truth = load_labelmap(_require_file(args.truth, "truth map"))
-    report = metrics_report(pred, truth)
-    volume = volumes([pred])
-    doc = {"metrics": report.to_json(), "volumes": volume.to_json()}
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_run_record(args, [args.pred, args.truth], out_file=out)
+def cmd_eval(args) -> Path:
+    pred = load_labelmap(args.pred)
+    report = metrics_report(pred, load_labelmap(args.truth))
+    doc = {"metrics": report.to_json(), "volumes": volumes([pred]).to_json()}
+    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _record_beside(Path(args.out))
 
 
-def _experiment_config(args) -> tuple[ExperimentConfig, list]:
-    if args.config:
-        return load_experiment_config(_require_file(args.config, "config file")), [
-            args.config
-        ]
-    return ExperimentConfig(), []
+def _experiment_config(args) -> ExperimentConfig:
+    return load_experiment_config(args.config) if args.config else ExperimentConfig()
 
 
-def cmd_baseline(args) -> None:
-    cfg, inputs = _experiment_config(args)
-    out = Path(args.out)
-    run_baseline(cfg, out_dir=out)
-    _write_run_record(args, inputs, out_dir=out)
+def cmd_baseline(args) -> Path:
+    run_baseline(_experiment_config(args), out_dir=args.out)
+    return Path(args.out) / "run.json"
 
 
-def cmd_sweep(args) -> None:
-    cfg, inputs = _experiment_config(args)
-    out = Path(args.out)
-    run_sweep(cfg, out_dir=out)
-    _write_run_record(args, inputs, out_dir=out)
+def cmd_sweep(args) -> Path:
+    run_sweep(_experiment_config(args), out_dir=args.out)
+    return Path(args.out) / "run.json"
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.set_defaults(func=func)
         return p
 
@@ -243,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("noise", cmd_noise, "add seeded Gaussian noise to a stack")
+    p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--stack", required=True, help="stack manifest JSON")
     p.add_argument("--xi", type=float, required=True, help="sigma as fraction of full scale")
     p.add_argument("--out", required=True, help="output directory")
@@ -260,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output base path (.adc/.pgm)")
 
     p = add("train", cmd_train, "train a classifier on a labeled image")
+    p.add_argument("--seed", type=int, default=0, help="MLP/SOM training seed")
     p.add_argument("--method", required=True, choices=("po", "mlp", "ko", "ko-adc"))
     p.add_argument("--stack", help="stack manifest JSON")
     p.add_argument("--adc", help="raw ADC file (ko-adc)")
@@ -291,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        _write_run_record(args, args.func(args))
         return 0
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PipelineError as exc:

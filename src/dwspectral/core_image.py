@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ContractError,
     DimensionError,
     FormatError,
     RangeError,
@@ -256,11 +255,26 @@ def save_labelmap(labelmap: LabelMap, path) -> None:
 # ---------------------------------------------------------------------------
 # JSON documents
 
-def read_json(path: Path):
+def read_json(path, build):
+    """``build`` applied to the JSON document in ``path``. Invalid JSON, or a
+    document of the wrong shape for ``build`` (a KeyError, TypeError,
+    ValueError or AttributeError), raises FormatError naming the file; any
+    other ValidationError keeps its class and gains the file name."""
+    path = Path(path)
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except ValueError as exc:  # also undecodable bytes
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    try:
+        return build(doc)
+    except FormatError:
+        raise  # already names its file: a band, a nested spec or a config block
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing or unknown key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def config_from_json(cls, doc, where):
@@ -282,18 +296,15 @@ def load_stack(manifest_path) -> SpectralStack:
     "slice_index": int}; band paths are resolved relative to the manifest.
     """
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    for key in ("bands", "b_values"):
-        if key not in manifest:
-            raise FormatError(f"{manifest_path}: missing manifest key {key!r}")
-    slice_index = int(manifest.get("slice_index", 0))
-    bands = []
-    for rel in manifest["bands"]:
-        band_path = Path(rel)
-        if not band_path.is_absolute():
-            band_path = manifest_path.parent / band_path
-        bands.append(load_band(band_path, slice_index=slice_index))
-    return SpectralStack(tuple(bands), tuple(manifest["b_values"]))
+
+    def build(doc):
+        slice_index = int(doc.get("slice_index", 0))
+        bands = tuple(
+            load_band(manifest_path.parent / rel, slice_index) for rel in doc["bands"]
+        )
+        return SpectralStack(bands, tuple(doc["b_values"]))
+
+    return read_json(manifest_path, build)
 
 
 def save_stack(stack: SpectralStack, out_dir, prefix: str = "band") -> Path:

@@ -33,17 +33,14 @@ class DegenerateInputError(ValidationError):
     """Input lacks the diversity required by the algorithm."""
 
 
-class TrainingError(PipelineError):
-    """Training diverged or hit a numerical failure."""
-
-
 class NumericalError(PipelineError):
-    """A numerical procedure failed beyond recovery."""
+    """A numerical procedure failed beyond recovery, such as a diverged
+    training run."""
 
 
 class LabelingError(PipelineError):
     """Cluster-to-class labeling could not be completed."""
 
 
-class UndefinedMetricError(PipelineError):
+class UndefinedMetricError(ValidationError):
     """A metric is undefined for the given input (e.g. kappa with p_e = 1)."""

@@ -89,22 +89,24 @@ def load_experiment_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from JSON; omitted keys take defaults and a
     phantom spec path is resolved relative to the config file."""
     path = Path(path)
-    doc = read_json(path)
-    phantom = default_phantom_spec()
-    if doc.get("phantom_spec"):
-        spec_path = Path(doc["phantom_spec"])
-        if not spec_path.is_absolute():
-            spec_path = path.parent / spec_path
-        phantom = load_phantom_spec(spec_path)
-    acq = config_from_json(
-        AcquisitionParams, doc.get("acquisition") or {}, f"{path}: acquisition"
-    )
-    adc_cfg = config_from_json(AdcConfig, doc.get("adc") or {}, f"{path}: adc")
-    kwargs = {}
-    for key in ("training_slice", "noise_levels", "seeds", "classifiers"):
-        if key in doc and doc[key] is not None:
-            kwargs[key] = doc[key]
-    return ExperimentConfig(phantom=phantom, acquisition=acq, adc=adc_cfg, **kwargs)
+
+    def build(doc):
+        kwargs = {
+            key: doc[key]
+            for key in ("training_slice", "noise_levels", "seeds", "classifiers")
+            if doc.get(key) is not None
+        }
+        if doc.get("phantom_spec"):
+            kwargs["phantom"] = load_phantom_spec(path.parent / doc["phantom_spec"])
+        return ExperimentConfig(
+            acquisition=config_from_json(
+                AcquisitionParams, doc.get("acquisition") or {}, f"{path}: acquisition"
+            ),
+            adc=config_from_json(AdcConfig, doc.get("adc") or {}, f"{path}: adc"),
+            **kwargs,
+        )
+
+    return read_json(path, build)
 
 
 @dataclass(frozen=True)

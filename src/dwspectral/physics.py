@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .core_image import FULL_SCALE, Band, ClassLabel, LabelMap, SpectralStack, read_json
-from .errors import ConfigurationError, FormatError, ValidationError
+from .errors import ConfigurationError, ValidationError
 
 # Headroom left above the brightest noiseless pixel so additive noise does
 # not saturate immediately.
@@ -112,6 +111,11 @@ class Shape:
     kind: str
     label: ClassLabel
     params: dict
+
+    def __post_init__(self):
+        # An unknown kind or a missing or ill-formed parameter fails here,
+        # not when the phantom is rendered.
+        self.mask(1, 1, 0.0)
 
     def mask(self, width: int, height: int, slice_offset: float) -> np.ndarray:
         y, x = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -245,26 +249,21 @@ def default_phantom_spec(
     return PhantomSpec(width, height, slices, tuple(shapes))
 
 
+def _spec_from_json(doc) -> PhantomSpec:
+    shapes = tuple(
+        Shape(s["kind"], _LABEL_NAMES[s["label"]], s["params"]) for s in doc["shapes"]
+    )
+    tissues = {
+        _LABEL_NAMES[name]: TissueParams(**params)
+        for name, params in doc.get("tissues", {}).items()
+    }
+    width, height, slices = int(doc["width"]), int(doc["height"]), int(doc["slices"])
+    return PhantomSpec(width, height, slices, shapes, tissues or dict(DEFAULT_TISSUES))
+
+
 def load_phantom_spec(path) -> PhantomSpec:
     """Read a PhantomSpec from JSON (see phantom_spec_to_json for schema)."""
-    path = Path(path)
-    doc = read_json(path)
-    try:
-        shapes = tuple(
-            Shape(s["kind"], _LABEL_NAMES[s["label"]], s["params"])
-            for s in doc["shapes"]
-        )
-        tissues = {
-            _LABEL_NAMES[name]: TissueParams(**params)
-            for name, params in doc.get("tissues", {}).items()
-        }
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing or invalid field {exc}") from exc
-    if not tissues:
-        tissues = dict(DEFAULT_TISSUES)
-    return PhantomSpec(
-        int(doc["width"]), int(doc["height"]), int(doc["slices"]), shapes, tissues
-    )
+    return read_json(path, _spec_from_json)
 
 
 def phantom_spec_to_json(spec: PhantomSpec) -> dict:

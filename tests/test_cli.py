@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from dwspectral.cli import main
-from dwspectral.core_image import load_labelmap
+from dwspectral.core_image import ClassLabel, LabelMap, load_labelmap, save_labelmap
 from dwspectral.metrics import confusion, kappa
 from dwspectral.physics import phantom_spec_to_json
 
@@ -116,6 +117,13 @@ class TestTrainClassifyEval:
         k = kappa(confusion(load_labelmap(pred), load_labelmap(truth)))
         assert k >= 0.99
 
+    def test_eval_single_class_maps_exits_2(self, tmp_path, capsys):
+        """Kappa is undefined when both maps hold one class (p_e = 1)."""
+        single = tmp_path / "matter.pgm"
+        save_labelmap(LabelMap(4, 4, np.full((4, 4), int(ClassLabel.MATTER))), single)
+        argv = ["eval", "--pred", single, "--truth", single, "--out", tmp_path / "r.json"]
+        assert "kappa" in assert_one_error_line(argv, capsys)
+
 
 class TestSweepCommand:
     def test_tiny_sweep_row_count(self, spec_file, tmp_path):
@@ -135,11 +143,17 @@ class TestSweepCommand:
         assert (out / "run.json").exists()
         assert (out / "kappa_vs_noise.svg").exists()
 
-    def test_run_record_contents(self, phantom_dir):
+    def test_run_record_contents(self, phantom_dir, tmp_path):
         doc = json.loads((phantom_dir / "run.json").read_text())
         assert doc["command"] == "phantom"
-        assert doc["seed"] == 0
         assert all(len(h) == 64 for h in doc["input_digests"].values())
+        out = tmp_path / "noisy"
+        stack = phantom_dir / "slice_03_manifest.json"
+        argv = ["noise", "--stack", str(stack), "--xi", "0.05", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads((out / "run.json").read_text())
+        assert doc["seed"] == 0
+        assert list(doc["input_digests"]) == [str(stack)]
 
 
 def assert_one_error_line(argv, capsys) -> str:
@@ -211,6 +225,36 @@ class TestMalformedModelFiles:
         assert legacy_pred == (tmp_path / "current.pgm").read_bytes()
 
 
+def unknown_tissue_key(doc):
+    doc["tissues"]["CSF"]["bogus"] = 1
+    return doc
+
+
+def shape_without_rx(doc):
+    del doc["shapes"][0]["params"]["rx"]
+    return doc
+
+
+def arc_without_r_in(doc):
+    arc = next(s for s in doc["shapes"] if s["kind"] == "annulus_arc")
+    del arc["params"]["r_in"]
+    return doc
+
+
+def unknown_shape_kind(doc):
+    doc["shapes"][0]["kind"] = "blob"
+    return doc
+
+
+def three_element_parameter(doc):
+    doc["shapes"][0]["params"]["rx"] = [1, 2, 3]
+    return doc
+
+
+def list_document(doc):
+    return [1, 2]
+
+
 class TestMalformedConfigFiles:
     @pytest.mark.parametrize("text", ["{bad", '{"k_const": 1, "bogus": 2}'])
     def test_phantom_acq_exits_2(self, tmp_path, capsys, text):
@@ -226,11 +270,46 @@ class TestMalformedConfigFiles:
         err = assert_one_error_line(argv, capsys)
         assert "acquisition" in err and "bogus" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            unknown_tissue_key,
+            shape_without_rx,
+            arc_without_r_in,
+            unknown_shape_kind,
+            three_element_parameter,
+            list_document,
+        ],
+    )
+    def test_phantom_spec_exits_2(self, small_spec, tmp_path, capsys, edit):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(edit(phantom_spec_to_json(small_spec))))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        assert str(spec) in assert_one_error_line(argv, capsys)
+
+    def test_baseline_config_not_an_object_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        argv = ["baseline", "--config", cfg, "--out", tmp_path / "o"]
+        assert str(cfg) in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+    def test_unreadable_stack_exits_2(self, tmp_path, capsys, name):
+        (tmp_path / "a_directory").mkdir()
+        stack = tmp_path / name
+        argv = ["noise", "--stack", stack, "--xi", "0.05", "--out", tmp_path / "o"]
+        assert str(stack) in assert_one_error_line(argv, capsys)
+
 
 class TestArgumentErrors:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["phantom", "--bogus", "x", "--out", "y"])
+        assert exc.value.code == 2
+
+    def test_seed_only_where_used(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--seed", "1", "--out", "y"])
         assert exc.value.code == 2
 
     def test_missing_subcommand_rejected(self):
