@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .core_image import FULL_SCALE, Band, SpectralStack, save_band
-from .errors import ContractError, FormatError, ValidationError
+from .errors import FormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ def adc_map_raw(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> np.ndarra
     """
     n = len(stack.bands)
     if n < 2:
-        raise ContractError(f"ADC needs at least 2 bands, got {n}")
+        raise ValidationError(f"ADC needs at least 2 bands, got {n}")
     f1 = np.maximum(stack.bands[0].data, cfg.epsilon)
     out = np.zeros_like(f1)
     for i in range(1, n):

@@ -16,15 +16,10 @@ from .core_image import (
     LabelMap,
     SampleSet,
     SpectralStack,
+    nonnegative_int,
     read_json,
 )
-from .errors import (
-    ContractError,
-    DegenerateInputError,
-    LabelingError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 
 N_CLASSES = 3
 MLP_HIDDEN = 60
@@ -44,7 +39,9 @@ def expand_quadratic(x: np.ndarray) -> np.ndarray:
     if single:
         arr = arr[None, :]
     if arr.shape[1] != 3:
-        raise ContractError(f"quadratic expansion expects 3 features, got {arr.shape[1]}")
+        raise ValidationError(
+            f"quadratic expansion expects 3 features, got {arr.shape[1]}"
+        )
     if not np.all(np.isfinite(arr)):
         raise ValidationError("quadratic expansion requires finite input")
     x1, x2, x3 = arr[:, 0], arr[:, 1], arr[:, 2]
@@ -101,9 +98,9 @@ def train_polynomial(samples: SampleSet) -> PolyModel:
     if len(samples) < 10:
         raise ValidationError(f"need at least 10 samples, got {len(samples)}")
     if np.unique(samples.labels).size < 2:
-        raise DegenerateInputError("training set must span at least 2 classes")
+        raise ValidationError("training set must span at least 2 classes")
     if samples.feature_dim != 3:
-        raise ContractError(
+        raise ValidationError(
             f"polynomial net expects 3 features, got {samples.feature_dim}"
         )
     phi = expand_quadratic(samples.features)
@@ -140,6 +137,7 @@ class MlpConfig:
             )
         if self.max_epochs < 1:
             raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        nonnegative_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -217,11 +215,11 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
     configured target."""
     x = samples.features
     if samples.feature_dim != 3:
-        raise ContractError(f"MLP expects 3 features, got {samples.feature_dim}")
+        raise ValidationError(f"MLP expects 3 features, got {samples.feature_dim}")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValidationError("MLP features must be scaled into [0, 1]")
     if np.unique(samples.labels).size < 2:
-        raise DegenerateInputError("training set must span at least 2 classes")
+        raise ValidationError("training set must span at least 2 classes")
     targets = _one_hot(samples.labels, low=0.1, high=0.9)
 
     rng = np.random.default_rng(cfg.seed)
@@ -270,6 +268,7 @@ class SomConfig:
             raise ValidationError(f"eta0 must be > 0, got {self.eta0}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        nonnegative_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -313,9 +312,9 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     x = samples.features
     n = x.shape[0]
     if n < SOM_NEURONS:
-        raise DegenerateInputError(f"need at least 3 samples, got {n}")
+        raise ValidationError(f"need at least 3 samples, got {n}")
     if np.unique(x, axis=0).shape[0] < SOM_NEURONS:
-        raise DegenerateInputError("need at least 3 distinct samples")
+        raise ValidationError("need at least 3 distinct samples")
 
     rng = np.random.default_rng(cfg.seed)
     neurons = []
@@ -344,7 +343,7 @@ def label_som(model: SomModel, samples: SampleSet) -> SomModel:
     """Label each neuron by majority vote over the samples it wins; ties go
     to the lower class integer."""
     if samples.feature_dim != model.feature_dim:
-        raise ContractError(
+        raise ValidationError(
             f"samples have {samples.feature_dim} features, "
             f"model expects {model.feature_dim}"
         )
@@ -353,7 +352,7 @@ def label_som(model: SomModel, samples: SampleSet) -> SomModel:
     for j in range(SOM_NEURONS):
         won = samples.labels[winners == j]
         if won.size == 0:
-            raise LabelingError(f"neuron {j} wins no samples; cannot label it")
+            raise NumericalError(f"neuron {j} wins no samples; cannot label it")
         counts = np.bincount(won, minlength=len(ClassLabel) + 1)
         assignment.append(ClassLabel(int(np.argmax(counts))))
     return SomModel(model.neurons, class_of_neuron=tuple(assignment), config=model.config)
@@ -363,7 +362,7 @@ def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
     """Monospectral SOM over scalar diffusion values: unsupervised training
     followed by majority-vote labeling."""
     if truth_samples.feature_dim != 1:
-        raise ContractError(
+        raise ValidationError(
             f"ADC samples must be scalar, got dim {truth_samples.feature_dim}"
         )
     model = train_som(truth_samples, cfg)
@@ -383,7 +382,7 @@ def _input_features(model: Model, image: SpectralStack | Band) -> np.ndarray:
     else:
         feats = image.data.reshape(-1, 1)
     if feats.shape[1] != model.feature_dim:
-        raise ContractError(
+        raise ValidationError(
             f"model expects {model.feature_dim} features, "
             f"input provides {feats.shape[1]}"
         )
@@ -397,7 +396,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     feats = _input_features(model, image)
     if isinstance(model, SomModel):
         if model.class_of_neuron is None:
-            raise ContractError("SOM model must be labeled before classification")
+            raise ValidationError("SOM model must be labeled before classification")
         winners = model.winners(feats)
         lut = np.array([int(c) for c in model.class_of_neuron])
         labels = lut[winners]

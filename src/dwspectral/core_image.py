@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FormatError,
-    RangeError,
-    ValidationError,
-)
+from .errors import FormatError, ValidationError
 
 FULL_SCALE = 65535  # 16-bit PGM maxval; stack features are divided by it
+
+
+def nonnegative_int(value, what: str) -> int:
+    """``value`` as an int; a bool, a non-integer or a negative value raises
+    ValidationError. Seeds and slice indices key the noise generators, which
+    accept only non-negative integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 class ClassLabel(IntEnum):
@@ -41,14 +46,14 @@ class Band:
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
         if arr.shape != (self.height, self.width):
-            raise DimensionError(
+            raise ValidationError(
                 f"band data shape {arr.shape} does not match "
                 f"(height={self.height}, width={self.width})"
             )
         if not np.all(np.isfinite(arr)):
             raise ValidationError("band contains non-finite intensities")
         if np.any(arr < 0):
-            raise RangeError("band contains negative intensities")
+            raise ValidationError("band contains negative intensities")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -72,7 +77,7 @@ class SpectralStack:
         first = bands[0]
         for b in bands[1:]:
             if (b.width, b.height) != (first.width, first.height):
-                raise DimensionError("all bands in a stack must share dimensions")
+                raise ValidationError("all bands in a stack must share dimensions")
             if b.slice_index != first.slice_index:
                 raise ValidationError("all bands in a stack must share slice_index")
         if b_values[0] != 0.0:
@@ -113,7 +118,7 @@ class LabelMap:
     def __post_init__(self):
         arr = np.asarray(self.labels, dtype=np.int64)
         if arr.shape != (self.height, self.width):
-            raise DimensionError(
+            raise ValidationError(
                 f"label map shape {arr.shape} does not match "
                 f"(height={self.height}, width={self.width})"
             )
@@ -222,7 +227,7 @@ def save_band(band: Band, path) -> None:
     """Write a Band as 16-bit binary PGM, rounding half-to-even."""
     rounded = np.rint(band.data)
     if rounded.min() < 0 or rounded.max() > FULL_SCALE:
-        raise RangeError(
+        raise ValidationError(
             f"band intensities [{rounded.min()}, {rounded.max()}] exceed "
             f"[0, {FULL_SCALE}] after rounding; refusing to clamp on save"
         )
@@ -256,24 +261,25 @@ def save_labelmap(labelmap: LabelMap, path) -> None:
 # JSON documents
 
 def read_json(path, build):
-    """``build`` applied to the JSON document in ``path``. Invalid JSON, or a
-    document of the wrong shape for ``build`` (a KeyError, TypeError,
-    ValueError or AttributeError), raises FormatError naming the file; any
-    other ValidationError keeps its class and gains the file name."""
+    """``build`` applied to the JSON document in ``path``. Invalid or too
+    deeply nested JSON, or a document of the wrong shape for ``build`` (a
+    KeyError, TypeError, ValueError, OverflowError or AttributeError), raises
+    FormatError naming the file; any other ValidationError gains the file
+    name."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:  # also undecodable bytes
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     try:
         return build(doc)
     except FormatError:
         raise  # already names its file: a band, a nested spec or a config block
     except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise ValidationError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise FormatError(f"{path}: missing or unknown key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -298,7 +304,7 @@ def load_stack(manifest_path) -> SpectralStack:
     manifest_path = Path(manifest_path)
 
     def build(doc):
-        slice_index = int(doc.get("slice_index", 0))
+        slice_index = nonnegative_int(doc.get("slice_index", 0), "slice_index")
         bands = tuple(
             load_band(manifest_path.parent / rel, slice_index) for rel in doc["bands"]
         )
@@ -333,7 +339,7 @@ def extract_samples(stack: SpectralStack, labels: LabelMap) -> SampleSet:
     """One sample per labeled pixel, row-major order; feature i of a pixel
     is its intensity in band i divided by the full 16-bit scale."""
     if (labels.width, labels.height) != (stack.width, stack.height):
-        raise DimensionError(
+        raise ValidationError(
             f"label map {labels.width}x{labels.height} does not match "
             f"stack {stack.width}x{stack.height}"
         )
@@ -345,7 +351,7 @@ def extract_samples(stack: SpectralStack, labels: LabelMap) -> SampleSet:
 def extract_band_samples(band: Band, labels: LabelMap) -> SampleSet:
     """Scalar samples from a single band (e.g. an ADC map), row-major."""
     if (labels.width, labels.height) != (band.width, band.height):
-        raise DimensionError(
+        raise ValidationError(
             f"label map {labels.width}x{labels.height} does not match "
             f"band {band.width}x{band.height}"
         )

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline: one class per CLI exit
+code, plus FormatError for messages that already name their file."""
 
 
 class PipelineError(Exception):
@@ -6,41 +7,16 @@ class PipelineError(Exception):
 
 
 class ValidationError(PipelineError):
-    """Bad user input: malformed files, invalid configs, contract violations."""
+    """Bad user input: malformed files, invalid configs, contract violations.
+    The CLI prints it as one ``error:`` line and exits 2."""
 
 
 class FormatError(ValidationError):
-    """A file on disk does not match its expected format."""
-
-
-class RangeError(ValidationError):
-    """A value falls outside its allowed range."""
-
-
-class DimensionError(ValidationError):
-    """Images or maps that must share dimensions do not."""
-
-
-class ConfigurationError(ValidationError):
-    """An inconsistent or incomplete configuration."""
-
-
-class ContractError(ValidationError):
-    """Caller violated an operation precondition (e.g. arity mismatch)."""
-
-
-class DegenerateInputError(ValidationError):
-    """Input lacks the diversity required by the algorithm."""
+    """A file does not match its expected format; the message names the
+    file, so ``read_json`` passes it through unchanged."""
 
 
 class NumericalError(PipelineError):
-    """A numerical procedure failed beyond recovery, such as a diverged
-    training run."""
-
-
-class LabelingError(PipelineError):
-    """Cluster-to-class labeling could not be completed."""
-
-
-class UndefinedMetricError(ValidationError):
-    """A metric is undefined for the given input (e.g. kappa with p_e = 1)."""
+    """A numerical procedure failed beyond recovery: a diverged MLP, an
+    unsolvable polynomial fit, or a SOM neuron that wins no sample. The CLI
+    prints it as an ``internal error:`` line and exits 1."""

@@ -26,10 +26,11 @@ from .core_image import (
     config_from_json,
     extract_band_samples,
     extract_samples,
+    nonnegative_int,
     read_json,
     save_labelmap,
 )
-from .errors import ConfigurationError
+from .errors import ValidationError
 from .metrics import (
     MetricsReport,
     VolumeReport,
@@ -65,23 +66,30 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not 0 <= self.training_slice < self.phantom.slices:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"training slice {self.training_slice} outside volume "
                 f"of {self.phantom.slices} slices"
             )
+        nonnegative_int(self.training_slice, "training slice")  # such as 2.5
         levels = tuple(float(v) for v in self.noise_levels)
         if any(not 0.0 <= v <= 0.20 for v in levels):
-            raise ConfigurationError(f"noise levels must lie in [0, 0.20]: {levels}")
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
+            raise ValidationError(f"noise levels must lie in [0, 0.20]: {levels}")
+        seeds = tuple(nonnegative_int(s, "seed") for s in self.seeds)
+        if not seeds:
+            raise ValidationError("at least one seed is required")
         names = tuple(self.classifiers)
         unknown = [c for c in names if c not in CLASSIFIER_NAMES]
         if unknown:
-            raise ConfigurationError(f"unknown classifiers {unknown}")
+            raise ValidationError(f"unknown classifiers {unknown}")
         if not names:
-            raise ConfigurationError("at least one classifier must be selected")
+            raise ValidationError("at least one classifier must be selected")
+        # A repeated value would score, and write, the same cells twice.
+        named = (("noise levels", levels), ("seeds", seeds), ("classifiers", names))
+        for what, values in named:
+            if len(set(values)) != len(values):
+                raise ValidationError(f"duplicate {what}: {values}")
         object.__setattr__(self, "noise_levels", levels)
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "classifiers", names)
 
 
@@ -149,7 +157,7 @@ def _max_workers() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ConfigurationError(f"DWSPECTRAL_THREADS is not an integer: {env!r}")
+            raise ValidationError(f"DWSPECTRAL_THREADS is not an integer: {env!r}")
     return os.cpu_count() or 1
 
 
@@ -243,7 +251,7 @@ def run_sweep(
     """Noise sweep over ``cfg.noise_levels`` x ``cfg.seeds`` with models
     trained once on the noiseless training slice (see _score_cells)."""
     if not cfg.noise_levels:
-        raise ConfigurationError("sweep needs at least one noise level")
+        raise ValidationError("sweep needs at least one noise level")
     if baseline is None:
         stacks, truth = render_phantom(cfg.phantom, cfg.acquisition)
         models = train_models(cfg, stacks, truth)

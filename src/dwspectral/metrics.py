@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_image import ClassLabel, LabelMap
-from .errors import DimensionError, UndefinedMetricError, ValidationError
+from .errors import ValidationError
 
 N = len(ClassLabel)
 
@@ -67,7 +67,7 @@ class VolumeReport:
 
 def confusion(pred: LabelMap, truth: LabelMap) -> ConfusionMatrix:
     if (pred.width, pred.height) != (truth.width, truth.height):
-        raise DimensionError(
+        raise ValidationError(
             f"prediction {pred.width}x{pred.height} does not match "
             f"truth {truth.width}x{truth.height}"
         )
@@ -101,7 +101,7 @@ def kappa(cm: ConfusionMatrix) -> float:
     cols = cm.counts.sum(axis=0)
     p_e = float(rows @ cols) / (total * total)
     if p_e >= 1.0:
-        raise UndefinedMetricError(
+        raise ValidationError(
             "kappa undefined: chance agreement p_e = 1 (single truth/pred cell)"
         )
     return (p_o - p_e) / (1.0 - p_e)
@@ -122,7 +122,7 @@ def volumes(labelmaps) -> VolumeReport:
         raise ValidationError("volumes need at least one label map")
     dims = {(lm.width, lm.height) for lm in labelmaps}
     if len(dims) != 1:
-        raise DimensionError(f"label maps have mixed dimensions: {sorted(dims)}")
+        raise ValidationError(f"label maps have mixed dimensions: {sorted(dims)}")
     pooled = np.concatenate([lm.labels.ravel() for lm in labelmaps])
     total = pooled.size
     pct = [

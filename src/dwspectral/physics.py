@@ -7,8 +7,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_image import FULL_SCALE, Band, ClassLabel, LabelMap, SpectralStack, read_json
-from .errors import ConfigurationError, ValidationError
+from .core_image import (
+    FULL_SCALE,
+    Band,
+    ClassLabel,
+    LabelMap,
+    SpectralStack,
+    nonnegative_int,
+    read_json,
+)
+from .errors import ValidationError
 
 # Headroom left above the brightest noiseless pixel so additive noise does
 # not saturate immediately.
@@ -137,7 +145,7 @@ class Shape:
             return (
                 (x >= p["x0"]) & (x <= p["x1"]) & (y >= p["y0"]) & (y <= p["y1"])
             )
-        raise ConfigurationError(f"unknown shape kind {self.kind!r}")
+        raise ValidationError(f"unknown shape kind {self.kind!r}")
 
     def bounds_ok(self, width: int, height: int, slices: int) -> bool:
         for s in range(slices):
@@ -303,7 +311,7 @@ def render_phantom(
         used.update(int(v) for v in np.unique(lm.labels))
     for code in sorted(used):
         if ClassLabel(code) not in spec.tissue_table:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"tissue table has no entry for {ClassLabel(code).name}"
             )
 
@@ -345,6 +353,7 @@ class NoiseConfig:
             raise ValidationError(
                 f"xi_max must lie in [0, 0.20], got {self.xi_max}"
             )
+        nonnegative_int(self.seed, "seed")
 
 
 def add_gaussian_noise(band: Band, cfg: NoiseConfig, stream: int = 0) -> Band:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dwspectral.core_image import ClassLabel
 from dwspectral.harness import ExperimentConfig
@@ -10,6 +11,11 @@ from dwspectral.physics import (
     default_phantom_spec,
     render_phantom,
 )
+
+# The same examples on every run; no per-example deadline, since a loaded
+# machine can make one example slow. Tests keep their own max_examples.
+settings.register_profile("dwspectral", derandomize=True, deadline=None)
+settings.load_profile("dwspectral")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from dwspectral.adc import (
     save_adc_raw,
 )
 from dwspectral.core_image import Band, ClassLabel, SpectralStack
-from dwspectral.errors import ContractError, FormatError, ValidationError
+from dwspectral.errors import FormatError, ValidationError
 from dwspectral.physics import add_noise_to_stack
 
 
@@ -64,7 +64,7 @@ class TestAdcMap:
         fake = SimpleNamespace(
             bands=[Band(1, 1, np.array([[1.0]]))], b_values=(0.0,)
         )
-        with pytest.raises(ContractError):
+        with pytest.raises(ValidationError, match="at least 2 bands, got 1"):
             adc_map_raw(fake)
 
     def test_invalid_config_rejected(self):

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from dwspectral import cli
 from dwspectral.cli import main
 from dwspectral.core_image import ClassLabel, LabelMap, load_labelmap, save_labelmap
+from dwspectral.errors import FormatError, NumericalError, PipelineError, ValidationError
 from dwspectral.metrics import confusion, kappa
 from dwspectral.physics import phantom_spec_to_json
 
@@ -255,6 +257,21 @@ def list_document(doc):
     return [1, 2]
 
 
+def sweep_argv(spec_file, tmp_path, **edits):
+    """A one-cell sweep on the small phantom, with ``edits`` applied to its
+    config document."""
+    cfg = tmp_path / "cfg.json"
+    doc = {
+        "phantom_spec": str(spec_file),
+        "training_slice": 3,
+        "noise_levels": [0.05],
+        "seeds": [1],
+        "classifiers": ["PO"],
+    }
+    cfg.write_text(json.dumps({**doc, **edits}))
+    return ["sweep", "--config", cfg, "--out", tmp_path / "o"]
+
+
 class TestMalformedConfigFiles:
     @pytest.mark.parametrize("text", ["{bad", '{"k_const": 1, "bogus": 2}'])
     def test_phantom_acq_exits_2(self, tmp_path, capsys, text):
@@ -299,6 +316,76 @@ class TestMalformedConfigFiles:
         stack = tmp_path / name
         argv = ["noise", "--stack", stack, "--xi", "0.05", "--out", tmp_path / "o"]
         assert str(stack) in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("training_slice", 2.5, "training slice must be a non-negative integer"),
+            ("seeds", [1.7], "seed must be a non-negative integer, got 1.7"),
+            ("seeds", [1, 1], "duplicate seeds"),
+            ("noise_levels", [0.05, 0.05], "duplicate noise levels"),
+            ("classifiers", ["PO", "PO"], "duplicate classifiers"),
+        ],
+    )
+    def test_sweep_config_exits_2(self, spec_file, tmp_path, capsys, key, value, message):
+        argv = sweep_argv(spec_file, tmp_path, **{key: value})
+        assert message in assert_one_error_line(argv, capsys)
+
+
+NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
+
+
+class TestNegativeRngKeys:
+    """Seeds and slice indices key numpy generators, which reject negative
+    values; each must end in one error line, not a traceback."""
+
+    def test_noise_seed_exits_2(self, phantom_dir, tmp_path, capsys):
+        stack = phantom_dir / "slice_03_manifest.json"
+        argv = ["noise", "--seed", "-1", "--stack", stack, "--xi", "0.05",
+                "--out", tmp_path / "o"]
+        assert NEGATIVE_SEED in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("method", ["mlp", "ko", "ko-adc"])
+    def test_train_seed_exits_2(self, phantom_dir, tmp_path, capsys, method):
+        argv = ["train", "--seed", "-1", "--method", method,
+                "--stack", phantom_dir / "slice_03_manifest.json",
+                "--labels", phantom_dir / "truth_03.pgm", "--out", tmp_path / "m.json"]
+        assert NEGATIVE_SEED in assert_one_error_line(argv, capsys)
+
+    def test_sweep_config_seed_exits_2(self, spec_file, tmp_path, capsys):
+        argv = sweep_argv(spec_file, tmp_path, seeds=[-1])
+        assert NEGATIVE_SEED in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("index", [-1, 1.5])
+    def test_manifest_slice_index_exits_2(self, phantom_dir, tmp_path, capsys, index):
+        doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())
+        doc["slice_index"] = index
+        manifest = phantom_dir / "bad_slice_index.json"  # band paths are relative
+        manifest.write_text(json.dumps(doc))
+        argv = ["noise", "--stack", manifest, "--xi", "0.05", "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert str(manifest) in err and "slice_index" in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ValidationError, 2, "error: "),
+            (FormatError, 2, "error: "),
+            (NumericalError, 1, "internal error: "),
+            (PipelineError, 1, "internal error: "),
+        ],
+    )
+    def test_error_class_sets_exit_code(
+        self, monkeypatch, tmp_path, capsys, error, code, prefix
+    ):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_phantom", fail)
+        assert main(["phantom", "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}boom\n"
 
 
 class TestArgumentErrors:

@@ -21,12 +21,7 @@ from dwspectral.core_image import (
     save_band,
     save_labelmap,
 )
-from dwspectral.errors import (
-    DimensionError,
-    FormatError,
-    RangeError,
-    ValidationError,
-)
+from dwspectral.errors import FormatError, ValidationError
 
 
 def band(values, width, height, slice_index=0):
@@ -35,11 +30,11 @@ def band(values, width, height, slice_index=0):
 
 class TestBandInvariants:
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match="does not match"):
             Band(2, 2, np.zeros((3, 2)))
 
     def test_negative_rejected(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError, match="negative intensities"):
             band([0, -1, 2, 3], 2, 2)
 
     def test_nonfinite_rejected(self):
@@ -85,7 +80,7 @@ class TestPgmRoundTrip:
 
     def test_out_of_range_raises(self, tmp_path):
         b = band([0, 0, 0, 70000], 2, 2)
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError, match="refusing to clamp"):
             save_band(b, tmp_path / "b.pgm")
 
 
@@ -156,7 +151,7 @@ class TestManifest:
         names = self._write_bands(tmp_path, [(4, 3), (4, 3), (5, 3)])
         manifest = tmp_path / "stack.json"
         manifest.write_text(json.dumps({"bands": names, "b_values": [0, 500, 1000]}))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match="must share dimensions"):
             load_stack(manifest)
 
     def test_unordered_b_values_rejected(self, tmp_path):
@@ -219,7 +214,7 @@ class TestExtractSamples:
     def test_dimension_mismatch(self):
         stack = self._stack([[0, 1], [2, 3]], 2, 1)
         lm = LabelMap(1, 1, np.array([[1]]))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValidationError, match="does not match stack"):
             extract_samples(stack, lm)
 
     @settings(max_examples=20, deadline=None)

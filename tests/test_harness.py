@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dwspectral.errors import ConfigurationError
+from dwspectral.errors import ValidationError
 from dwspectral.harness import (
     CLASSIFIER_NAMES,
     DEFAULT_NOISE_LEVELS,
@@ -31,20 +31,22 @@ class TestExperimentConfig:
         assert cfg.classifiers == CLASSIFIER_NAMES
 
     def test_empty_classifier_list_rejected(self, small_spec):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(phantom=small_spec, classifiers=())
+        with pytest.raises(ValidationError, match="at least one classifier"):
+            ExperimentConfig(phantom=small_spec, training_slice=3, classifiers=())
 
     def test_unknown_classifier_rejected(self, small_spec):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(phantom=small_spec, classifiers=("PO", "SVM"))
+        with pytest.raises(ValidationError, match=r"unknown classifiers \['SVM'\]"):
+            ExperimentConfig(
+                phantom=small_spec, training_slice=3, classifiers=("PO", "SVM")
+            )
 
     def test_training_slice_bounds(self, small_spec):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="training slice 6 outside volume"):
             ExperimentConfig(phantom=small_spec, training_slice=small_spec.slices)
 
     def test_noise_level_range(self, small_spec):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(phantom=small_spec, noise_levels=(0.25,))
+        with pytest.raises(ValidationError, match="noise levels must lie in"):
+            ExperimentConfig(phantom=small_spec, training_slice=3, noise_levels=(0.25,))
 
     def test_load_from_json(self, tmp_path):
         doc = {
@@ -152,5 +154,5 @@ class TestSweep:
         cfg = ExperimentConfig(
             phantom=small_spec, training_slice=3, noise_levels=(), seeds=(1,)
         )
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="at least one noise level"):
             run_sweep(cfg)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dwspectral.core_image import LabelMap
-from dwspectral.errors import UndefinedMetricError, ValidationError
+from dwspectral.errors import ValidationError
 from dwspectral.metrics import (
     ConfusionMatrix,
     confusion,
@@ -37,7 +37,7 @@ class TestKappa:
 
     def test_degenerate_marginals_rejected(self):
         # everything is truth 2 and predicted 2: p_e = 1
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValidationError, match="p_e = 1"):
             kappa(cm([[0, 0, 0], [0, 50, 0], [0, 0, 0]]))
 
     def test_empty_matrix_rejected(self):
@@ -52,7 +52,8 @@ class TestKappa:
             return
         try:
             k = kappa(m)
-        except UndefinedMetricError:
+        except ValidationError as exc:  # only p_e = 1 may be skipped
+            assert "p_e = 1" in str(exc)
             return
         assert k <= 1.0 + 1e-12
 
@@ -66,7 +67,8 @@ class TestKappa:
             return
         try:
             base = kappa(ConfusionMatrix(counts))
-        except UndefinedMetricError:
+        except ValidationError as exc:  # only p_e = 1 may be skipped
+            assert "p_e = 1" in str(exc)
             return
         assert kappa(ConfusionMatrix(counts * factor)) == pytest.approx(base)
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwspectral.core_image import FULL_SCALE, Band, ClassLabel
-from dwspectral.errors import ConfigurationError, ValidationError
+from dwspectral.errors import ValidationError
 from dwspectral.physics import (
     AcquisitionParams,
     NoiseConfig,
@@ -117,7 +117,7 @@ class TestPhantom:
     def test_missing_tissue_entry_rejected(self, acq):
         shape = Shape("rect", ClassLabel.CSF, {"x0": 0, "y0": 0, "x1": 3, "y1": 3})
         spec = PhantomSpec(4, 4, 1, (shape,), tissue_table={ClassLabel.MATTER: MATTER})
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="no entry for CSF"):
             render_phantom(spec, acq)
 
     def test_out_of_bounds_shape_rejected(self):
