@@ -196,7 +196,8 @@ def mlp_loss_and_gradients(
 ):
     """Summed squared-error loss 0.5*sum((y-t)^2) and its exact gradients.
 
-    Shared by training (per-sample calls) and the finite-difference check.
+    A batch reference for the finite-difference gradient check; train_mlp
+    runs its own per-sample update loop.
     """
     xb, hb, y = _mlp_layers(wh, wo, features)
     h = hb[:, :MLP_HIDDEN]
@@ -300,7 +301,11 @@ class SomModel:
     def winners(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest neuron for each feature row."""
         x = np.asarray(features, dtype=np.float64)
-        d2 = ((x[:, None, :] - self.neurons[None, :, :]) ** 2).sum(axis=2)
+        # One feature at a time, summed in feature order: the same sums as
+        # reducing an (n, 3, d) difference array, without building it.
+        d2 = (x[:, 0, None] - self.neurons[:, 0]) ** 2
+        for j in range(1, x.shape[1]):
+            d2 += (x[:, j, None] - self.neurons[:, j]) ** 2
         return np.argmin(d2, axis=1)
 
 
@@ -389,6 +394,13 @@ def _input_features(model: Model, image: SpectralStack | Band) -> np.ndarray:
     return feats
 
 
+# Pixels per block in classify, so that every temporary of a block stays in
+# cache. A power of two, hence a whole number of BLAS row tiles: with
+# 1000-row blocks the MLP scores differed in their last bits (not in their
+# argmax) from scoring the whole slice at once.
+_BLOCK_ROWS = 1024
+
+
 def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     """Per-pixel class decision: argmax of class scores for the polynomial
     and MLP models, nearest-neuron label for the SOM. Score ties break
@@ -397,11 +409,19 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     if isinstance(model, SomModel):
         if model.class_of_neuron is None:
             raise ValidationError("SOM model must be labeled before classification")
-        winners = model.winners(feats)
         lut = np.array([int(c) for c in model.class_of_neuron])
-        labels = lut[winners]
+
+        def decide(x):
+            return lut[model.winners(x)]
     else:
-        labels = np.argmax(model.scores(feats), axis=1) + 1
+
+        def decide(x):
+            return np.argmax(model.scores(x), axis=1) + 1
+
+    labels = np.empty(feats.shape[0], dtype=np.int64)
+    for start in range(0, feats.shape[0], _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        labels[block] = decide(feats[block])
     return LabelMap(image.width, image.height, labels.reshape(image.height, image.width))
 
 

@@ -155,9 +155,12 @@ def _max_workers() -> int:
     env = os.environ.get("DWSPECTRAL_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValidationError(f"DWSPECTRAL_THREADS is not an integer: {env!r}")
+        if workers < 1:
+            raise ValidationError(f"DWSPECTRAL_THREADS must be >= 1, got {workers}")
+        return workers
     return os.cpu_count() or 1
 
 

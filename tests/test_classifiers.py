@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dwspectral.adc import adc_map
 from dwspectral.classifiers import (
+    _BLOCK_ROWS,
     MlpConfig,
     MlpModel,
     PolyModel,
@@ -28,7 +32,9 @@ from dwspectral.core_image import (
     extract_samples,
 )
 from dwspectral.errors import NumericalError, ValidationError
+from dwspectral.harness import ExperimentConfig, train_models
 from dwspectral.metrics import confusion, kappa
+from dwspectral.physics import add_noise_to_stack, default_phantom_spec, render_phantom
 
 
 def blob_samples(centers_labels, n_per, spread, seed=0, clip=True):
@@ -377,6 +383,71 @@ class TestClassify:
         model = train_som(samples, SomConfig(seed=1))
         with pytest.raises(ValidationError, match="must be labeled"):
             classify(model, stacks[0])
+
+
+def broadcast_winners(neurons, features):
+    """Nearest neuron by one (n, 3, d) broadcast difference reduced over d."""
+    d2 = ((features[:, None, :] - neurons[None, :, :]) ** 2).sum(axis=2)
+    return np.argmin(d2, axis=1)
+
+
+# Few distinct values, so that neurons repeat (tied distances) and features
+# land on neurons; plus arbitrary finite values.
+SOM_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -2.0]), st.floats(-1e3, 1e3))
+
+
+class TestSomWinners:
+    @settings(max_examples=200)
+    @given(d=st.sampled_from([1, 3]), data=st.data())
+    def test_matches_broadcast_reference(self, d, data):
+        neurons = data.draw(arrays(np.float64, (3, d), elements=SOM_VALUES))
+        shape = st.tuples(st.integers(1, 40), st.just(d))
+        x = data.draw(arrays(np.float64, shape, elements=SOM_VALUES))
+        got = SomModel(neurons).winners(x)
+        np.testing.assert_array_equal(got, broadcast_winners(neurons, x))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_duplicate_neurons_tie_to_lower_index(self, d):
+        neurons = np.array([[0.5] * d, [0.2] * d, [0.2] * d])
+        x = np.array([[0.2] * d, [0.1] * d, [0.9] * d])
+        got = SomModel(neurons).winners(x)
+        assert got.tolist() == [1, 1, 0]
+        np.testing.assert_array_equal(got, broadcast_winners(neurons, x))
+
+
+@pytest.fixture(scope="module", params=[(37, 41), (48, 48)], ids=["37x41", "48x48"])
+def noisy_slice(request):
+    """Models of every kind trained on a small phantom, and a noisy slice of
+    it whose pixel count spans several classify blocks, the last partial."""
+    width, height = request.param
+    cfg = ExperimentConfig(
+        phantom=default_phantom_spec(width, height, 6), training_slice=3, seeds=(1,)
+    )
+    stacks, truth = render_phantom(cfg.phantom, cfg.acquisition)
+    return cfg, train_models(cfg, stacks, truth), add_noise_to_stack(stacks[1], 0.1, 5)
+
+
+class TestBlockedClassify:
+    @pytest.mark.parametrize("name", ["PO", "MLP", "KO", "KO-ADC"])
+    def test_labels_equal_whole_image_decision(self, noisy_slice, name):
+        cfg, models, stack = noisy_slice
+        model = models[name][1]
+        if name == "KO-ADC":
+            image = adc_map(stack, cfg.adc)
+            feats = image.data.reshape(-1, 1)
+        else:
+            image, feats = stack, stack.pixel_features()
+        n = feats.shape[0]
+        assert n > _BLOCK_ROWS and n % _BLOCK_ROWS
+        got = classify(model, image).labels
+        if isinstance(model, SomModel):
+            lut = np.array([int(c) for c in model.class_of_neuron])
+            want = lut[broadcast_winners(model.neurons, feats)]
+        else:
+            want = np.argmax(model.scores(feats), axis=1) + 1
+        assert np.unique(want).size > 1
+        assert got.shape == (image.height, image.width)
+        np.testing.assert_array_equal(got.ravel(), want)
 
 
 class TestKoAdc:

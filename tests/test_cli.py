@@ -332,6 +332,21 @@ class TestMalformedConfigFiles:
         assert message in assert_one_error_line(argv, capsys)
 
 
+class TestThreadSetting:
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0", "must be >= 1, got 0"),
+            ("-1", "must be >= 1, got -1"),
+            ("two", "is not an integer: 'two'"),
+        ],
+    )
+    def test_sweep_exits_2(self, spec_file, tmp_path, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("DWSPECTRAL_THREADS", value)
+        err = assert_one_error_line(sweep_argv(spec_file, tmp_path), capsys)
+        assert f"DWSPECTRAL_THREADS {message}" in err
+
+
 NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
 
 

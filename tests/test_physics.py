@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from dwspectral.physics import (
     add_noise_to_stack,
     b_value,
     default_phantom_spec,
+    load_phantom_spec,
     render_phantom,
     signal,
 )
@@ -124,6 +126,67 @@ class TestPhantom:
         shape = Shape("ellipse", ClassLabel.CSF, {"cx": 2, "cy": 2, "rx": 10, "ry": 2})
         with pytest.raises(ValidationError):
             PhantomSpec(8, 8, 1, (shape,))
+
+
+def per_slice_bounds_ok(shape, width, height, slices):
+    """The bounds check made on every slice, one offset at a time."""
+
+    def at(value, off):
+        return value[0] + value[1] * off if isinstance(value, list) else value
+
+    return all(
+        Shape(
+            shape.kind, shape.label, {k: at(v, off) for k, v in shape.params.items()}
+        ).bounds_ok(width, height, 1)
+        for off in range(-(slices // 2), slices - slices // 2)
+    )
+
+
+# A shape parameter: a constant, or [base, per-slice slope].
+DRIFTING = st.floats(-20.0, 40.0) | st.tuples(
+    st.floats(-20.0, 40.0), st.floats(-2.0, 2.0)
+).map(list)
+
+
+def one_rect_spec(path, slices, x1):
+    """A spec file with one rect whose right edge drifts by 1e-5 px per
+    slice: on slice offset ``off`` it lies at ``x1 + 1e-5 * off``."""
+    shape = {
+        "kind": "rect",
+        "label": "MATTER",
+        "params": {"x0": [5.5, 1e-5], "y0": 0, "x1": [x1, 1e-5], "y1": 3},
+    }
+    doc = {"width": 12, "height": 4, "slices": slices, "shapes": [shape]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestShapeBounds:
+    # 1,000,001 slices run from offset -500,000 to 500,000, where the right
+    # edge lies 5 px right of its base; the image's last column is 11.
+    def test_leaving_only_on_last_slice_rejected(self, tmp_path):
+        spec = one_rect_spec(tmp_path / "spec.json", 1_000_001, 6.000005)
+        with pytest.raises(ValidationError, match="leaves image bounds"):
+            load_phantom_spec(spec)
+        # One slice fewer ends at offset 499,999, where the edge is inside.
+        spec = one_rect_spec(tmp_path / "spec.json", 1_000_000, 6.000005)
+        assert load_phantom_spec(spec).slices == 1_000_000
+
+    def test_inside_on_every_slice_loads(self, tmp_path):
+        spec = one_rect_spec(tmp_path / "spec.json", 1_000_001, 5.999995)
+        assert load_phantom_spec(spec).slices == 1_000_001
+
+    @settings(max_examples=300)
+    @given(
+        kind=st.sampled_from(["rect", "ellipse"]),
+        values=st.lists(DRIFTING, min_size=4, max_size=4),
+        slices=st.integers(1, 41),
+    )
+    def test_matches_per_slice_check(self, kind, values, slices):
+        names = ("x0", "y0", "x1", "y1") if kind == "rect" else ("cx", "cy", "rx", "ry")
+        shape = Shape(kind, ClassLabel.MATTER, dict(zip(names, values)))
+        want = per_slice_bounds_ok(shape, 16, 16, slices)
+        assert shape.bounds_ok(16, 16, slices) == want
 
 
 class TestNoise:
