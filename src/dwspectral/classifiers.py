@@ -45,21 +45,13 @@ def expand_quadratic(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError("quadratic expansion requires finite input")
     x1, x2, x3 = arr[:, 0], arr[:, 1], arr[:, 2]
-    out = np.stack(
-        [
-            np.ones_like(x1),
-            x1,
-            x2,
-            x3,
-            x1 * x1,
-            x2 * x2,
-            x3 * x3,
-            x1 * x2,
-            x1 * x3,
-            x2 * x3,
-        ],
-        axis=1,
-    )
+    out = np.empty((arr.shape[0], 10))
+    out[:, 0] = 1.0
+    out[:, 1:4] = arr
+    np.multiply(arr, arr, out=out[:, 4:7])
+    np.multiply(x1, x2, out=out[:, 7])
+    np.multiply(x1, x3, out=out[:, 8])
+    np.multiply(x2, x3, out=out[:, 9])
     return out[0] if single else out
 
 
@@ -172,18 +164,52 @@ class MlpModel:
         return mlp_forward(self.hidden_weights, self.output_weights, features)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_of_negated(a: np.ndarray) -> np.ndarray:
+    """Overwrite ``a``, which holds -x, with 1 / (1 + exp(-x)). A value of
+    x far below zero overflows exp, and its sigmoid is exactly 0."""
+    np.exp(a, out=a)
+    a += 1.0
+    return np.reciprocal(a, out=a)
+
+
+def _sigmoid(x, out=None) -> np.ndarray:
+    """1 / (1 + exp(-x)), bit for bit, computed in ``out`` if given."""
+    return _sigmoid_of_negated(np.negative(x, out=out))
+
+
+def _mlp_pass(wh: np.ndarray, wo: np.ndarray, rows: int):
+    """The forward pass for batches of up to ``rows`` feature rows.
+
+    Returns ``forward(x)``, which gives views of the biased input, the biased
+    hidden layer and the (n, 3) output pre-activations. Every call reuses
+    the buffers allocated here, so a view is valid until the next call.
+    Each buffer a ufunc or matmul writes is C-contiguous: a strided output
+    falls off numpy's SIMD loops.
+    """
+    neg_wh_t = (-wh).T  # xb @ (-wh).T is bitwise -(xb @ wh.T)
+    wo_t = np.ascontiguousarray(wo.T)
+    xb = np.ones((rows, wh.shape[1]))
+    h = np.empty((rows, MLP_HIDDEN))
+    hb = np.ones((rows, MLP_HIDDEN + 1))
+    z = np.empty((rows, N_CLASSES))
+
+    def forward(x: np.ndarray):
+        n = x.shape[0]
+        xb[:n, :-1] = x
+        np.matmul(xb[:n], neg_wh_t, out=h[:n])
+        hb[:n, :MLP_HIDDEN] = _sigmoid_of_negated(h[:n])
+        np.matmul(hb[:n], wo_t, out=z[:n])
+        return xb[:n], hb[:n], z[:n]
+
+    return forward
 
 
 def _mlp_layers(wh: np.ndarray, wo: np.ndarray, features: np.ndarray):
     """Batch forward pass; returns the input and the hidden layer, each with
     a trailing bias column of ones, and the (n, 3) sigmoid outputs."""
     x = np.asarray(features, dtype=np.float64)
-    xb = np.hstack([x, np.ones((x.shape[0], 1))])
-    h = _sigmoid(xb @ wh.T)
-    hb = np.hstack([h, np.ones((h.shape[0], 1))])
-    return xb, hb, _sigmoid(hb @ wo.T)
+    xb, hb, z = _mlp_pass(wh, wo, x.shape[0])(x)
+    return xb, hb, _sigmoid(z, out=z)
 
 
 def mlp_forward(wh: np.ndarray, wo: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -229,6 +255,10 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
 
     n = x.shape[0]
     xb = np.hstack([x, np.ones((n, 1))])
+    hb = np.ones(MLP_HIDDEN + 1)  # the hidden layer and its bias
+    h = hb[:MLP_HIDDEN]
+    step_wh = np.empty_like(wh)
+    step_wo = np.empty_like(wo)
     epochs_run = cfg.max_epochs
     for epoch in range(cfg.max_epochs):
         eta = cfg.eta0 * (1.0 - epoch / cfg.max_epochs)
@@ -237,15 +267,19 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
         for idx in order:
             xi = xb[idx]
             ti = targets[idx]
-            h = _sigmoid(wh @ xi)
-            hb = np.append(h, 1.0)
+            _sigmoid(np.matmul(wh, xi, out=h), out=h)
             y = _sigmoid(wo @ hb)
             err = y - ti
             sq_err += float(err @ err)
             d_out = err * y * (1.0 - y)
             d_hid = (wo[:, :MLP_HIDDEN].T @ d_out) * h * (1.0 - h)
-            wo -= eta * np.outer(d_out, hb)
-            wh -= eta * np.outer(d_hid, xi)
+            # wo -= eta * outer(d_out, hb), and the same for wh, in place
+            np.multiply.outer(d_out, hb, out=step_wo)
+            step_wo *= eta
+            wo -= step_wo
+            np.multiply.outer(d_hid, xi, out=step_wh)
+            step_wh *= eta
+            wh -= step_wh
         mse = sq_err / (n * N_CLASSES)
         if not np.isfinite(mse):
             raise NumericalError(f"MLP diverged at epoch {epoch}")
@@ -404,7 +438,12 @@ _BLOCK_ROWS = 1024
 def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     """Per-pixel class decision: argmax of class scores for the polynomial
     and MLP models, nearest-neuron label for the SOM. Score ties break
-    toward the lower class integer."""
+    toward the lower class integer. The MLP's scores here are its output
+    pre-activations: the sigmoid is monotone, but two outputs that both
+    round to 1.0 still differ before it, and the larger one wins.
+
+    Non-finite polynomial scores or MLP pre-activations raise
+    NumericalError naming the model kind."""
     feats = _input_features(model, image)
     if isinstance(model, SomModel):
         if model.class_of_neuron is None:
@@ -414,9 +453,22 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
         def decide(x):
             return lut[model.winners(x)]
     else:
+        if isinstance(model, MlpModel):
+            forward = _mlp_pass(model.hidden_weights, model.output_weights, _BLOCK_ROWS)
+
+            def scores(x):
+                return forward(x)[2]
+        else:
+            scores = model.scores
 
         def decide(x):
-            return np.argmax(model.scores(x), axis=1) + 1
+            # Overflow is expected where a hidden unit saturates (its
+            # sigmoid is then exactly 0); only non-finite scores are errors.
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = scores(x)
+            if not np.isfinite(s).all():
+                raise NumericalError(f"{_model_kind(model)} model gave non-finite scores")
+            return np.argmax(s, axis=1) + 1
 
     labels = np.empty(feats.shape[0], dtype=np.int64)
     for start in range(0, feats.shape[0], _BLOCK_ROWS):
@@ -443,9 +495,12 @@ def _plain(value):
     return asdict(value) if is_dataclass(value) else value
 
 
+def _model_kind(model: Model) -> str:
+    return next(k for k, (cls, _) in MODEL_KINDS.items() if isinstance(model, cls))
+
+
 def model_to_json(model: Model) -> dict:
-    kind = next(k for k, (cls, _) in MODEL_KINDS.items() if isinstance(model, cls))
-    doc = {"kind": kind}
+    doc = {"kind": _model_kind(model)}
     doc.update((f.name, _plain(getattr(model, f.name))) for f in fields(model))
     return doc
 

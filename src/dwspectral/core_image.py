@@ -122,9 +122,10 @@ class LabelMap:
                 f"label map shape {arr.shape} does not match "
                 f"(height={self.height}, width={self.width})"
             )
-        valid = np.isin(arr, [int(c) for c in ClassLabel])
-        if not valid.all():
-            bad = np.unique(arr[~valid])
+        # The labels are the integers 1..3, so their range decides validity;
+        # np.isin, several times slower, only names the offending values.
+        if arr.size and (arr.min() < min(ClassLabel) or arr.max() > max(ClassLabel)):
+            bad = np.unique(arr[~np.isin(arr, [int(c) for c in ClassLabel])])
             raise ValidationError(f"label map contains invalid labels {bad.tolist()}")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)

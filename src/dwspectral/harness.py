@@ -200,11 +200,11 @@ def _classify_volume(name: str, model, stacks, adc_cfg: AdcConfig):
     return preds
 
 
-def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
-    """Score every (noise level, seed) cell: perturb every band of every
-    slice, recompute the ADC map from the noisy bands, classify with each
-    trained model and score against the noiseless phantom truth. Level 0
-    leaves the bands as they are."""
+def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels, workers) -> list:
+    """Score every (noise level, seed) cell on ``workers`` threads: perturb
+    every band of every slice, recompute the ADC map from the noisy bands,
+    classify with each trained model and score against the noiseless
+    phantom truth. Level 0 leaves the bands as they are."""
 
     def run_cell(level: float, seed: int):
         noisy = [add_noise_to_stack(st, level, seed) for st in stacks]
@@ -218,7 +218,7 @@ def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
 
     grid = [(lvl, seed) for lvl in levels for seed in cfg.seeds]
     cells = []
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for chunk in pool.map(lambda args: run_cell(*args), grid):
             cells.extend(chunk)
     cells.sort(key=CellResult.sort_key)
@@ -229,9 +229,10 @@ def run_baseline(cfg: ExperimentConfig, out_dir=None) -> BaselineResult:
     """Noiseless end-to-end run: render, train, then score the zero-noise
     cell of every seed; optionally writes baseline.json/csv and the
     polynomial-net ground-truth maps."""
+    workers = _max_workers()
     stacks, truth = render_phantom(cfg.phantom, cfg.acquisition)
     models = train_models(cfg, stacks, truth)
-    cells = _score_cells(cfg, stacks, truth, models, (0.0,))
+    cells = _score_cells(cfg, stacks, truth, models, (0.0,), workers)
     ground_truth_maps = []
     if "PO" in cfg.classifiers:
         po_model = models["PO"][cfg.seeds[0]]
@@ -253,6 +254,7 @@ def run_sweep(
 ) -> SweepResult:
     """Noise sweep over ``cfg.noise_levels`` x ``cfg.seeds`` with models
     trained once on the noiseless training slice (see _score_cells)."""
+    workers = _max_workers()
     if not cfg.noise_levels:
         raise ValidationError("sweep needs at least one noise level")
     if baseline is None:
@@ -260,7 +262,7 @@ def run_sweep(
         models = train_models(cfg, stacks, truth)
     else:
         stacks, truth, models = baseline.stacks, baseline.truth, baseline.models
-    cells = _score_cells(cfg, stacks, truth, models, cfg.noise_levels)
+    cells = _score_cells(cfg, stacks, truth, models, cfg.noise_levels, workers)
     result = SweepResult(cells)
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from dwspectral.classifiers import (
     PolyModel,
     SomConfig,
     SomModel,
+    _mlp_pass,
+    _sigmoid,
     classify,
     expand_quadratic,
     label_som,
@@ -68,6 +72,21 @@ class TestExpandQuadratic:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValidationError, match="expects 3 features, got 4"):
             expand_quadratic(np.zeros(4))
+
+    def test_matches_stacked_expansion(self):
+        x = np.random.default_rng(0).normal(scale=10.0, size=(500, 3))
+        x1, x2, x3 = x.T
+        stacked = np.stack(
+            [np.ones_like(x1), x1, x2, x3, x1 * x1, x2 * x2, x3 * x3,
+             x1 * x2, x1 * x3, x2 * x3],
+            axis=1,
+        )
+        assert expand_quadratic(x).tobytes() == stacked.tobytes()
+        assert expand_quadratic(x[7]).tobytes() == stacked[7].tobytes()
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValidationError, match="requires finite input"):
+            expand_quadratic(np.array([[0.1, np.nan, 0.2]]))
 
 
 class TestPolynomial:
@@ -235,6 +254,92 @@ class TestMlp:
                 fd = (lp - lm) / (2 * step)
                 denom = max(abs(fd), abs(grad[i, j]), 1e-12)
                 assert abs(fd - grad[i, j]) / denom <= 1e-4
+
+
+def reference_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+class TestMlpForwardPass:
+    """The buffered forward pass against the textbook formulas, bit for bit."""
+
+    def test_sigmoid_matches_formula(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [-745.5, 709.9, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                got = _sigmoid(x)
+        assert got.tobytes() == reference_sigmoid(x).tobytes()
+        assert got[0] == 0.0 and got[-4] == 1.0
+
+    def test_sigmoid_in_place(self):
+        x = np.linspace(-30.0, 30.0, 101)
+        want = reference_sigmoid(x)
+        assert _sigmoid(x, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+    def test_negated_weights_identity(self):
+        rng = np.random.default_rng(5)
+        xb = np.hstack([rng.random((1500, 3)), np.ones((1500, 1))])
+        wh = rng.uniform(-5.0, 5.0, (60, 4))
+        assert (xb @ (-wh).T).tobytes() == (-(xb @ wh.T)).tobytes()
+
+    def test_layers_match_reference(self):
+        rng = np.random.default_rng(6)
+        wh = rng.uniform(-5.0, 5.0, (60, 4))
+        wo = rng.uniform(-5.0, 5.0, (3, 61))
+        forward = _mlp_pass(wh, wo, 1024)
+        # A full batch, then a partial one that must not see its rows.
+        for n in (1024, 333):
+            x = rng.random((n, 3))
+            xb, hb, z = forward(x)
+            want_xb = np.hstack([x, np.ones((n, 1))])
+            want_h = reference_sigmoid(want_xb @ wh.T)
+            assert xb.tobytes() == want_xb.tobytes()
+            assert hb[:, :60].tobytes() == want_h.tobytes()
+            assert np.all(hb[:, 60] == 1.0)
+            np.testing.assert_allclose(z, hb @ wo.T, rtol=1e-13, atol=1e-13)
+            assert mlp_forward(wh, wo, x).tobytes() == reference_sigmoid(z).tobytes()
+
+    def test_saturated_tie_goes_to_larger_preactivation(self, small_volume):
+        # Every hidden unit is 0.5, so the output pre-activations are the
+        # biases: 100 and 200 both give a sigmoid of exactly 1.0.
+        wo = np.zeros((3, 61))
+        wo[:, -1] = [100.0, 200.0, -5.0]
+        model = MlpModel(np.zeros((60, 4)), wo)
+        y = model.scores(np.full((1, 3), 0.5))
+        assert y[0, 0] == y[0, 1] == 1.0
+        labels = classify(model, small_volume[0][0]).labels
+        assert np.all(labels == int(ClassLabel.MATTER))
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_polynomial_overflow_raises(self, small_volume, sign):
+        model = PolyModel(np.full((3, 10), sign * 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="po model gave non-finite scores"):
+                classify(model, small_volume[0][0])
+
+    def test_mlp_overflow_raises(self, small_volume):
+        model = MlpModel(np.zeros((60, 4)), np.full((3, 61), 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="mlp model gave non-finite scores"):
+                classify(model, small_volume[0][0])
+
+    def test_saturated_hidden_units_are_not_an_error(self, small_volume):
+        # exp overflows for every hidden unit: each sigmoid is exactly 0.
+        wh = np.zeros((60, 4))
+        wh[:, -1] = -1e4
+        wo = np.zeros((3, 61))
+        wo[1, -1] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = classify(MlpModel(wh, wo), small_volume[0][0]).labels
+        assert np.all(labels == int(ClassLabel.MATTER))
 
 
 class TestSom:

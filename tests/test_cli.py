@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dwspectral import cli
+from dwspectral import cli, harness
 from dwspectral.cli import main
 from dwspectral.core_image import ClassLabel, LabelMap, load_labelmap, save_labelmap
 from dwspectral.errors import FormatError, NumericalError, PipelineError, ValidationError
@@ -345,6 +345,16 @@ class TestThreadSetting:
         monkeypatch.setenv("DWSPECTRAL_THREADS", value)
         err = assert_one_error_line(sweep_argv(spec_file, tmp_path), capsys)
         assert f"DWSPECTRAL_THREADS {message}" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_read_before_rendering(self, spec_file, tmp_path, capsys, monkeypatch, command):
+        def render(*args):
+            raise AssertionError("rendered before DWSPECTRAL_THREADS was read")
+
+        monkeypatch.setattr(harness, "render_phantom", render)
+        monkeypatch.setenv("DWSPECTRAL_THREADS", "0")
+        argv = [command, *sweep_argv(spec_file, tmp_path)[1:]]
+        assert "must be >= 1, got 0" in assert_one_error_line(argv, capsys)
 
 
 NEGATIVE_SEED = "seed must be a non-negative integer, got -1"

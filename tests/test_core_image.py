@@ -180,6 +180,21 @@ class TestLabelMapIO:
         with pytest.raises(ValidationError):
             LabelMap(2, 2, np.array([[0, 1], [2, 3]]))
 
+    @pytest.mark.parametrize("bad", [0, 4, -1])
+    def test_each_invalid_code_named(self, bad):
+        with pytest.raises(ValidationError) as exc:
+            LabelMap(2, 2, np.array([[1, bad], [2, 3]]))
+        assert str(exc.value) == f"label map contains invalid labels [{bad}]"
+
+    def test_all_invalid_codes_named_once(self):
+        with pytest.raises(ValidationError, match=r"invalid labels \[-1, 0, 4\]$"):
+            LabelMap(3, 2, np.array([[4, 0, 1], [-1, 4, 3]]))
+
+    def test_valid_and_empty_maps_accepted(self):
+        labels = np.array([[1, 2, 3], [3, 2, 1]])
+        np.testing.assert_array_equal(LabelMap(3, 2, labels).labels, labels)
+        assert LabelMap(0, 0, np.empty((0, 0))).labels.size == 0
+
 
 class TestExtractSamples:
     def _stack(self, values, w, h):

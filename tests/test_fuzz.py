@@ -4,6 +4,7 @@ for a path that cannot be read), never in any other exception."""
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dwspectral.classifiers import (
     SomModel,
     load_model,
     model_to_json,
+    save_model,
 )
 from dwspectral.cli import main
 from dwspectral.core_image import (
@@ -239,3 +241,27 @@ def test_main_exits_2_on_garbage(workdir, flag, data):
     path = workdir / "garbage"
     path.write_bytes(data)
     assert run_main(flag, path, workdir / "out") == 2
+
+
+# Finite weights, so the loaders accept them, whose class scores overflow.
+OVERFLOWING_MODELS = {
+    "po+1e308": PolyModel(np.full((3, 10), 1e308)),
+    "po-1e308": PolyModel(np.full((3, 10), -1e308)),
+    "mlp+1e308": MlpModel(np.full((60, 4), 1e308), np.full((3, 61), 1e308)),
+    "mlp-output+1e308": MlpModel(np.zeros((60, 4)), np.full((3, 61), 1e308)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_MODELS))
+def test_main_exits_1_on_overflowing_scores(workdir, tmp_path, capsys, name):
+    model = tmp_path / "model.json"
+    save_model(OVERFLOWING_MODELS[name], model)
+    argv = ["classify", "--model", model, "--stack", workdir / "valid_manifest.json",
+            "--out", tmp_path / "labels.pgm"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([str(a) for a in argv]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "model gave non-finite scores" in err
