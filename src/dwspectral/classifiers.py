@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core_image import (
+    FULL_SCALE,
     Band,
     ClassLabel,
     LabelMap,
@@ -31,6 +33,20 @@ SOM_NEIGHBOR_PHASE = 0.25
 SOM_NEIGHBOR_WEIGHT = 0.5
 
 
+def _quadratic_planes(x: np.ndarray) -> np.ndarray:
+    """The degree-2 monomials (10, n) of feature planes x (3, n), one row
+    per monomial in expand_quadratic's order."""
+    x1, x2, x3 = x
+    out = np.empty((10, x.shape[1]))
+    out[0] = 1.0
+    out[1:4] = x
+    np.multiply(x, x, out=out[4:7])
+    np.multiply(x1, x2, out=out[7])
+    np.multiply(x1, x3, out=out[8])
+    np.multiply(x2, x3, out=out[9])
+    return out
+
+
 def expand_quadratic(x: np.ndarray) -> np.ndarray:
     """Degree-2 monomials of a 3-vector (or rows of an (n, 3) matrix), in
     the fixed order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]."""
@@ -44,14 +60,7 @@ def expand_quadratic(x: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise ValidationError("quadratic expansion requires finite input")
-    x1, x2, x3 = arr[:, 0], arr[:, 1], arr[:, 2]
-    out = np.empty((arr.shape[0], 10))
-    out[:, 0] = 1.0
-    out[:, 1:4] = arr
-    np.multiply(arr, arr, out=out[:, 4:7])
-    np.multiply(x1, x2, out=out[:, 7])
-    np.multiply(x1, x3, out=out[:, 8])
-    np.multiply(x2, x3, out=out[:, 9])
+    out = np.ascontiguousarray(_quadratic_planes(arr.T).T)
     return out[0] if single else out
 
 
@@ -81,7 +90,12 @@ class PolyModel:
         object.__setattr__(self, "weights", w)
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        return expand_quadratic(features) @ self.weights.T
+        """(n, 3) class scores of (n, 3) feature rows."""
+        return self._planar(np.asarray(features, dtype=np.float64).T).T
+
+    def _planar(self, x: np.ndarray) -> np.ndarray:
+        """(3, n) class scores of feature planes x (3, n)."""
+        return self.weights @ _quadratic_planes(x)
 
 
 def train_polynomial(samples: SampleSet) -> PolyModel:
@@ -177,44 +191,34 @@ def _sigmoid(x, out=None) -> np.ndarray:
     return _sigmoid_of_negated(np.negative(x, out=out))
 
 
-def _mlp_pass(wh: np.ndarray, wo: np.ndarray, rows: int):
-    """The forward pass for batches of up to ``rows`` feature rows.
+def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
+    """The forward pass for feature planes (3, n) of up to ``cols`` pixels.
 
-    Returns ``forward(x)``, which gives views of the biased input, the biased
-    hidden layer and the (n, 3) output pre-activations. Every call reuses
-    the buffers allocated here, so a view is valid until the next call.
-    Each buffer a ufunc or matmul writes is C-contiguous: a strided output
-    falls off numpy's SIMD loops.
+    Returns ``forward`` and its buffers for the input (4, cols) and the
+    hidden layer (61, cols), each with a last row of ones. ``forward(x)``
+    fills their first n columns and returns a view of the output
+    pre-activations (3, n); every call reuses the buffers. Each row a ufunc
+    or matmul writes is contiguous: a strided output falls off numpy's SIMD
+    loops.
     """
-    neg_wh_t = (-wh).T  # xb @ (-wh).T is bitwise -(xb @ wh.T)
-    wo_t = np.ascontiguousarray(wo.T)
-    xb = np.ones((rows, wh.shape[1]))
-    h = np.empty((rows, MLP_HIDDEN))
-    hb = np.ones((rows, MLP_HIDDEN + 1))
-    z = np.empty((rows, N_CLASSES))
+    neg_wh = -wh  # (-wh) @ xb is bitwise -(wh @ xb)
+    xb = np.ones((wh.shape[1], cols))
+    hb = np.ones((MLP_HIDDEN + 1, cols))
+    z = np.empty((N_CLASSES, cols))
 
-    def forward(x: np.ndarray):
-        n = x.shape[0]
-        xb[:n, :-1] = x
-        np.matmul(xb[:n], neg_wh_t, out=h[:n])
-        hb[:n, :MLP_HIDDEN] = _sigmoid_of_negated(h[:n])
-        np.matmul(hb[:n], wo_t, out=z[:n])
-        return xb[:n], hb[:n], z[:n]
+    def forward(x: np.ndarray) -> np.ndarray:
+        n = x.shape[1]
+        xb[:-1, :n] = x
+        _sigmoid_of_negated(np.matmul(neg_wh, xb[:, :n], out=hb[:MLP_HIDDEN, :n]))
+        return np.matmul(wo, hb[:, :n], out=z[:, :n])
 
-    return forward
-
-
-def _mlp_layers(wh: np.ndarray, wo: np.ndarray, features: np.ndarray):
-    """Batch forward pass; returns the input and the hidden layer, each with
-    a trailing bias column of ones, and the (n, 3) sigmoid outputs."""
-    x = np.asarray(features, dtype=np.float64)
-    xb, hb, z = _mlp_pass(wh, wo, x.shape[0])(x)
-    return xb, hb, _sigmoid(z, out=z)
+    return forward, xb, hb
 
 
 def mlp_forward(wh: np.ndarray, wo: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Batch forward pass; returns (n, 3) sigmoid outputs."""
-    return _mlp_layers(wh, wo, features)[2]
+    x = np.asarray(features, dtype=np.float64).T
+    return _sigmoid(_mlp_pass(wh, wo, x.shape[1])[0](x)).T
 
 
 def mlp_loss_and_gradients(
@@ -225,14 +229,16 @@ def mlp_loss_and_gradients(
     A batch reference for the finite-difference gradient check; train_mlp
     runs its own per-sample update loop.
     """
-    xb, hb, y = _mlp_layers(wh, wo, features)
-    h = hb[:, :MLP_HIDDEN]
-    err = y - targets
+    x = np.asarray(features, dtype=np.float64).T
+    forward, xb, hb = _mlp_pass(wh, wo, x.shape[1])
+    y = _sigmoid(forward(x))
+    h = hb[:MLP_HIDDEN]
+    err = y - np.asarray(targets).T
     loss = 0.5 * float(np.sum(err * err))
     d_out = err * y * (1.0 - y)
-    d_hid = (d_out @ wo[:, :MLP_HIDDEN]) * h * (1.0 - h)
-    grad_wo = d_out.T @ hb
-    grad_wh = d_hid.T @ xb
+    d_hid = (wo[:, :MLP_HIDDEN].T @ d_out) * h * (1.0 - h)
+    grad_wo = d_out @ hb.T
+    grad_wh = d_hid @ xb.T
     return loss, grad_wh, grad_wo
 
 
@@ -333,14 +339,22 @@ class SomModel:
         return self.neurons.shape[1]
 
     def winners(self, features: np.ndarray) -> np.ndarray:
-        """Index of the nearest neuron for each feature row."""
-        x = np.asarray(features, dtype=np.float64)
-        # One feature at a time, summed in feature order: the same sums as
-        # reducing an (n, 3, d) difference array, without building it.
-        d2 = (x[:, 0, None] - self.neurons[:, 0]) ** 2
-        for j in range(1, x.shape[1]):
-            d2 += (x[:, j, None] - self.neurons[:, j]) ** 2
-        return np.argmin(d2, axis=1)
+        """Index of the nearest neuron for each feature row, ties going to
+        the lower index; non-finite distances raise NumericalError."""
+        x = np.asarray(features, dtype=np.float64).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = _som_distances(self.neurons, x)
+        return _decide(self, d2, np.arange(SOM_NEURONS))
+
+
+def _som_distances(neurons: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Squared distances (3, n) from each neuron to feature planes x (d, n),
+    summed in feature order."""
+    w = neurons.T[:, :, None]  # w[j] holds feature j of each neuron
+    d2 = np.square(x[0] - w[0])
+    for xj, wj in zip(x[1:], w[1:]):
+        d2 += np.square(xj - wj)
+    return d2
 
 
 def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
@@ -369,7 +383,7 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     for t in range(cfg.max_iters):
         xi = x[rng.integers(n)]
         eta = cfg.eta0 * (1.0 - t / cfg.max_iters)
-        win = int(np.argmin(((w - xi) ** 2).sum(axis=1)))
+        win = int(_first_best(_som_distances(w, xi[:, None]), largest=False)[0])
         w[win] += eta * (xi - w[win])
         if t < neighbor_cutoff:
             for j in (win - 1, win + 1):
@@ -414,66 +428,78 @@ def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
 Model = PolyModel | MlpModel | SomModel
 
 
-def _input_features(model: Model, image: SpectralStack | Band) -> np.ndarray:
-    """Stack bands scaled into [0, 1]; an ADC map's values as they are."""
+def _feature_planes(model: Model, image: SpectralStack | Band) -> np.ndarray:
+    """Feature planes (d, n): a stack's bands scaled into [0, 1], row j
+    bitwise column j of ``pixel_features()``; an ADC map as it is."""
     if isinstance(image, SpectralStack):
-        feats = image.pixel_features()
+        x = np.stack([b.data.reshape(-1) for b in image.bands]) / FULL_SCALE
     else:
-        feats = image.data.reshape(-1, 1)
-    if feats.shape[1] != model.feature_dim:
+        x = image.data.reshape(1, -1)
+    if x.shape[0] != model.feature_dim:
         raise ValidationError(
             f"model expects {model.feature_dim} features, "
-            f"input provides {feats.shape[1]}"
+            f"input provides {x.shape[0]}"
         )
-    return feats
+    return x
 
 
-# Pixels per block in classify, so that every temporary of a block stays in
-# cache. A power of two, hence a whole number of BLAS row tiles: with
-# 1000-row blocks the MLP scores differed in their last bits (not in their
-# argmax) from scoring the whole slice at once.
-_BLOCK_ROWS = 1024
+def _first_best(rows: np.ndarray, largest: bool) -> np.ndarray:
+    """Index of the first of the three ``rows`` that holds the largest (or
+    the smallest) value at each pixel: np.argmax (np.argmin) along axis 0,
+    for rows without NaN, in a few passes over contiguous rows."""
+    better, best = (np.greater, np.maximum) if largest else (np.less, np.minimum)
+    a, b, c = rows
+    second = better(b, a).view(np.uint8)
+    third = better(c, best(a, b)).view(np.uint8)
+    return np.maximum(second, third << 1)
+
+
+def _decide(model: Model, s: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """``classes[k]`` for the best row ``s[k]`` at each pixel: the highest
+    PO or MLP score, or the nearest SOM neuron when ``s`` holds distances."""
+    som = isinstance(model, SomModel)
+    if not np.isfinite(s).all():
+        what = "distances" if som else "scores"
+        raise NumericalError(f"{_model_kind(model)} model gave non-finite {what}")
+    return classes.take(_first_best(s, largest=not som))
+
+
+# Pixels per block in classify. A block's temporaries stay in cache: 65 rows
+# per pixel for the MLP, at most 13 for PO or a SOM, whose larger blocks
+# spread numpy's cost per call.
+_MLP_BLOCK = 1024
+_BLOCK = 8192
 
 
 def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     """Per-pixel class decision: argmax of class scores for the polynomial
-    and MLP models, nearest-neuron label for the SOM. Score ties break
-    toward the lower class integer. The MLP's scores here are its output
-    pre-activations: the sigmoid is monotone, but two outputs that both
-    round to 1.0 still differ before it, and the larger one wins.
+    and MLP models, nearest-neuron label for the SOM. Ties break toward the
+    lower class integer, or the lower neuron. The MLP's scores here are its
+    output pre-activations: the sigmoid is monotone, but two outputs that
+    both round to 1.0 still differ before it, and the larger one wins.
 
-    Non-finite polynomial scores or MLP pre-activations raise
-    NumericalError naming the model kind."""
-    feats = _input_features(model, image)
-    if isinstance(model, SomModel):
-        if model.class_of_neuron is None:
-            raise ValidationError("SOM model must be labeled before classification")
-        lut = np.array([int(c) for c in model.class_of_neuron])
-
-        def decide(x):
-            return lut[model.winners(x)]
+    Non-finite polynomial scores, MLP pre-activations or SOM distances
+    raise NumericalError naming the model kind."""
+    x = _feature_planes(model, image)
+    n = x.shape[1]
+    classes, block = np.array([int(c) for c in ClassLabel]), _BLOCK
+    if isinstance(model, PolyModel):
+        scores = model._planar
+    elif isinstance(model, MlpModel):
+        block = _MLP_BLOCK
+        scores = _mlp_pass(model.hidden_weights, model.output_weights, min(n, block))[0]
+    elif model.class_of_neuron is None:
+        raise ValidationError("SOM model must be labeled before classification")
     else:
-        if isinstance(model, MlpModel):
-            forward = _mlp_pass(model.hidden_weights, model.output_weights, _BLOCK_ROWS)
-
-            def scores(x):
-                return forward(x)[2]
-        else:
-            scores = model.scores
-
-        def decide(x):
-            # Overflow is expected where a hidden unit saturates (its
-            # sigmoid is then exactly 0); only non-finite scores are errors.
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = scores(x)
-            if not np.isfinite(s).all():
-                raise NumericalError(f"{_model_kind(model)} model gave non-finite scores")
-            return np.argmax(s, axis=1) + 1
-
-    labels = np.empty(feats.shape[0], dtype=np.int64)
-    for start in range(0, feats.shape[0], _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        labels[block] = decide(feats[block])
+        classes = np.array([int(c) for c in model.class_of_neuron])
+        scores = partial(_som_distances, model.neurons)
+    labels = np.empty(n, dtype=np.int64)
+    # Overflow is expected where an MLP hidden unit saturates (its sigmoid
+    # is then exactly 0); only non-finite scores or distances are errors.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            cols = slice(start, start + block)
+            labels[cols] = _decide(model, scores(x[:, cols]), classes)
     return LabelMap(image.width, image.height, labels.reshape(image.height, image.width))
 
 

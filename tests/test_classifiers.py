@@ -6,14 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dwspectral import classifiers
 from dwspectral.adc import adc_map
 from dwspectral.classifiers import (
-    _BLOCK_ROWS,
+    _MLP_BLOCK,
     MlpConfig,
     MlpModel,
     PolyModel,
     SomConfig,
     SomModel,
+    _feature_planes,
+    _first_best,
     _mlp_pass,
     _sigmoid,
     classify,
@@ -289,18 +292,19 @@ class TestMlpForwardPass:
         rng = np.random.default_rng(6)
         wh = rng.uniform(-5.0, 5.0, (60, 4))
         wo = rng.uniform(-5.0, 5.0, (3, 61))
-        forward = _mlp_pass(wh, wo, 1024)
-        # A full batch, then a partial one that must not see its rows.
+        forward, xb, hb = _mlp_pass(wh, wo, 1024)
+        # A full batch, then a partial one that must not see its columns.
         for n in (1024, 333):
             x = rng.random((n, 3))
-            xb, hb, z = forward(x)
+            z = forward(x.T)
             want_xb = np.hstack([x, np.ones((n, 1))])
             want_h = reference_sigmoid(want_xb @ wh.T)
-            assert xb.tobytes() == want_xb.tobytes()
-            assert hb[:, :60].tobytes() == want_h.tobytes()
-            assert np.all(hb[:, 60] == 1.0)
-            np.testing.assert_allclose(z, hb @ wo.T, rtol=1e-13, atol=1e-13)
-            assert mlp_forward(wh, wo, x).tobytes() == reference_sigmoid(z).tobytes()
+            assert xb[:, :n].tobytes() == want_xb.T.tobytes()
+            assert hb[:60, :n].tobytes() == want_h.T.tobytes()
+            assert np.all(hb[60] == 1.0)
+            assert z.shape == (3, n)
+            np.testing.assert_allclose(z, wo @ hb[:, :n], rtol=1e-13, atol=1e-13)
+            assert mlp_forward(wh, wo, x).tobytes() == reference_sigmoid(z.T).tobytes()
 
     def test_saturated_tie_goes_to_larger_preactivation(self, small_volume):
         # Every hidden unit is 0.5, so the output pre-activations are the
@@ -329,6 +333,18 @@ class TestNonFiniteScores:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="mlp model gave non-finite scores"):
                 classify(model, small_volume[0][0])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("kind", ["KO", "KO-ADC"])
+    def test_som_overflow_raises(self, small_volume, kind, sign):
+        d, image = (3, small_volume[0][0]) if kind == "KO" else (1, adc_map(small_volume[0][0]))
+        model = SomModel(np.full((3, d), sign * 1e308), class_of_neuron=(1, 2, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="som model gave non-finite distances"):
+                classify(model, image)
+            with pytest.raises(NumericalError, match="som model gave non-finite distances"):
+                model.winners(np.full((4, d), 0.5))
 
     def test_saturated_hidden_units_are_not_an_error(self, small_volume):
         # exp overflows for every hidden unit: each sigmoid is exactly 0.
@@ -532,27 +548,101 @@ def noisy_slice(request):
     return cfg, train_models(cfg, stacks, truth), add_noise_to_stack(stacks[1], 0.1, 5)
 
 
+# Plain-formula references: each gives the labels of (n, d) feature rows.
+def reference_po_labels(model, feats):
+    return np.argmax(expand_quadratic(feats) @ model.weights.T, axis=1) + 1
+
+
+def reference_mlp_labels(model, feats):
+    """The row-major textbook forward pass; argmax of the pre-activations."""
+    ones = np.ones((feats.shape[0], 1))
+    hidden = reference_sigmoid(np.hstack([feats, ones]) @ model.hidden_weights.T)
+    return np.argmax(np.hstack([hidden, ones]) @ model.output_weights.T, axis=1) + 1
+
+
+def reference_som_labels(model, feats):
+    lut = np.array([int(c) for c in model.class_of_neuron])
+    return lut[broadcast_winners(model.neurons, feats)]
+
+
+REFERENCE_LABELS = {
+    "PO": reference_po_labels,
+    "MLP": reference_mlp_labels,
+    "KO": reference_som_labels,
+    "KO-ADC": reference_som_labels,
+}
+
+
+def slice_input(cfg, stack, name):
+    """The image a classifier reads, and its pixels as feature rows."""
+    if name == "KO-ADC":
+        image = adc_map(stack, cfg.adc)
+        return image, image.data.reshape(-1, 1)
+    return stack, stack.pixel_features()
+
+
 class TestBlockedClassify:
     @pytest.mark.parametrize("name", ["PO", "MLP", "KO", "KO-ADC"])
-    def test_labels_equal_whole_image_decision(self, noisy_slice, name):
+    def test_labels_equal_whole_image_decision(self, noisy_slice, name, monkeypatch):
         cfg, models, stack = noisy_slice
         model = models[name][1]
-        if name == "KO-ADC":
-            image = adc_map(stack, cfg.adc)
-            feats = image.data.reshape(-1, 1)
-        else:
-            image, feats = stack, stack.pixel_features()
-        n = feats.shape[0]
-        assert n > _BLOCK_ROWS and n % _BLOCK_ROWS
-        got = classify(model, image).labels
-        if isinstance(model, SomModel):
-            lut = np.array([int(c) for c in model.class_of_neuron])
-            want = lut[broadcast_winners(model.neurons, feats)]
-        else:
-            want = np.argmax(model.scores(feats), axis=1) + 1
+        image, feats = slice_input(cfg, stack, name)
+        want = REFERENCE_LABELS[name](model, feats)
         assert np.unique(want).size > 1
+        got = classify(model, image).labels
         assert got.shape == (image.height, image.width)
         np.testing.assert_array_equal(got.ravel(), want)
+        # Every kind again in MLP-sized blocks: several, the last partial.
+        n = feats.shape[0]
+        assert n > _MLP_BLOCK and n % _MLP_BLOCK
+        monkeypatch.setattr(classifiers, "_BLOCK", _MLP_BLOCK)
+        np.testing.assert_array_equal(classify(model, image).labels.ravel(), want)
+
+
+class TestLayoutIdentities:
+    """The planar products that classify computes, bit for bit against the
+    row-major formulas. The golden digests rely on these identities; a BLAS
+    that breaks one fails here by name."""
+
+    def test_feature_planes_are_pixel_feature_columns(self, noisy_slice):
+        cfg, models, stack = noisy_slice
+        x = _feature_planes(models["PO"][1], stack)
+        assert x.tobytes() == np.ascontiguousarray(stack.pixel_features().T).tobytes()
+
+    def test_polynomial_scores(self, noisy_slice):
+        cfg, models, stack = noisy_slice
+        model = models["PO"][1]
+        x = _feature_planes(model, stack)
+        want = expand_quadratic(stack.pixel_features()) @ model.weights.T
+        assert model._planar(x).tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+    def test_mlp_hidden_layer(self, noisy_slice):
+        cfg, models, stack = noisy_slice
+        model = models["MLP"][1]
+        x = _feature_planes(model, stack)
+        feats = stack.pixel_features()
+        forward, _, hb = _mlp_pass(model.hidden_weights, model.output_weights, _MLP_BLOCK)
+        for start in range(0, x.shape[1], _MLP_BLOCK):
+            cols = slice(start, start + _MLP_BLOCK)
+            forward(x[:, cols])
+            n = len(feats[cols])
+            xb = np.hstack([feats[cols], np.ones((n, 1))])
+            want = reference_sigmoid(xb @ model.hidden_weights.T)
+            assert hb[:60, :n].tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+
+# Few distinct values, so that rows tie; both signed zeros, which compare
+# equal; and +inf, which a squared distance reaches when it overflows.
+TIE_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf])
+
+
+class TestFirstBest:
+    @settings(max_examples=300)
+    @given(rows=arrays(np.float64, st.tuples(st.just(3), st.integers(1, 50)),
+                       elements=TIE_VALUES))
+    def test_matches_numpy_tie_order(self, rows):
+        np.testing.assert_array_equal(_first_best(rows, largest=True), np.argmax(rows, axis=0))
+        np.testing.assert_array_equal(_first_best(rows, largest=False), np.argmin(rows, axis=0))
 
 
 class TestKoAdc:

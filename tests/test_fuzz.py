@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwspectral.adc import AdcConfig, load_adc_raw
+from dwspectral.adc import AdcConfig, load_adc_raw, save_adc_raw
 from dwspectral.classifiers import (
     MlpModel,
     PolyModel,
@@ -243,20 +243,30 @@ def test_main_exits_2_on_garbage(workdir, flag, data):
     assert run_main(flag, path, workdir / "out") == 2
 
 
-# Finite weights, so the loaders accept them, whose class scores overflow.
+# Finite weights, so the loaders accept them, whose class scores or neuron
+# distances overflow. A one-feature SOM classifies an ADC map (KO-ADC).
 OVERFLOWING_MODELS = {
     "po+1e308": PolyModel(np.full((3, 10), 1e308)),
     "po-1e308": PolyModel(np.full((3, 10), -1e308)),
     "mlp+1e308": MlpModel(np.full((60, 4), 1e308), np.full((3, 61), 1e308)),
     "mlp-output+1e308": MlpModel(np.zeros((60, 4)), np.full((3, 61), 1e308)),
+    "ko+1e308": SomModel(np.full((3, 3), 1e308), class_of_neuron=(1, 2, 3)),
+    "ko-1e308": SomModel(np.full((3, 3), -1e308), class_of_neuron=(1, 2, 3)),
+    "ko-adc+1e308": SomModel(np.full((3, 1), 1e308), class_of_neuron=(1, 2, 3)),
+    "ko-adc-1e308": SomModel(np.full((3, 1), -1e308), class_of_neuron=(1, 2, 3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OVERFLOWING_MODELS))
 def test_main_exits_1_on_overflowing_scores(workdir, tmp_path, capsys, name):
-    model = tmp_path / "model.json"
-    save_model(OVERFLOWING_MODELS[name], model)
-    argv = ["classify", "--model", model, "--stack", workdir / "valid_manifest.json",
+    model = OVERFLOWING_MODELS[name]
+    save_model(model, tmp_path / "model.json")
+    if name.startswith("ko-adc"):
+        save_adc_raw(Band(2, 2, np.array([[0.0, 1e-3], [2e-3, 3e-3]])), tmp_path / "adc.raw")
+        image = ["--adc", tmp_path / "adc.raw"]
+    else:
+        image = ["--stack", workdir / "valid_manifest.json"]
+    argv = ["classify", "--model", tmp_path / "model.json", *image,
             "--out", tmp_path / "labels.pgm"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -264,4 +274,5 @@ def test_main_exits_1_on_overflowing_scores(workdir, tmp_path, capsys, name):
     assert caught == []
     err = capsys.readouterr().err
     assert err.startswith("internal error: ") and err.count("\n") == 1
-    assert "model gave non-finite scores" in err
+    what = "distances" if isinstance(model, SomModel) else "scores"
+    assert f"model gave non-finite {what}" in err
