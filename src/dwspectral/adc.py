@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_image import FULL_SCALE, Band, SpectralStack, save_band
+from .core_image import FULL_SCALE, Band, SpectralStack, finite_number, save_band
 from .errors import FormatError, ValidationError
 
 
@@ -23,9 +23,9 @@ class AdcConfig:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if self.c_const <= 0:
+        if finite_number(self.c_const, "C") <= 0:
             raise ValidationError(f"C must be > 0, got {self.c_const}")
-        if self.epsilon <= 0:
+        if finite_number(self.epsilon, "epsilon") <= 0:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
 
 
@@ -80,6 +80,8 @@ def load_adc_raw(path, slice_index: int = 0) -> Band:
     if len(data) < 12:
         raise FormatError(f"{path}: truncated header, {len(data)} of 12 bytes")
     width, height = struct.unpack("<II", data[4:12])
+    if width == 0 or height == 0:
+        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
     expected = width * height * 8
     payload = data[12 : 12 + expected]
     if len(payload) != expected:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
@@ -22,6 +23,15 @@ def nonnegative_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def finite_number(value, what: str) -> float:
+    """``value`` as a float; a bool, a string or another non-number, NaN or
+    an infinity raises ValidationError naming ``what``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 class ClassLabel(IntEnum):

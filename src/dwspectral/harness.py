@@ -4,8 +4,6 @@ Gaussian noise levels, and emit kappa-vs-noise curves."""
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +24,7 @@ from .core_image import (
     config_from_json,
     extract_band_samples,
     extract_samples,
+    finite_number,
     nonnegative_int,
     read_json,
     save_labelmap,
@@ -71,7 +70,7 @@ class ExperimentConfig:
                 f"of {self.phantom.slices} slices"
             )
         nonnegative_int(self.training_slice, "training slice")  # such as 2.5
-        levels = tuple(float(v) for v in self.noise_levels)
+        levels = tuple(finite_number(v, "noise level") for v in self.noise_levels)
         if any(not 0.0 <= v <= 0.20 for v in levels):
             raise ValidationError(f"noise levels must lie in [0, 0.20]: {levels}")
         seeds = tuple(nonnegative_int(s, "seed") for s in self.seeds)
@@ -151,19 +150,6 @@ class SweepResult:
         return {lvl: float(np.median(ks)) for lvl, ks in sorted(by_level.items())}
 
 
-def _max_workers() -> int:
-    env = os.environ.get("DWSPECTRAL_THREADS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ValidationError(f"DWSPECTRAL_THREADS is not an integer: {env!r}")
-        if workers < 1:
-            raise ValidationError(f"DWSPECTRAL_THREADS must be >= 1, got {workers}")
-        return workers
-    return os.cpu_count() or 1
-
-
 def train_models(cfg: ExperimentConfig, stacks, truth) -> dict:
     """Train every selected classifier once per seed on the training slice.
 
@@ -200,27 +186,21 @@ def _classify_volume(name: str, model, stacks, adc_cfg: AdcConfig):
     return preds
 
 
-def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels, workers) -> list:
-    """Score every (noise level, seed) cell on ``workers`` threads: perturb
-    every band of every slice, recompute the ADC map from the noisy bands,
-    classify with each trained model and score against the noiseless
-    phantom truth. Level 0 leaves the bands as they are."""
-
-    def run_cell(level: float, seed: int):
-        noisy = [add_noise_to_stack(st, level, seed) for st in stacks]
-        out = []
-        for name in cfg.classifiers:
-            preds = _classify_volume(name, models[name][seed], noisy, cfg.adc)
-            cm = merge_confusions(confusion(p, t) for p, t in zip(preds, truth))
-            report = report_from_confusion(cm)
-            out.append(CellResult(name, level, seed, report, volumes(preds)))
-        return out
-
-    grid = [(lvl, seed) for lvl in levels for seed in cfg.seeds]
+def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
+    """Score every (noise level, seed) cell: perturb every band of every
+    slice, recompute the ADC map from the noisy bands, classify with each
+    trained model and score against the noiseless phantom truth. Level 0
+    leaves the bands as they are."""
     cells = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in pool.map(lambda args: run_cell(*args), grid):
-            cells.extend(chunk)
+    for level in levels:
+        for seed in cfg.seeds:
+            noisy = [add_noise_to_stack(st, level, seed) for st in stacks]
+            for name in cfg.classifiers:
+                preds = _classify_volume(name, models[name][seed], noisy, cfg.adc)
+                cm = merge_confusions(confusion(p, t) for p, t in zip(preds, truth))
+                report = report_from_confusion(cm)
+                cells.append(CellResult(name, level, seed, report, volumes(preds)))
+            del noisy, preds  # else they live on while the next cell's are built
     cells.sort(key=CellResult.sort_key)
     return cells
 
@@ -229,10 +209,9 @@ def run_baseline(cfg: ExperimentConfig, out_dir=None) -> BaselineResult:
     """Noiseless end-to-end run: render, train, then score the zero-noise
     cell of every seed; optionally writes baseline.json/csv and the
     polynomial-net ground-truth maps."""
-    workers = _max_workers()
     stacks, truth = render_phantom(cfg.phantom, cfg.acquisition)
     models = train_models(cfg, stacks, truth)
-    cells = _score_cells(cfg, stacks, truth, models, (0.0,), workers)
+    cells = _score_cells(cfg, stacks, truth, models, (0.0,))
     ground_truth_maps = []
     if "PO" in cfg.classifiers:
         po_model = models["PO"][cfg.seeds[0]]
@@ -254,7 +233,6 @@ def run_sweep(
 ) -> SweepResult:
     """Noise sweep over ``cfg.noise_levels`` x ``cfg.seeds`` with models
     trained once on the noiseless training slice (see _score_cells)."""
-    workers = _max_workers()
     if not cfg.noise_levels:
         raise ValidationError("sweep needs at least one noise level")
     if baseline is None:
@@ -262,7 +240,7 @@ def run_sweep(
         models = train_models(cfg, stacks, truth)
     else:
         stacks, truth, models = baseline.stacks, baseline.truth, baseline.models
-    cells = _score_cells(cfg, stacks, truth, models, cfg.noise_levels, workers)
+    cells = _score_cells(cfg, stacks, truth, models, cfg.noise_levels)
     result = SweepResult(cells)
     if out_dir is not None:
         out_dir = Path(out_dir)

@@ -13,6 +13,7 @@ from .core_image import (
     ClassLabel,
     LabelMap,
     SpectralStack,
+    finite_number,
     nonnegative_int,
     read_json,
 )
@@ -32,11 +33,11 @@ class TissueParams:
     diffusion: float
 
     def __post_init__(self):
-        if self.rho < 0:
+        if finite_number(self.rho, "spin density") < 0:
             raise ValidationError(f"spin density must be >= 0, got {self.rho}")
-        if self.t2 <= 0:
+        if finite_number(self.t2, "T2") <= 0:
             raise ValidationError(f"T2 must be > 0, got {self.t2}")
-        if self.diffusion < 0:
+        if finite_number(self.diffusion, "diffusion") < 0:
             raise ValidationError(f"diffusion must be >= 0, got {self.diffusion}")
 
 
@@ -49,11 +50,11 @@ class AcquisitionParams:
     b_values: tuple[float, ...] = (0.0, 500.0, 1000.0)
 
     def __post_init__(self):
-        if self.k_const <= 0:
+        if finite_number(self.k_const, "K") <= 0:
             raise ValidationError(f"K must be > 0, got {self.k_const}")
-        if self.te <= 0:
+        if finite_number(self.te, "TE") <= 0:
             raise ValidationError(f"TE must be > 0, got {self.te}")
-        b = tuple(float(v) for v in self.b_values)
+        b = tuple(finite_number(v, "b-value") for v in self.b_values)
         if not b or b[0] != 0.0:
             raise ValidationError("b_values must start at 0")
         if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):

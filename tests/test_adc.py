@@ -1,3 +1,4 @@
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +74,12 @@ class TestAdcMap:
         with pytest.raises(ValidationError):
             AdcConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("field, what", [("c_const", "C"), ("epsilon", "epsilon")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1", True])
+    def test_non_number_config_rejected(self, field, what, value):
+        with pytest.raises(ValidationError, match=f"{what} must be a finite number"):
+            AdcConfig(**{field: value})
+
 
 class TestAdcProperties:
     def test_invariant_under_common_band_scaling(self, default_volume):
@@ -123,6 +130,13 @@ class TestPersistence:
         path = tmp_path / "short.adc"
         path.write_bytes(b"ADCF" + bytes(7))
         with pytest.raises(FormatError, match="truncated header"):
+            load_adc_raw(path)
+
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, 0)])
+    def test_raw_zero_dimensions_rejected(self, tmp_path, width, height):
+        path = tmp_path / "zero.adc"
+        path.write_bytes(b"ADCF" + struct.pack("<II", width, height))
+        with pytest.raises(FormatError, match=f"non-positive dimensions {width}x{height}"):
             load_adc_raw(path)
 
     def test_pgm_sidecar_records_scale(self, tmp_path, default_volume):

@@ -1,9 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from dwspectral import cli, harness
+from dwspectral import cli
+from dwspectral.classifiers import SomModel, save_model
 from dwspectral.cli import main
 from dwspectral.core_image import ClassLabel, LabelMap, load_labelmap, save_labelmap
 from dwspectral.errors import FormatError, NumericalError, PipelineError, ValidationError
@@ -67,6 +69,30 @@ class TestAdcCommand:
         code = main(["adc", "--stack", str(bad), "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--c", "inf", "C must be a finite number, got inf"),
+            ("--epsilon", "inf", "epsilon must be a finite number, got inf"),
+            ("--epsilon", "nan", "epsilon must be a finite number, got nan"),
+        ],
+    )
+    def test_non_finite_config_exits_2(self, phantom_dir, tmp_path, capsys, flag, value, message):
+        manifest = phantom_dir / "slice_03_manifest.json"
+        argv = ["adc", "--stack", manifest, flag, value, "--out", tmp_path / "x"]
+        assert message in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, 0)])
+    def test_classify_zero_dimension_adc_exits_2(self, tmp_path, capsys, width, height):
+        model = tmp_path / "ko-adc.json"
+        save_model(SomModel(np.array([[0.0], [1e-3], [3e-3]]), (1, 2, 3)), model)
+        adc = tmp_path / "zero.adc"
+        adc.write_bytes(b"ADCF" + struct.pack("<II", width, height))
+        argv = ["classify", "--model", model, "--adc", adc, "--out", tmp_path / "p.pgm"]
+        err = assert_one_error_line(argv, capsys)
+        assert f"{adc}: non-positive dimensions {width}x{height}" in err
+        assert not (tmp_path / "p.pgm").exists()
 
 
 class TestTrainClassifyEval:
@@ -280,6 +306,38 @@ class TestMalformedConfigFiles:
         argv = ["phantom", "--acq", acq, "--out", tmp_path / "o"]
         assert str(acq) in assert_one_error_line(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"te": float("inf")}, "TE must be a finite number, got inf"),
+            ({"k_const": float("nan")}, "K must be a finite number, got nan"),
+            ({"b_values": [0, 500, float("inf")]}, "b-value must be a finite number, got inf"),
+        ],
+    )
+    def test_phantom_acq_non_finite_exits_2(self, tmp_path, capsys, doc, message):
+        acq = tmp_path / "acq.json"
+        acq.write_text(json.dumps(doc))  # Infinity and NaN, as Python writes them
+        argv = ["phantom", "--acq", acq, "--out", tmp_path / "o"]
+        assert message in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "tissue, message",
+        [
+            ({"rho": float("inf")}, "spin density must be a finite number, got inf"),
+            ({"t2": float("inf")}, "T2 must be a finite number, got inf"),
+            ({"diffusion": float("nan")}, "diffusion must be a finite number, got nan"),
+        ],
+    )
+    def test_phantom_spec_non_finite_tissue_exits_2(
+        self, small_spec, tmp_path, capsys, tissue, message
+    ):
+        doc = phantom_spec_to_json(small_spec)
+        doc["tissues"]["CSF"].update(tissue)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        assert message in assert_one_error_line(argv, capsys)
+
     def test_baseline_config_unknown_acquisition_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"acquisition": {"bogus": 1}}))
@@ -325,36 +383,13 @@ class TestMalformedConfigFiles:
             ("seeds", [1, 1], "duplicate seeds"),
             ("noise_levels", [0.05, 0.05], "duplicate noise levels"),
             ("classifiers", ["PO", "PO"], "duplicate classifiers"),
+            ("noise_levels", ["0.05"], "noise level must be a finite number, got '0.05'"),
+            ("noise_levels", [False], "noise level must be a finite number, got False"),
         ],
     )
     def test_sweep_config_exits_2(self, spec_file, tmp_path, capsys, key, value, message):
         argv = sweep_argv(spec_file, tmp_path, **{key: value})
         assert message in assert_one_error_line(argv, capsys)
-
-
-class TestThreadSetting:
-    @pytest.mark.parametrize(
-        "value, message",
-        [
-            ("0", "must be >= 1, got 0"),
-            ("-1", "must be >= 1, got -1"),
-            ("two", "is not an integer: 'two'"),
-        ],
-    )
-    def test_sweep_exits_2(self, spec_file, tmp_path, capsys, monkeypatch, value, message):
-        monkeypatch.setenv("DWSPECTRAL_THREADS", value)
-        err = assert_one_error_line(sweep_argv(spec_file, tmp_path), capsys)
-        assert f"DWSPECTRAL_THREADS {message}" in err
-
-    @pytest.mark.parametrize("command", ["sweep", "baseline"])
-    def test_read_before_rendering(self, spec_file, tmp_path, capsys, monkeypatch, command):
-        def render(*args):
-            raise AssertionError("rendered before DWSPECTRAL_THREADS was read")
-
-        monkeypatch.setattr(harness, "render_phantom", render)
-        monkeypatch.setenv("DWSPECTRAL_THREADS", "0")
-        argv = [command, *sweep_argv(spec_file, tmp_path)[1:]]
-        assert "must be >= 1, got 0" in assert_one_error_line(argv, capsys)
 
 
 NEGATIVE_SEED = "seed must be a non-negative integer, got -1"

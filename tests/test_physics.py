@@ -43,6 +43,24 @@ class TestBValue:
             b_value(1.0, 1.0, 0.0)
 
 
+class TestConfigNumbers:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", True])
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda v: AcquisitionParams(k_const=v), "K"),
+            (lambda v: AcquisitionParams(te=v), "TE"),
+            (lambda v: AcquisitionParams(b_values=(0.0, 500.0, v)), "b-value"),
+            (lambda v: TissueParams(rho=v, t2=90.0, diffusion=0.0), "spin density"),
+            (lambda v: TissueParams(rho=1.0, t2=v, diffusion=0.0), "T2"),
+            (lambda v: TissueParams(rho=1.0, t2=90.0, diffusion=v), "diffusion"),
+        ],
+    )
+    def test_non_finite_or_non_number_rejected(self, build, what, value):
+        with pytest.raises(ValidationError, match=f"{what} must be a finite number"):
+            build(value)
+
+
 class TestSignal:
     def test_b0_hand_evaluation(self):
         tissue = TissueParams(rho=100.0, t2=100.0, diffusion=1e-3)
