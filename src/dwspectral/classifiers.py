@@ -199,12 +199,13 @@ def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
     fills their first n columns and returns a view of the output
     pre-activations (3, n); every call reuses the buffers. Each row a ufunc
     or matmul writes is contiguous: a strided output falls off numpy's SIMD
-    loops.
+    loops. The buffers take the weights' dtype, so float32 weights give a
+    float32 pass.
     """
     neg_wh = -wh  # (-wh) @ xb is bitwise -(wh @ xb)
-    xb = np.ones((wh.shape[1], cols))
-    hb = np.ones((MLP_HIDDEN + 1, cols))
-    z = np.empty((N_CLASSES, cols))
+    xb = np.ones((wh.shape[1], cols), dtype=wh.dtype)
+    hb = np.ones((MLP_HIDDEN + 1, cols), dtype=wh.dtype)
+    z = np.empty((N_CLASSES, cols), dtype=wh.dtype)
 
     def forward(x: np.ndarray) -> np.ndarray:
         n = x.shape[1]
@@ -470,36 +471,125 @@ def _decide(model: Model, s: np.ndarray, classes: np.ndarray) -> np.ndarray:
 _MLP_BLOCK = 1024
 _BLOCK = 8192
 
+# The float32 MLP screen takes a model whose weights are each 0 or of
+# magnitude in [2^-60, 2^60], on features of magnitude at most 2^60. No
+# float32 product or sum of its forward pass can then overflow, and what
+# underflow loses lies far below the bound of _screen_bound.
+_SCREEN_RANGE = (2.0**-60, 2.0**60)
+
+
+def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
+    """The lead ``tau`` above which the float32 forward pass of ``model`` on
+    feature planes ``x`` picks the class the float64 pass picks, or None
+    where that pass is out of its range or ``tau`` exceeds 1.
+
+    Forward error of the float32 pass, u = 2^-24 and m = max |x|:
+    - hidden unit j: the 4-term dot product in any order, with its rounded
+      weights and features, is off by at most 6u * S_j, where
+      S_j = sum_i |wh_ji| * m + |b_j|;
+    - its sigmoid has a slope of at most 1/4, which makes that 1.5u * S_j;
+      an exp off by 4 ulp (8u relative) adds 2u, the +1 and the reciprocal
+      u each;
+    - output k: the 61-term dot product over h in [0, 1], with its rounded
+      weights, adds 62u * sum_j |wo_kj| (j over the bias too).
+    With the constants rounded up,
+        |dz_k| <= u * (sum_j |wo_kj| * (2 * S_j + 4) + 64 * sum_j |wo_kj|).
+    The float64 pass is 2^29 times closer. The difference of two outputs
+    is off by at most twice the largest |dz_k|; ``tau`` is 4 times that,
+    which also covers rounding the lead and ``tau`` to float32.
+    """
+    low, high = _SCREEN_RANGE
+    wh, wo = np.abs(model.hidden_weights), np.abs(model.output_weights)
+    w = np.concatenate([wh.ravel(), wo.ravel()])
+    m = np.abs(x).max(initial=0.0)
+    if not (m <= high and w.max() <= high and np.all((w == 0.0) | (w >= low))):
+        return None
+    s = wh[:, :-1].sum(axis=1) * m + wh[:, -1]
+    dz = 2.0**-24 * (wo[:, :-1] @ (2.0 * s + 4.0) + 64.0 * wo.sum(axis=1))
+    tau = 8.0 * float(dz.max())
+    return tau if tau <= 1.0 else None
+
+
+def _clear_lead(z: np.ndarray, tau: float) -> np.ndarray:
+    """Where the largest of the three rows ``z`` exceeds the other two by
+    more than ``tau``, with every row finite."""
+    a, b, c = z
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    lead = np.maximum(hi, c) - np.maximum(lo, np.minimum(hi, c))
+    return (lead > tau) & np.isfinite(z).all(axis=0)
+
+
+def _in_blocks(decide, x: np.ndarray, block: int) -> np.ndarray:
+    """``decide`` applied to each block of ``block`` columns of ``x``."""
+    labels = np.empty(x.shape[1], dtype=np.int64)
+    for start in range(0, x.shape[1], block):
+        labels[start:start + block] = decide(x[:, start:start + block])
+    return labels
+
+
+def _mlp_exact(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The MLP's labels of feature planes ``x`` from the float64 pass."""
+    wh, wo = model.hidden_weights, model.output_weights
+    forward = _mlp_pass(wh, wo, min(x.shape[1], _MLP_BLOCK))[0]
+    return _in_blocks(lambda xs: _decide(model, forward(xs), classes), x, _MLP_BLOCK)
+
+
+def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The MLP's labels of feature planes ``x``: those of the float64 pass.
+
+    A float32 forward pass screens the pixels: one whose winner leads by
+    more than _screen_bound's ``tau`` takes it. Every other pixel, a
+    near-tie or a non-finite score, goes to the float64 pass, which keeps
+    the tie rule and the NumericalError. Out of the screen's range every
+    pixel takes the float64 pass.
+    """
+    tau = _screen_bound(model, x)
+    if tau is None:
+        return _mlp_exact(model, x, classes)
+    f32 = np.float32
+    wh, wo = model.hidden_weights.astype(f32), model.output_weights.astype(f32)
+    # float32 rows hold twice the pixels of float64 rows in the same bytes.
+    block = 2 * _MLP_BLOCK
+    forward = _mlp_pass(wh, wo, min(x.shape[1], block))[0]
+
+    def screen(xs: np.ndarray) -> np.ndarray:  # 0 where undecided
+        z = forward(xs)
+        return np.where(_clear_lead(z, tau), classes.take(_first_best(z, largest=True)), 0)
+
+    labels = _in_blocks(screen, x, block)
+    close = np.flatnonzero(labels == 0)
+    if close.size:
+        labels[close] = _mlp_exact(model, x[:, close], classes)
+    return labels
+
 
 def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     """Per-pixel class decision: argmax of class scores for the polynomial
     and MLP models, nearest-neuron label for the SOM. Ties break toward the
     lower class integer, or the lower neuron. The MLP's scores here are its
     output pre-activations: the sigmoid is monotone, but two outputs that
-    both round to 1.0 still differ before it, and the larger one wins.
+    both round to 1.0 still differ before it, and the larger one wins. A
+    float32 pass screens the MLP's pixels and the float64 pass decides
+    every close call, so the labels are the float64 pass's (_mlp_labels).
 
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""
     x = _feature_planes(model, image)
-    n = x.shape[1]
-    classes, block = np.array([int(c) for c in ClassLabel]), _BLOCK
+    classes = np.array([int(c) for c in ClassLabel])
     if isinstance(model, PolyModel):
         scores = model._planar
-    elif isinstance(model, MlpModel):
-        block = _MLP_BLOCK
-        scores = _mlp_pass(model.hidden_weights, model.output_weights, min(n, block))[0]
-    elif model.class_of_neuron is None:
-        raise ValidationError("SOM model must be labeled before classification")
-    else:
+    elif isinstance(model, SomModel):
+        if model.class_of_neuron is None:
+            raise ValidationError("SOM model must be labeled before classification")
         classes = np.array([int(c) for c in model.class_of_neuron])
         scores = partial(_som_distances, model.neurons)
-    labels = np.empty(n, dtype=np.int64)
     # Overflow is expected where an MLP hidden unit saturates (its sigmoid
     # is then exactly 0); only non-finite scores or distances are errors.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n, block):
-            cols = slice(start, start + block)
-            labels[cols] = _decide(model, scores(x[:, cols]), classes)
+        if isinstance(model, MlpModel):
+            labels = _mlp_labels(model, x, classes)
+        else:
+            labels = _in_blocks(lambda xs: _decide(model, scores(xs), classes), x, _BLOCK)
     return LabelMap(image.width, image.height, labels.reshape(image.height, image.width))
 
 

@@ -77,7 +77,7 @@ class SpectralStack:
 
     def __post_init__(self):
         bands = tuple(self.bands)
-        b_values = tuple(float(b) for b in self.b_values)
+        b_values = tuple(finite_number(b, "b-value") for b in self.b_values)
         if len(bands) < 2:
             raise ValidationError("a spectral stack needs at least 2 bands")
         if len(bands) != len(b_values):

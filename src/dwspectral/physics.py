@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,8 +192,11 @@ class PhantomSpec:
     tissue_table: dict = field(default_factory=lambda: dict(DEFAULT_TISSUES))
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.slices <= 0:
-            raise ValidationError("phantom dimensions must be positive")
+        for name in ("width", "height", "slices"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(f"phantom {name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for shape in self.shapes:
             if not shape.bounds_ok(self.width, self.height, self.slices):
                 raise ValidationError(
@@ -267,8 +271,9 @@ def _spec_from_json(doc) -> PhantomSpec:
         _LABEL_NAMES[name]: TissueParams(**params)
         for name, params in doc.get("tissues", {}).items()
     }
-    width, height, slices = int(doc["width"]), int(doc["height"]), int(doc["slices"])
-    return PhantomSpec(width, height, slices, shapes, tissues or dict(DEFAULT_TISSUES))
+    return PhantomSpec(
+        doc["width"], doc["height"], doc["slices"], shapes, tissues or dict(DEFAULT_TISSUES)
+    )
 
 
 def load_phantom_spec(path) -> PhantomSpec:

@@ -32,9 +32,12 @@ from dwspectral.classifiers import (
     train_som,
 )
 from dwspectral.core_image import (
+    FULL_SCALE,
+    Band,
     ClassLabel,
     LabelMap,
     SampleSet,
+    SpectralStack,
     extract_band_samples,
     extract_samples,
 )
@@ -643,6 +646,151 @@ class TestFirstBest:
     def test_matches_numpy_tie_order(self, rows):
         np.testing.assert_array_equal(_first_best(rows, largest=True), np.argmax(rows, axis=0))
         np.testing.assert_array_equal(_first_best(rows, largest=False), np.argmin(rows, axis=0))
+
+
+def stack_of(x):
+    """A one-slice 50x50 stack whose feature planes are about x (3, 2500):
+    two float32 screen blocks, the last partial."""
+    bands = [Band(50, 50, (row * FULL_SCALE).reshape(50, 50)) for row in x]
+    return SpectralStack(tuple(bands), (0.0, 500.0, 1000.0))
+
+
+def float64_labels(model, x):
+    """The float64 pass alone over feature planes x: the first largest
+    pre-activation of each pixel."""
+    forward = _mlp_pass(model.hidden_weights, model.output_weights, x.shape[1])[0]
+    with np.errstate(over="ignore"):
+        return _first_best(forward(x), largest=True) + 1
+
+
+def float32_gap(model, x):
+    """The largest |z32 - z64| of the two forward passes over x."""
+    wh, wo = model.hidden_weights, model.output_weights
+    z32 = _mlp_pass(wh.astype(np.float32), wo.astype(np.float32), x.shape[1])[0]
+    z64 = _mlp_pass(wh, wo, x.shape[1])[0]
+    with np.errstate(over="ignore"):
+        return float(np.abs(z32(x).astype(np.float64) - z64(x)).max())
+
+
+def counting_fallback(monkeypatch):
+    """Count the pixels that classify sends to the float64 pass."""
+    seen = []
+    exact = classifiers._mlp_exact
+
+    def spy(model, x, classes):
+        seen.append(x.shape[1])
+        return exact(model, x, classes)
+
+    monkeypatch.setattr(classifiers, "_mlp_exact", spy)
+    return seen
+
+
+class TestFloat32Screen:
+    """classify screens MLP pixels in float32 and decides every close call
+    in float64: its labels are the float64 pass's."""
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pair=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+        delta=st.sampled_from([0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-3]),
+    )
+    def test_labels_equal_float64_pass(self, seed, pair, delta):
+        # Random weights in [-8, 8]. Output row k is row i plus delta times
+        # noise in [-1, 1], and its bias is 61 * delta higher still: z_k - z_i
+        # lies in [delta, 121 * delta] in float64 (0 when delta is 0), while
+        # float32 rounds the two rows apart either way.
+        rng = np.random.default_rng(seed)
+        wh = rng.uniform(-8.0, 8.0, (60, 4))
+        wo = rng.uniform(-8.0, 8.0, (3, 61))
+        i, k = pair
+        wo[k] = wo[i] + delta * rng.uniform(-1.0, 1.0, 61)
+        wo[k, -1] += 61 * delta
+        model = MlpModel(wh, wo)
+        image = stack_of(rng.uniform(0.0, 1.0, (3, 2500)))
+        x = _feature_planes(model, image)
+        assert classifiers._screen_bound(model, x) is not None
+        got = classify(model, image).labels.ravel()
+        np.testing.assert_array_equal(got, float64_labels(model, x))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bound_covers_float32_error(self, seed):
+        # tau is 8 times the bound on each |z32 - z64|.
+        rng = np.random.default_rng(seed)
+        model = MlpModel(rng.uniform(-8.0, 8.0, (60, 4)), rng.uniform(-8.0, 8.0, (3, 61)))
+        x = rng.uniform(0.0, 1.0, (3, 4096))
+        assert float32_gap(model, x) <= classifiers._screen_bound(model, x) / 8
+
+    def test_trained_model_bound(self, noisy_slice):
+        cfg, models, stack = noisy_slice
+        model = models["MLP"][1]
+        x = _feature_planes(model, stack)
+        tau = classifiers._screen_bound(model, x)
+        assert 0.0 < tau < 0.1
+        assert float32_gap(model, x) <= tau / 8
+
+    def test_exact_tie_goes_to_lower_class_through_float64(self, monkeypatch):
+        # Rows 0 and 1 are equal and row 2 is below them everywhere.
+        rng = np.random.default_rng(11)
+        wh = rng.uniform(-4.0, 4.0, (60, 4))
+        wo = rng.uniform(-4.0, 4.0, (3, 61))
+        wo[1] = wo[0]
+        wo[2] = wo[0]
+        wo[2, -1] -= 1.0
+        seen = counting_fallback(monkeypatch)
+        labels = classify(MlpModel(wh, wo), stack_of(rng.uniform(0.0, 1.0, (3, 2500)))).labels
+        assert np.all(labels == int(ClassLabel.CSF))
+        assert seen == [2500]
+
+    def test_clear_leads_skip_float64(self, noisy_slice, monkeypatch):
+        cfg, models, stack = noisy_slice
+        seen = counting_fallback(monkeypatch)
+        classify(models["MLP"][1], stack)
+        assert sum(seen) < stack.width * stack.height / 100
+
+    def test_subnormal_weights_take_float64_pass(self, monkeypatch):
+        # Every hidden unit is 0.5. In float64, output 0 is 60 * 3 * 2^-150
+        # = 90 * 2^-149 and output 1 is 100 * 2^-149, so MATTER wins. In
+        # float32 each product 1.5 * 2^-149 rounds to 2 * 2^-149, and
+        # output 0 would win by 20 * 2^-149: out of the screen's range.
+        tiny = 2.0**-149
+        wo = np.zeros((3, 61))
+        wo[0, :60] = 3 * tiny
+        wo[1, -1] = 100 * tiny
+        model = MlpModel(np.zeros((60, 4)), wo)
+        image = stack_of(np.full((3, 2500), 0.5))
+        assert classifiers._screen_bound(model, _feature_planes(model, image)) is None
+        seen = counting_fallback(monkeypatch)
+        assert np.all(classify(model, image).labels == int(ClassLabel.MATTER))
+        assert seen == [2500]
+
+    @pytest.mark.parametrize("weight", [1e308, 2.0**61, 2.0**-61])
+    def test_out_of_range_weights_have_no_bound(self, small_volume, weight):
+        wo = np.zeros((3, 61))
+        wo[2, 5] = weight
+        model = MlpModel(np.zeros((60, 4)), wo)
+        assert classifiers._screen_bound(model, _feature_planes(model, small_volume[0][0])) is None
+
+    @pytest.mark.parametrize(
+        "column, tau",
+        [
+            ([1.0, 0.5, 0.0], 0.5),  # the lead equals tau
+            ([1.0, 1.0, 0.0], 0.0),  # a tie
+            ([np.inf, 1.0, 0.0], 0.0),
+            ([2.0, 1.0, -np.inf], 0.0),
+            ([2.0, np.nan, 0.0], 0.0),
+            ([np.nan, 1.0, 0.0], 0.0),
+        ],
+    )
+    def test_close_or_non_finite_leads_are_not_clear(self, column, tau):
+        z = np.array(column, dtype=np.float32)[:, None]
+        assert not classifiers._clear_lead(z, tau)[0]
+
+    def test_clear_lead_in_every_row(self):
+        z = np.array([[3.0, 0.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]], dtype=np.float32)
+        np.testing.assert_array_equal(classifiers._clear_lead(z, 1.9), [True, True, True])
+        np.testing.assert_array_equal(classifiers._clear_lead(z, 2.0), [False, False, False])
 
 
 class TestKoAdc:

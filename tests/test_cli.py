@@ -83,6 +83,25 @@ class TestAdcCommand:
         argv = ["adc", "--stack", manifest, flag, value, "--out", tmp_path / "x"]
         assert message in assert_one_error_line(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "b_values, message",
+        [
+            ([0, 500, float("inf")], "b-value must be a finite number, got inf"),
+            ([0, float("nan"), 1000], "b-value must be a finite number, got nan"),
+            (["0", "500", "1000"], "b-value must be a finite number, got '0'"),
+            ([0, True, 1000], "b-value must be a finite number, got True"),
+        ],
+    )
+    def test_manifest_b_values_exit_2(self, phantom_dir, tmp_path, capsys, b_values, message):
+        doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())
+        doc["b_values"] = b_values
+        manifest = phantom_dir / "bad_b_values.json"  # band paths are relative
+        manifest.write_text(json.dumps(doc))  # Infinity and NaN, as Python writes them
+        argv = ["adc", "--stack", manifest, "--out", tmp_path / "x"]
+        err = assert_one_error_line(argv, capsys)
+        assert str(manifest) in err and message in err
+        assert not (tmp_path / "x.adc").exists()
+
     @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, 0)])
     def test_classify_zero_dimension_adc_exits_2(self, tmp_path, capsys, width, height):
         model = tmp_path / "ko-adc.json"
@@ -337,6 +356,27 @@ class TestMalformedConfigFiles:
         spec.write_text(json.dumps(doc))
         argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
         assert message in assert_one_error_line(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("width", 32.9, "phantom width must be a positive integer, got 32.9"),
+            ("slices", True, "phantom slices must be a positive integer, got True"),
+            ("height", "32", "phantom height must be a positive integer, got '32'"),
+            ("slices", 0, "phantom slices must be a positive integer, got 0"),
+        ],
+    )
+    def test_phantom_spec_dimensions_exit_2(
+        self, small_spec, tmp_path, capsys, key, value, message
+    ):
+        doc = phantom_spec_to_json(small_spec)
+        doc[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert str(spec) in err and message in err
+        assert not (tmp_path / "o").exists()
 
     def test_baseline_config_unknown_acquisition_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

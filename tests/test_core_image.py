@@ -121,6 +121,12 @@ class TestStack:
         with pytest.raises(ValidationError):
             SpectralStack((b0, b0, b0), (0.0, 1000.0, 500.0))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1000", True])
+    def test_non_finite_or_non_number_b_value_rejected(self, value):
+        b0 = band([1, 2, 3, 4], 2, 2)
+        with pytest.raises(ValidationError, match="b-value must be a finite number"):
+            SpectralStack((b0, b0, b0), (0.0, 500.0, value))
+
     def test_single_band_rejected(self):
         b0 = band([1, 2, 3, 4], 2, 2)
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,28 @@ class TestConfigNumbers:
     def test_non_finite_or_non_number_rejected(self, build, what, value):
         with pytest.raises(ValidationError, match=f"{what} must be a finite number"):
             build(value)
+
+
+
+class TestSpecDimensions:
+    @pytest.mark.parametrize("value", [32.9, 32.0, True, "32", None, 0, -3])
+    @pytest.mark.parametrize("key", ["width", "height", "slices"])
+    def test_non_positive_integer_rejected(self, tmp_path, key, value):
+        doc = {"width": 32, "height": 32, "slices": 2, "shapes": [], key: value}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        message = f"phantom {key} must be a positive integer, got {value!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_phantom_spec(spec)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PhantomSpec(doc["width"], doc["height"], doc["slices"], ())
+
+    def test_integer_dimensions_load(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"width": 7, "height": 5, "slices": 1, "shapes": []}))
+        loaded = load_phantom_spec(spec)
+        assert (loaded.width, loaded.height, loaded.slices) == (7, 5, 1)
+        assert render_phantom(loaded, AcquisitionParams())[0][0].bands[0].data.shape == (5, 7)
 
 
 class TestSignal:
