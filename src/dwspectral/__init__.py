@@ -20,10 +20,8 @@ from .core_image import (
 )
 from .physics import (
     AcquisitionParams,
-    NoiseConfig,
     PhantomSpec,
     TissueParams,
-    add_gaussian_noise,
     add_noise_to_stack,
     b_value,
     default_phantom_spec,

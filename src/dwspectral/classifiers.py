@@ -18,8 +18,9 @@ from .core_image import (
     LabelMap,
     SampleSet,
     SpectralStack,
-    nonnegative_int,
+    finite_number,
     read_json,
+    whole_number,
 )
 from .errors import NumericalError, ValidationError
 
@@ -135,15 +136,14 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta0 <= 0:
+        if finite_number(self.eta0, "eta0") <= 0:
             raise ValidationError(f"eta0 must be > 0, got {self.eta0}")
-        if not 0 < self.target_error < 1:
+        if not 0 < finite_number(self.target_error, "target error") < 1:
             raise ValidationError(
                 f"target error must lie in (0, 1), got {self.target_error}"
             )
-        if self.max_epochs < 1:
-            raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        nonnegative_int(self.seed, "seed")
+        whole_number(self.max_epochs, "max_epochs", positive=True)
+        whole_number(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -306,11 +306,10 @@ class SomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta0 <= 0:
+        if finite_number(self.eta0, "eta0") <= 0:
             raise ValidationError(f"eta0 must be > 0, got {self.eta0}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        nonnegative_int(self.seed, "seed")
+        whole_number(self.max_iters, "max_iters", positive=True)
+        whole_number(self.seed, "seed")
 
 
 @dataclass(frozen=True)

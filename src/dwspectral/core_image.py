@@ -16,12 +16,14 @@ from .errors import FormatError, ValidationError
 FULL_SCALE = 65535  # 16-bit PGM maxval; stack features are divided by it
 
 
-def nonnegative_int(value, what: str) -> int:
-    """``value`` as an int; a bool, a non-integer or a negative value raises
-    ValidationError. Seeds and slice indices key the noise generators, which
-    accept only non-negative integers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise ValidationError(f"{what} must be a non-negative integer, got {value!r}")
+def whole_number(value, what: str, positive: bool = False) -> int:
+    """``value`` as an int; a bool, a non-integer, a negative value or, when
+    ``positive``, zero raises ValidationError naming ``what``. Seeds and
+    slice indices key the noise generators, which accept only non-negative
+    integers; sizes and iteration counts must be positive."""
+    kind, least = ("positive", 1) if positive else ("non-negative", 0)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{what} must be a {kind} integer, got {value!r}")
     return int(value)
 
 
@@ -32,6 +34,17 @@ def finite_number(value, what: str) -> float:
     if not (real and math.isfinite(value)):
         raise ValidationError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def b_value_sequence(values) -> tuple[float, ...]:
+    """Diffusion exponents (s/mm^2) as floats: finite numbers, strictly
+    increasing from the 0 of the T2-weighted image."""
+    b = tuple(finite_number(v, "b-value") for v in values)
+    if not b or b[0] != 0.0:
+        raise ValidationError(f"first b-value must be 0 (T2-weighted image), got {b}")
+    if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        raise ValidationError(f"b-values must be strictly increasing: {b}")
+    return b
 
 
 class ClassLabel(IntEnum):
@@ -77,7 +90,7 @@ class SpectralStack:
 
     def __post_init__(self):
         bands = tuple(self.bands)
-        b_values = tuple(finite_number(b, "b-value") for b in self.b_values)
+        b_values = b_value_sequence(self.b_values)
         if len(bands) < 2:
             raise ValidationError("a spectral stack needs at least 2 bands")
         if len(bands) != len(b_values):
@@ -90,12 +103,6 @@ class SpectralStack:
                 raise ValidationError("all bands in a stack must share dimensions")
             if b.slice_index != first.slice_index:
                 raise ValidationError("all bands in a stack must share slice_index")
-        if b_values[0] != 0.0:
-            raise ValidationError(
-                f"first b-value must be 0 (T2-weighted image), got {b_values[0]}"
-            )
-        if any(b_values[i] >= b_values[i + 1] for i in range(len(b_values) - 1)):
-            raise ValidationError(f"b-values must be strictly increasing: {b_values}")
         object.__setattr__(self, "bands", bands)
         object.__setattr__(self, "b_values", b_values)
 
@@ -217,21 +224,34 @@ def _read_pgm_header(data: bytes, path) -> tuple[int, int, int, int]:
     return width, height, maxval, pos
 
 
-def load_band(path, slice_index: int = 0) -> Band:
-    """Read a 16-bit binary PGM (P5, maxval 65535) as a Band."""
+def _read_pgm(path, maxval: int, dtype) -> np.ndarray:
+    """The (height, width) pixels of a binary PGM whose maxval must be
+    ``maxval``; 8-bit files hold label maps."""
     path = Path(path)
     data = path.read_bytes()
-    width, height, maxval, offset = _read_pgm_header(data, path)
-    if maxval != FULL_SCALE:
-        raise FormatError(f"{path}: maxval is {maxval}, expected {FULL_SCALE}")
-    expected = width * height * 2
+    width, height, found, offset = _read_pgm_header(data, path)
+    if found != maxval:
+        what = "label map maxval" if maxval == 255 else "maxval"
+        raise FormatError(f"{path}: {what} is {found}, expected {maxval}")
+    expected = width * height * np.dtype(dtype).itemsize
     payload = data[offset : offset + expected]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: truncated payload, {len(payload)} of {expected} bytes"
         )
-    pixels = np.frombuffer(payload, dtype=">u2").astype(np.float64)
-    return Band(width, height, pixels.reshape(height, width), slice_index)
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width)
+
+
+def _write_pgm(path, pixels: np.ndarray, maxval: int) -> None:
+    height, width = pixels.shape
+    header = f"P5\n{width} {height}\n{maxval}\n".encode("ascii")
+    Path(path).write_bytes(header + pixels.tobytes())
+
+
+def load_band(path, slice_index: int = 0) -> Band:
+    """Read a 16-bit binary PGM (P5, maxval 65535) as a Band."""
+    pixels = _read_pgm(path, FULL_SCALE, ">u2").astype(np.float64)
+    return Band(pixels.shape[1], pixels.shape[0], pixels, slice_index)
 
 
 def save_band(band: Band, path) -> None:
@@ -242,30 +262,17 @@ def save_band(band: Band, path) -> None:
             f"band intensities [{rounded.min()}, {rounded.max()}] exceed "
             f"[0, {FULL_SCALE}] after rounding; refusing to clamp on save"
         )
-    header = f"P5\n{band.width} {band.height}\n{FULL_SCALE}\n".encode("ascii")
-    Path(path).write_bytes(header + rounded.astype(">u2").tobytes())
+    _write_pgm(path, rounded.astype(">u2"), FULL_SCALE)
 
 
 def load_labelmap(path) -> LabelMap:
     """Read an 8-bit P5 PGM holding ClassLabel integer codes."""
-    path = Path(path)
-    data = path.read_bytes()
-    width, height, maxval, offset = _read_pgm_header(data, path)
-    if maxval != 255:
-        raise FormatError(f"{path}: label map maxval is {maxval}, expected 255")
-    expected = width * height
-    payload = data[offset : offset + expected]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: truncated payload, {len(payload)} of {expected} bytes"
-        )
-    labels = np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
-    return LabelMap(width, height, labels.reshape(height, width))
+    labels = _read_pgm(path, 255, np.uint8).astype(np.int64)
+    return LabelMap(labels.shape[1], labels.shape[0], labels)
 
 
 def save_labelmap(labelmap: LabelMap, path) -> None:
-    header = f"P5\n{labelmap.width} {labelmap.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + labelmap.labels.astype(np.uint8).tobytes())
+    _write_pgm(path, labelmap.labels.astype(np.uint8), 255)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +322,7 @@ def load_stack(manifest_path) -> SpectralStack:
     manifest_path = Path(manifest_path)
 
     def build(doc):
-        slice_index = nonnegative_int(doc.get("slice_index", 0), "slice_index")
+        slice_index = whole_number(doc.get("slice_index", 0), "slice_index")
         bands = tuple(
             load_band(manifest_path.parent / rel, slice_index) for rel in doc["bands"]
         )

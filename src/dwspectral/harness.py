@@ -25,9 +25,9 @@ from .core_image import (
     extract_band_samples,
     extract_samples,
     finite_number,
-    nonnegative_int,
     read_json,
     save_labelmap,
+    whole_number,
 )
 from .errors import ValidationError
 from .metrics import (
@@ -69,11 +69,11 @@ class ExperimentConfig:
                 f"training slice {self.training_slice} outside volume "
                 f"of {self.phantom.slices} slices"
             )
-        nonnegative_int(self.training_slice, "training slice")  # such as 2.5
+        whole_number(self.training_slice, "training slice")  # such as 2.5
         levels = tuple(finite_number(v, "noise level") for v in self.noise_levels)
         if any(not 0.0 <= v <= 0.20 for v in levels):
             raise ValidationError(f"noise levels must lie in [0, 0.20]: {levels}")
-        seeds = tuple(nonnegative_int(s, "seed") for s in self.seeds)
+        seeds = tuple(whole_number(s, "seed") for s in self.seeds)
         if not seeds:
             raise ValidationError("at least one seed is required")
         names = tuple(self.classifiers)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +13,10 @@ from .core_image import (
     ClassLabel,
     LabelMap,
     SpectralStack,
+    b_value_sequence,
     finite_number,
-    nonnegative_int,
     read_json,
+    whole_number,
 )
 from .errors import ValidationError
 
@@ -55,12 +55,7 @@ class AcquisitionParams:
             raise ValidationError(f"K must be > 0, got {self.k_const}")
         if finite_number(self.te, "TE") <= 0:
             raise ValidationError(f"TE must be > 0, got {self.te}")
-        b = tuple(finite_number(v, "b-value") for v in self.b_values)
-        if not b or b[0] != 0.0:
-            raise ValidationError("b_values must start at 0")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
-            raise ValidationError(f"b_values must be strictly increasing: {b}")
-        object.__setattr__(self, "b_values", b)
+        object.__setattr__(self, "b_values", b_value_sequence(self.b_values))
 
 
 # Literature-typical defaults; chosen so CSF is bright at b=0 and dark at
@@ -100,12 +95,50 @@ def signal(tissue: TissueParams, acq: AcquisitionParams, band_index: int) -> flo
 _LABEL_NAMES = {c.name: c for c in ClassLabel}
 
 
-def _eval_param(value, s: float):
-    """A shape parameter is a scalar or [base, per-slice slope]."""
+def _eval_param(value, s: float, name: str) -> float:
+    """A shape parameter is a finite number or [base, per-slice slope]."""
+    what = f"shape parameter {name}"
     if isinstance(value, (list, tuple)):
         base, slope = value
-        return float(base) + float(slope) * s
-    return float(value)
+        return finite_number(base, what) + finite_number(slope, what) * s
+    return finite_number(value, what)
+
+
+def _ellipse_mask(p, x, y):
+    rx, ry = max(p["rx"], 1e-9), max(p["ry"], 1e-9)
+    return ((x - p["cx"]) / rx) ** 2 + ((y - p["cy"]) / ry) ** 2 <= 1.0
+
+
+def _annulus_arc_mask(p, x, y):
+    dx, dy = x - p["cx"], y - p["cy"]
+    r = np.hypot(dx, dy)
+    theta = np.degrees(np.arctan2(dy, dx)) % 360.0
+    t0, t1 = p["theta0"] % 360.0, p["theta1"] % 360.0
+    if t0 <= t1:
+        in_arc = (theta >= t0) & (theta <= t1)
+    else:  # wraps through 0 degrees
+        in_arc = (theta >= t0) | (theta <= t1)
+    return (r >= p["r_in"]) & (r <= p["r_out"]) & in_arc
+
+
+def _rect_mask(p, x, y):
+    return (x >= p["x0"]) & (x <= p["x1"]) & (y >= p["y0"]) & (y <= p["y1"])
+
+
+def _box(cx, cy, rx, ry):
+    return cx - rx, cx + rx, cy - ry, cy + ry
+
+
+# kind -> (mask on the pixel grids x, y; extent (xmin, xmax, ymin, ymax)),
+# both of the parameters evaluated at one slice offset.
+_SHAPE_KINDS = {
+    "ellipse": (_ellipse_mask, lambda p: _box(p["cx"], p["cy"], p["rx"], p["ry"])),
+    "annulus_arc": (
+        _annulus_arc_mask,
+        lambda p: _box(p["cx"], p["cy"], p["r_out"], p["r_out"]),
+    ),
+    "rect": (_rect_mask, lambda p: (p["x0"], p["x1"], p["y0"], p["y1"])),
+}
 
 
 @dataclass(frozen=True)
@@ -125,59 +158,25 @@ class Shape:
     def __post_init__(self):
         # An unknown kind or a missing or ill-formed parameter fails here,
         # not when the phantom is rendered.
+        if self.kind not in _SHAPE_KINDS:
+            raise ValidationError(f"unknown shape kind {self.kind!r}")
         self.mask(1, 1, 0.0)
+
+    def _at(self, slice_offset: float) -> dict:
+        return {k: _eval_param(v, slice_offset, k) for k, v in self.params.items()}
 
     def mask(self, width: int, height: int, slice_offset: float) -> np.ndarray:
         y, x = np.mgrid[0:height, 0:width].astype(np.float64)
-        p = {k: _eval_param(v, slice_offset) for k, v in self.params.items()}
-        if self.kind == "ellipse":
-            rx, ry = max(p["rx"], 1e-9), max(p["ry"], 1e-9)
-            return ((x - p["cx"]) / rx) ** 2 + ((y - p["cy"]) / ry) ** 2 <= 1.0
-        if self.kind == "annulus_arc":
-            dx, dy = x - p["cx"], y - p["cy"]
-            r = np.hypot(dx, dy)
-            theta = np.degrees(np.arctan2(dy, dx)) % 360.0
-            t0, t1 = p["theta0"] % 360.0, p["theta1"] % 360.0
-            if t0 <= t1:
-                in_arc = (theta >= t0) & (theta <= t1)
-            else:  # wraps through 0 degrees
-                in_arc = (theta >= t0) | (theta <= t1)
-            return (r >= p["r_in"]) & (r <= p["r_out"]) & in_arc
-        if self.kind == "rect":
-            return (
-                (x >= p["x0"]) & (x <= p["x1"]) & (y >= p["y0"]) & (y <= p["y1"])
-            )
-        raise ValidationError(f"unknown shape kind {self.kind!r}")
+        return _SHAPE_KINDS[self.kind][0](self._at(slice_offset), x, y)
 
     def bounds_ok(self, width: int, height: int, slices: int) -> bool:
         # Every bound is affine in the slice offset, so the first and the last
         # slice are its extremes; the slices between them need no check.
+        extent = _SHAPE_KINDS[self.kind][1]
         for off in (-(slices // 2), slices - 1 - slices // 2):
-            p = {k: _eval_param(v, off) for k, v in self.params.items()}
-            if self.kind == "ellipse":
-                if (
-                    p["cx"] - p["rx"] < 0
-                    or p["cx"] + p["rx"] > width - 1
-                    or p["cy"] - p["ry"] < 0
-                    or p["cy"] + p["ry"] > height - 1
-                ):
-                    return False
-            elif self.kind == "annulus_arc":
-                if (
-                    p["cx"] - p["r_out"] < 0
-                    or p["cx"] + p["r_out"] > width - 1
-                    or p["cy"] - p["r_out"] < 0
-                    or p["cy"] + p["r_out"] > height - 1
-                ):
-                    return False
-            elif self.kind == "rect":
-                if (
-                    p["x0"] < 0
-                    or p["y0"] < 0
-                    or p["x1"] > width - 1
-                    or p["y1"] > height - 1
-                ):
-                    return False
+            xmin, xmax, ymin, ymax = extent(self._at(off))
+            if xmin < 0 or xmax > width - 1 or ymin < 0 or ymax > height - 1:
+                return False
         return True
 
 
@@ -193,10 +192,8 @@ class PhantomSpec:
 
     def __post_init__(self):
         for name in ("width", "height", "slices"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValidationError(f"phantom {name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            value = whole_number(getattr(self, name), f"phantom {name}", positive=True)
+            object.__setattr__(self, name, value)
         for shape in self.shapes:
             if not shape.bounds_ok(self.width, self.height, self.slices):
                 raise ValidationError(
@@ -322,66 +319,43 @@ def render_phantom(
                 f"tissue table has no entry for {ClassLabel(code).name}"
             )
 
-    # Per-class signal per band; intensities are class-constant fields.
-    levels = {
-        code: [
-            signal(spec.tissue_table[ClassLabel(code)], acq, i)
-            for i in range(len(acq.b_values))
-        ]
-        for code in used
-    }
-    b0_max = max(lv[0] for lv in levels.values())
-    scale = RENDER_HEADROOM * FULL_SCALE / b0_max if b0_max > 0 else 1.0
+    # Intensities are class-constant fields: band i of a slice is row i of
+    # this table, indexed by the slice's truth labels.
+    n_bands = len(acq.b_values)
+    lut = np.zeros((n_bands, max(ClassLabel) + 1))
+    for code in used:
+        tissue = spec.tissue_table[ClassLabel(code)]
+        lut[:, code] = [signal(tissue, acq, i) for i in range(n_bands)]
+    b0_max = lut[0].max()
+    lut *= RENDER_HEADROOM * FULL_SCALE / b0_max if b0_max > 0 else 1.0
 
     stacks = []
     for s, lm in enumerate(truth):
-        bands = []
-        for i in range(len(acq.b_values)):
-            img = np.zeros((spec.height, spec.width), dtype=np.float64)
-            for code in used:
-                img[lm.labels == code] = levels[code][i] * scale
-            bands.append(Band(spec.width, spec.height, img, slice_index=s))
-        stacks.append(SpectralStack(tuple(bands), acq.b_values))
+        bands = tuple(
+            Band(spec.width, spec.height, row[lm.labels], slice_index=s) for row in lut
+        )
+        stacks.append(SpectralStack(bands, acq.b_values))
     return stacks, truth
 
 
 # ---------------------------------------------------------------------------
 # Additive Gaussian noise
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Zero-mean Gaussian noise; xi_max is sigma as a fraction of full scale."""
-
-    xi_max: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.xi_max <= 0.20:
-            raise ValidationError(
-                f"xi_max must lie in [0, 0.20], got {self.xi_max}"
-            )
-        nonnegative_int(self.seed, "seed")
-
-
-def add_gaussian_noise(band: Band, cfg: NoiseConfig, stream: int = 0) -> Band:
-    """Seeded additive noise, clamped to [0, full scale].
-
-    The generator is keyed by (seed, slice_index, stream) so parallel
-    per-band generation stays order-independent.
-    """
-    if cfg.xi_max == 0.0:
-        return band
-    rng = np.random.default_rng((cfg.seed, band.slice_index, stream))
-    sigma = cfg.xi_max * FULL_SCALE
-    noisy = band.data + rng.normal(0.0, sigma, size=band.data.shape)
-    np.clip(noisy, 0.0, FULL_SCALE, out=noisy)
-    return Band(band.width, band.height, noisy, band.slice_index)
-
-
 def add_noise_to_stack(stack: SpectralStack, xi_max: float, seed: int) -> SpectralStack:
-    """Independent noise per band; band index keys the generator stream."""
-    cfg = NoiseConfig(xi_max, seed)
-    bands = tuple(
-        add_gaussian_noise(band, cfg, stream=i) for i, band in enumerate(stack.bands)
-    )
-    return SpectralStack(bands, stack.b_values)
+    """Seeded zero-mean Gaussian noise of sigma ``xi_max`` x full scale,
+    clamped to [0, full scale]. Band i of slice s draws from the generator
+    keyed (seed, s, i), so each band's noise is independent of the others
+    and of the order they are drawn in."""
+    if not 0.0 <= finite_number(xi_max, "xi_max") <= 0.20:
+        raise ValidationError(f"xi_max must lie in [0, 0.20], got {xi_max}")
+    seed = whole_number(seed, "seed")
+    if xi_max == 0.0:
+        return stack
+    sigma = xi_max * FULL_SCALE
+    bands = []
+    for i, band in enumerate(stack.bands):
+        rng = np.random.default_rng((seed, band.slice_index, i))
+        noisy = band.data + rng.normal(0.0, sigma, size=band.data.shape)
+        np.clip(noisy, 0.0, FULL_SCALE, out=noisy)
+        bands.append(Band(band.width, band.height, noisy, band.slice_index))
+    return SpectralStack(tuple(bands), stack.b_values)

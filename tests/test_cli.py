@@ -257,6 +257,31 @@ class TestMalformedModelFiles:
         model, argv = classify_argv(phantom_dir, doc, tmp_path)
         assert str(model) in assert_one_error_line(argv, capsys)
 
+    @pytest.mark.parametrize(
+        "method, key, value",
+        [
+            *(
+                (method, key, value)
+                for method, key in (("mlp", "eta0"), ("mlp", "target_error"), ("ko", "eta0"))
+                for value in (float("nan"), float("inf"), True, "0.2")
+            ),
+            *(
+                (method, key, value)
+                for method, key in (("mlp", "max_epochs"), ("ko", "max_iters"))
+                for value in (2.5, float("nan"), True, "10", 0)
+            ),
+        ],
+    )
+    def test_config_numbers_exit_2(
+        self, phantom_dir, model_docs, tmp_path, capsys, method, key, value
+    ):
+        doc = json.loads(json.dumps(model_docs[method]))
+        doc["config"][key] = value
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        rule = "positive integer" if key.startswith("max_") else "finite number"
+        assert str(model) in err and f"must be a {rule}, got {value!r}" in err
+
     @pytest.mark.parametrize("method", ["po", "mlp", "ko"])
     def test_legacy_normalize_key_still_loads(
         self, phantom_dir, model_docs, tmp_path, method
@@ -376,6 +401,19 @@ class TestMalformedConfigFiles:
         argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
         err = assert_one_error_line(argv, capsys)
         assert str(spec) in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), [float("-inf"), 0.1]])
+    def test_phantom_spec_non_finite_shape_parameter_exits_2(
+        self, small_spec, tmp_path, capsys, value
+    ):
+        doc = phantom_spec_to_json(small_spec)
+        doc["shapes"][2]["params"]["cx"] = value  # a CSF ventricle
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert "shape parameter cx must be a finite number" in err
         assert not (tmp_path / "o").exists()
 
     def test_baseline_config_unknown_acquisition_key_exits_2(self, tmp_path, capsys):

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwspectral.core_image import FULL_SCALE, Band, ClassLabel
+from dwspectral.core_image import FULL_SCALE, Band, ClassLabel, SpectralStack
 from dwspectral.errors import ValidationError
 from dwspectral.physics import (
     AcquisitionParams,
-    NoiseConfig,
     PhantomSpec,
     Shape,
     TissueParams,
-    add_gaussian_noise,
     add_noise_to_stack,
     b_value,
     default_phantom_spec,
@@ -189,6 +187,13 @@ DRIFTING = st.floats(-20.0, 40.0) | st.tuples(
 ).map(list)
 
 
+SHAPE_PARAMS = {
+    "rect": ("x0", "y0", "x1", "y1"),
+    "ellipse": ("cx", "cy", "rx", "ry"),
+    "annulus_arc": ("cx", "cy", "r_in", "r_out", "theta0", "theta1"),
+}
+
+
 def one_rect_spec(path, slices, x1):
     """A spec file with one rect whose right edge drifts by 1e-5 px per
     slice: on slice offset ``off`` it lies at ``x1 + 1e-5 * off``."""
@@ -217,55 +222,100 @@ class TestShapeBounds:
         spec = one_rect_spec(tmp_path / "spec.json", 1_000_001, 5.999995)
         assert load_phantom_spec(spec).slices == 1_000_001
 
+    @pytest.mark.parametrize(
+        "kind, params, key, past",
+        [
+            ("rect", {"x0": 0, "y0": 0, "x1": 9, "y1": 9}, "x1", 9.5),
+            ("ellipse", {"cx": 5, "cy": 4, "rx": 4, "ry": 4}, "ry", 5),
+            (
+                "annulus_arc",
+                {"cx": 5, "cy": 5, "r_in": 0.5, "r_out": 4, "theta0": 0, "theta1": 90},
+                "r_out",
+                4.5,
+            ),
+        ],
+    )
+    def test_extent_reaches_last_pixel(self, kind, params, key, past):
+        """Each shape touches the edge of a 10x10 image and fits; moved
+        past the edge on one side it does not."""
+        assert Shape(kind, ClassLabel.CSF, params).bounds_ok(10, 10, 1)
+        assert not Shape(kind, ClassLabel.CSF, {**params, key: past}).bounds_ok(10, 10, 1)
+
+    @pytest.mark.parametrize(
+        "kind, value",
+        [
+            (kind, value)
+            for kind in sorted(SHAPE_PARAMS)
+            for value in (math.nan, math.inf, -math.inf, [2.0, math.nan], [math.nan, 0.0])
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, tmp_path, kind, value):
+        names = SHAPE_PARAMS[kind]
+        params = dict(zip(names, (5.0, 5.0, 2.0, 3.0, 0.0, 90.0)))
+        params[names[0]] = value
+        shape = {"kind": kind, "label": "CSF", "params": params}
+        doc = {"width": 12, "height": 12, "slices": 3, "shapes": [shape]}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        message = f"shape parameter {names[0]} must be a finite number"
+        with pytest.raises(ValidationError, match=message):
+            load_phantom_spec(spec)
+
     @settings(max_examples=300)
     @given(
-        kind=st.sampled_from(["rect", "ellipse"]),
-        values=st.lists(DRIFTING, min_size=4, max_size=4),
+        kind=st.sampled_from(sorted(SHAPE_PARAMS)),
+        values=st.lists(DRIFTING, min_size=6, max_size=6),
         slices=st.integers(1, 41),
     )
     def test_matches_per_slice_check(self, kind, values, slices):
-        names = ("x0", "y0", "x1", "y1") if kind == "rect" else ("cx", "cy", "rx", "ry")
-        shape = Shape(kind, ClassLabel.MATTER, dict(zip(names, values)))
+        shape = Shape(kind, ClassLabel.MATTER, dict(zip(SHAPE_PARAMS[kind], values)))
         want = per_slice_bounds_ok(shape, 16, 16, slices)
         assert shape.bounds_ok(16, 16, slices) == want
 
 
 class TestNoise:
-    def _band(self, value=32768.0, n=128):
-        return Band(n, n, np.full((n, n), value), slice_index=5)
+    def _stack(self, value=32768.0, n=128):
+        band = Band(n, n, np.full((n, n), value), slice_index=5)
+        return SpectralStack((band, band), (0.0, 500.0))
 
     def test_zero_noise_is_identity(self):
-        band = self._band()
-        out = add_gaussian_noise(band, NoiseConfig(0.0, seed=3))
-        np.testing.assert_array_equal(out.data, band.data)
+        stack = self._stack()
+        out = add_noise_to_stack(stack, 0.0, seed=3)
+        for a, b in zip(out.bands, stack.bands):
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_same_seed_same_output(self):
-        band = self._band()
-        a = add_gaussian_noise(band, NoiseConfig(0.10, seed=3))
-        b = add_gaussian_noise(band, NoiseConfig(0.10, seed=3))
-        np.testing.assert_array_equal(a.data, b.data)
+        stack = self._stack()
+        a = add_noise_to_stack(stack, 0.10, seed=3)
+        b = add_noise_to_stack(stack, 0.10, seed=3)
+        np.testing.assert_array_equal(a.bands[0].data, b.bands[0].data)
 
     def test_different_seed_differs(self):
-        band = self._band()
-        a = add_gaussian_noise(band, NoiseConfig(0.10, seed=3))
-        b = add_gaussian_noise(band, NoiseConfig(0.10, seed=4))
-        assert not np.array_equal(a.data, b.data)
+        stack = self._stack()
+        a = add_noise_to_stack(stack, 0.10, seed=3)
+        b = add_noise_to_stack(stack, 0.10, seed=4)
+        assert not np.array_equal(a.bands[0].data, b.bands[0].data)
 
     def test_sample_sigma_matches_target(self):
         # law of large numbers over 16384 pixels
-        band = self._band()
-        out = add_gaussian_noise(band, NoiseConfig(0.10, seed=3))
-        sigma = np.std(out.data - band.data)
+        stack = self._stack()
+        out = add_noise_to_stack(stack, 0.10, seed=3)
+        sigma = np.std(out.bands[0].data - stack.bands[0].data)
         assert abs(sigma - 6553.5) / 6553.5 < 0.05
 
     def test_output_clamped_to_range(self):
-        band = self._band(value=100.0)
-        out = add_gaussian_noise(band, NoiseConfig(0.20, seed=1))
-        assert out.data.min() >= 0.0 and out.data.max() <= FULL_SCALE
+        out = add_noise_to_stack(self._stack(value=100.0), 0.20, seed=1)
+        for band in out.bands:
+            assert band.data.min() >= 0.0 and band.data.max() <= FULL_SCALE
 
     def test_xi_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            NoiseConfig(0.21)
+        with pytest.raises(ValidationError, match="xi_max must lie in"):
+            add_noise_to_stack(self._stack(), 0.21, seed=0)
+
+    @pytest.mark.parametrize("xi", [False, True, math.nan, "0.05"])
+    def test_xi_non_number_rejected(self, xi):
+        with pytest.raises(ValidationError, match="xi_max must be a finite number"):
+            add_noise_to_stack(self._stack(), xi, seed=0)
 
     def test_stack_noise_deterministic_per_band(self, small_volume):
         stacks, _ = small_volume
