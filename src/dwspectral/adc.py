@@ -27,6 +27,10 @@ class AdcConfig:
             raise ValidationError(f"C must be > 0, got {self.c_const}")
         if finite_number(self.epsilon, "epsilon") <= 0:
             raise ValidationError(f"epsilon must be > 0, got {self.epsilon}")
+        if not isinstance(self.normalize_by_terms, bool):
+            raise ValidationError(
+                f"normalize_by_terms must be true or false, got {self.normalize_by_terms!r}"
+            )
 
 
 def adc_map_raw(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> np.ndarray:

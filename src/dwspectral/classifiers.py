@@ -191,18 +191,17 @@ def _sigmoid(x, out=None) -> np.ndarray:
     return _sigmoid_of_negated(np.negative(x, out=out))
 
 
-def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
-    """The forward pass for feature planes (3, n) of up to ``cols`` pixels.
+def _layers(wh: np.ndarray, wo: np.ndarray, cols: int, activate):
+    """A two-layer pass for feature planes (3, n) of up to ``cols`` pixels,
+    whose hidden units are ``activate(wh @ xb)``, computed in place.
 
     Returns ``forward`` and its buffers for the input (4, cols) and the
     hidden layer (61, cols), each with a last row of ones. ``forward(x)``
-    fills their first n columns and returns a view of the output
-    pre-activations (3, n); every call reuses the buffers. Each row a ufunc
-    or matmul writes is contiguous: a strided output falls off numpy's SIMD
-    loops. The buffers take the weights' dtype, so float32 weights give a
-    float32 pass.
+    fills their first n columns and returns a view of the outputs ``wo @ hb``
+    (3, n); every call reuses the buffers. Each row a ufunc or matmul writes
+    is contiguous: a strided output falls off numpy's SIMD loops. The
+    buffers take the weights' dtype, so float32 weights give a float32 pass.
     """
-    neg_wh = -wh  # (-wh) @ xb is bitwise -(wh @ xb)
     xb = np.ones((wh.shape[1], cols), dtype=wh.dtype)
     hb = np.ones((MLP_HIDDEN + 1, cols), dtype=wh.dtype)
     z = np.empty((N_CLASSES, cols), dtype=wh.dtype)
@@ -210,10 +209,39 @@ def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
     def forward(x: np.ndarray) -> np.ndarray:
         n = x.shape[1]
         xb[:-1, :n] = x
-        _sigmoid_of_negated(np.matmul(neg_wh, xb[:, :n], out=hb[:MLP_HIDDEN, :n]))
+        activate(np.matmul(wh, xb[:, :n], out=hb[:MLP_HIDDEN, :n]))
         return np.matmul(wo, hb[:, :n], out=z[:, :n])
 
     return forward, xb, hb
+
+
+def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
+    """The MLP's forward pass (see _layers): sigmoid hidden units, and the
+    output pre-activations."""
+    # (-wh) @ xb is bitwise -(wh @ xb)
+    return _layers(-wh, wo, cols, _sigmoid_of_negated)
+
+
+def _tanh_in_place(a: np.ndarray) -> np.ndarray:
+    return np.tanh(a, out=a)
+
+
+def _screen_pass(model: MlpModel, cols: int):
+    """The float32 screen's forward pass for feature planes (3, n) of up to
+    ``cols`` pixels: ``forward(x)`` returns the MLP's output
+    pre-activations (3, n) up to the error that _screen_bound bounds.
+
+    sigmoid(a) = 1/2 + tanh(a/2) / 2, so with hidden unit j in tanh form,
+    t_j = tanh((wh_j / 2) . x), output k is sum_j (wo_kj / 2) * t_j + b'_k,
+    where b'_k = b_k + sum_j wo_kj / 2, j over the 60 hidden units, rides on
+    the hidden row of ones.
+    The folded weights are rounded to float32 once, from float64.
+    """
+    wh, wo = model.hidden_weights, model.output_weights
+    folded = wo / 2.0
+    folded[:, -1] = wo[:, -1] + folded[:, :-1].sum(axis=1)
+    halved = (wh / 2.0).astype(np.float32)
+    return _layers(halved, folded.astype(np.float32), cols, _tanh_in_place)[0]
 
 
 def mlp_forward(wh: np.ndarray, wo: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -476,22 +504,34 @@ _BLOCK = 8192
 # underflow loses lies far below the bound of _screen_bound.
 _SCREEN_RANGE = (2.0**-60, 2.0**60)
 
+# The largest error of float32 np.tanh, in units in the last place, that
+# _screen_bound assumes. tests/test_classifiers.py measures the error of
+# the numpy in use against it.
+_TANH_ULP = 4
+
 
 def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
-    """The lead ``tau`` above which the float32 forward pass of ``model`` on
-    feature planes ``x`` picks the class the float64 pass picks, or None
-    where that pass is out of its range or ``tau`` exceeds 1.
+    """The lead ``tau`` above which the float32 screen (_screen_pass) of
+    ``model`` on feature planes ``x`` picks the class the float64 pass
+    picks, or None where the screen is out of its range or ``tau`` exceeds
+    1.
 
-    Forward error of the float32 pass, u = 2^-24 and m = max |x|:
-    - hidden unit j: the 4-term dot product in any order, with its rounded
-      weights and features, is off by at most 6u * S_j, where
-      S_j = sum_i |wh_ji| * m + |b_j|;
-    - its sigmoid has a slope of at most 1/4, which makes that 1.5u * S_j;
-      an exp off by 4 ulp (8u relative) adds 2u, the +1 and the reciprocal
-      u each;
-    - output k: the 61-term dot product over h in [0, 1], with its rounded
-      weights, adds 62u * sum_j |wo_kj| (j over the bias too).
-    With the constants rounded up,
+    Forward error of the screen, u = 2^-24 and m = max |x|; halving a
+    weight is exact:
+    - hidden unit j: the 4-term dot product (wh_j / 2) . x in any order,
+      with its rounded weights and features, is off by at most 3u * S_j,
+      where S_j = sum_i |wh_ji| * m + |b_j|;
+    - tanh has a slope of at most 1, and |t_j| < 1 has an ulp of at most
+      u, so a tanh off by _TANH_ULP = 4 ulp leaves t_j off by at most
+      3u * S_j + 4u; output k weighs it by |wo_kj| / 2, which gives
+      u * |wo_kj| * (1.5 * S_j + 2);
+    - output k: the 61-term dot product over t in [-1, 1] and the row of
+      ones has weights of total magnitude sum_{j<60} |wo_kj| / 2 + |b'_k|,
+      at most sum_j |wo_kj| with j over the bias too. It adds
+      61u * sum_j |wo_kj|, and rounding wo_kj / 2 and b'_k to float32
+      adds u * sum_j |wo_kj|.
+    With the constants rounded up over the second-order terms, and the 4
+    taken as _TANH_ULP,
         |dz_k| <= u * (sum_j |wo_kj| * (2 * S_j + 4) + 64 * sum_j |wo_kj|).
     The float64 pass is 2^29 times closer. The difference of two outputs
     is off by at most twice the largest |dz_k|; ``tau`` is 4 times that,
@@ -504,7 +544,7 @@ def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
     if not (m <= high and w.max() <= high and np.all((w == 0.0) | (w >= low))):
         return None
     s = wh[:, :-1].sum(axis=1) * m + wh[:, -1]
-    dz = 2.0**-24 * (wo[:, :-1] @ (2.0 * s + 4.0) + 64.0 * wo.sum(axis=1))
+    dz = 2.0**-24 * (wo[:, :-1] @ (2.0 * s + _TANH_ULP) + 64.0 * wo.sum(axis=1))
     tau = 8.0 * float(dz.max())
     return tau if tau <= 1.0 else None
 
@@ -545,11 +585,9 @@ def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarr
     tau = _screen_bound(model, x)
     if tau is None:
         return _mlp_exact(model, x, classes)
-    f32 = np.float32
-    wh, wo = model.hidden_weights.astype(f32), model.output_weights.astype(f32)
     # float32 rows hold twice the pixels of float64 rows in the same bytes.
     block = 2 * _MLP_BLOCK
-    forward = _mlp_pass(wh, wo, min(x.shape[1], block))[0]
+    forward = _screen_pass(model, min(x.shape[1], block))
 
     def screen(xs: np.ndarray) -> np.ndarray:  # 0 where undecided
         z = forward(xs)

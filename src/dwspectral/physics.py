@@ -129,7 +129,7 @@ def _box(cx, cy, rx, ry):
     return cx - rx, cx + rx, cy - ry, cy + ry
 
 
-# kind -> (mask on the pixel grids x, y; extent (xmin, xmax, ymin, ymax)),
+# kind -> (mask on the pixel coordinates x, y; extent (xmin, xmax, ymin, ymax)),
 # both of the parameters evaluated at one slice offset.
 _SHAPE_KINDS = {
     "ellipse": (_ellipse_mask, lambda p: _box(p["cx"], p["cy"], p["rx"], p["ry"])),
@@ -160,13 +160,15 @@ class Shape:
         # not when the phantom is rendered.
         if self.kind not in _SHAPE_KINDS:
             raise ValidationError(f"unknown shape kind {self.kind!r}")
-        self.mask(1, 1, 0.0)
+        origin = np.zeros(1)
+        self.mask(origin, origin, 0.0)
 
     def _at(self, slice_offset: float) -> dict:
         return {k: _eval_param(v, slice_offset, k) for k, v in self.params.items()}
 
-    def mask(self, width: int, height: int, slice_offset: float) -> np.ndarray:
-        y, x = np.mgrid[0:height, 0:width].astype(np.float64)
+    def mask(self, x, y, slice_offset: float) -> np.ndarray:
+        """The shape's pixels at ``slice_offset``, on pixel coordinates x and
+        y that broadcast together (a row of columns and a column of rows)."""
         return _SHAPE_KINDS[self.kind][0](self._at(slice_offset), x, y)
 
     def bounds_ok(self, width: int, height: int, slices: int) -> bool:
@@ -207,10 +209,12 @@ class PhantomSpec:
         labels = np.full(
             (self.height, self.width), int(ClassLabel.BACKGROUND), dtype=np.int64
         )
+        x = np.arange(self.width, dtype=np.float64)
+        y = np.arange(self.height, dtype=np.float64)[:, None]
         for wanted in (ClassLabel.MATTER, ClassLabel.CSF):  # CSF painted last
             for shape in self.shapes:
                 if shape.label == wanted:
-                    labels[shape.mask(self.width, self.height, off)] = int(wanted)
+                    labels[shape.mask(x, y, off)] = int(wanted)
         return LabelMap(self.width, self.height, labels)
 
 

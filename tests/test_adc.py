@@ -74,6 +74,11 @@ class TestAdcMap:
         with pytest.raises(ValidationError):
             AdcConfig(epsilon=0.0)
 
+    @pytest.mark.parametrize("value", ["false", None, 0, 1])
+    def test_non_bool_normalize_rejected(self, value):
+        with pytest.raises(ValidationError, match="normalize_by_terms must be true or false"):
+            AdcConfig(normalize_by_terms=value)
+
     @pytest.mark.parametrize("field, what", [("c_const", "C"), ("epsilon", "epsilon")])
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1", True])
     def test_non_number_config_rejected(self, field, what, value):

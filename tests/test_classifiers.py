@@ -664,10 +664,10 @@ def float64_labels(model, x):
 
 
 def float32_gap(model, x):
-    """The largest |z32 - z64| of the two forward passes over x."""
-    wh, wo = model.hidden_weights, model.output_weights
-    z32 = _mlp_pass(wh.astype(np.float32), wo.astype(np.float32), x.shape[1])[0]
-    z64 = _mlp_pass(wh, wo, x.shape[1])[0]
+    """The largest |z32 - z64| over x of the float32 screen that classify
+    runs and the float64 pass."""
+    z32 = classifiers._screen_pass(model, x.shape[1])
+    z64 = _mlp_pass(model.hidden_weights, model.output_weights, x.shape[1])[0]
     with np.errstate(over="ignore"):
         return float(np.abs(z32(x).astype(np.float64) - z64(x)).max())
 
@@ -683,6 +683,30 @@ def counting_fallback(monkeypatch):
 
     monkeypatch.setattr(classifiers, "_mlp_exact", spy)
     return seen
+
+
+def saturating_model(rng, wo, n=2500):
+    """An MLP with hidden weights of +-1e4 and no hidden bias, output weights
+    ``wo``, and feature planes (3, n) of odd multiples of 1/8. Each hidden
+    pre-activation is then 1e4 times an odd multiple of 1/8, at least 1250
+    in magnitude: every tanh of the screen is exactly +-1 and every sigmoid
+    of the float64 pass exactly 0 or 1."""
+    wh = 1e4 * rng.choice([-1.0, 1.0], (60, 4))
+    wh[:, -1] = 0.0
+    return MlpModel(wh, wo), rng.choice([0.125, 0.375, 0.625, 0.875], (3, n))
+
+
+def tanh_ulp_error(x):
+    """The error of float32 np.tanh at float32 ``x``, in float32 ulp of the
+    float64 tanh."""
+    t64 = np.tanh(x.astype(np.float64))
+    _, e = np.frexp(t64)
+    ulp = np.ldexp(1.0, np.maximum(e - 24, -149))
+    return np.abs(np.tanh(x) - t64) / ulp
+
+
+FLOAT32_TEN = int(np.float32(10.0).view(np.uint32))
+SIGN_BIT = np.uint32(0x80000000)
 
 
 class TestFloat32Screen:
@@ -748,6 +772,85 @@ class TestFloat32Screen:
         seen = counting_fallback(monkeypatch)
         classify(models["MLP"][1], stack)
         assert sum(seen) < stack.width * stack.height / 100
+
+    def test_saturated_hidden_units_fold_bias_back(self, monkeypatch):
+        # Every t_j is +-1, so output k of the screen is b'_k + sum_j
+        # wo_kj * t_j / 2 = b_k + the sum of wo_kj over the units that are
+        # on: the float64 output, with the folded bias cancelled back to b_k.
+        rng = np.random.default_rng(23)
+        model, x = saturating_model(rng, rng.uniform(-0.01, 0.01, (3, 61)))
+        image = stack_of(x)
+        x = _feature_planes(model, image)
+        tau = classifiers._screen_bound(model, x)
+        assert tau is not None
+        assert float32_gap(model, x) <= tau / 8
+        seen = counting_fallback(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = classify(model, image).labels.ravel()
+        want = float64_labels(model, x)
+        assert np.unique(want).size == 3
+        np.testing.assert_array_equal(got, want)
+        assert sum(seen) < 2500 / 10
+
+    def test_folded_bias_tie_goes_to_lower_class_through_float64(self, monkeypatch):
+        # Hidden units 0-29 depend on the pixel and units 30-59 are always
+        # on. Rows 1 and 2 share their weights on units 0-29; on units
+        # 30-59 they have p and q, and row 2's bias is sum(p) - sum(q)
+        # higher. Every weight is a multiple of 2^-30 of magnitude below 2,
+        # so every float64 sum is exact and the two outputs tie exactly.
+        # Their folded float32 weights differ, and so do their screen
+        # outputs. Row 0 is row 1 less 1.
+        rng = np.random.default_rng(13)
+        wo = rng.integers(-(2**23), 2**23, (3, 61)) * 2.0**-30
+        wo[2, :30] = wo[1, :30]
+        wo[2, -1] = wo[1, -1] + wo[1, 30:60].sum() - wo[2, 30:60].sum()
+        wo[0] = wo[1]
+        wo[0, -1] -= 1.0
+        model, x = saturating_model(rng, wo)
+        wh = model.hidden_weights.copy()
+        wh[30:, :3] = 0.0
+        wh[30:, 3] = 1e4
+        model = MlpModel(wh, wo)
+        image = stack_of(x)
+        x = _feature_planes(model, image)
+        assert classifiers._screen_bound(model, x) is not None
+        z = classifiers._screen_pass(model, x.shape[1])(x)
+        assert np.any(z[1] != z[2])
+        seen = counting_fallback(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = classify(model, image).labels
+        assert np.all(labels == int(ClassLabel.MATTER))
+        assert seen == [2500]
+
+    def test_bound_follows_its_derivation(self):
+        # S_j = 1 * 0.5 + 2 for every hidden unit and every |wo_kj| is 1:
+        # tau = 8u * (60 * (2 * 2.5 + 4) + 64 * 61).
+        wh = np.zeros((60, 4))
+        wh[:, 0] = 1.0
+        wh[:, -1] = -2.0
+        model = MlpModel(wh, -np.ones((3, 61)))
+        x = np.array([[0.5, 0.25], [0.0, 0.0], [0.0, 0.0]])
+        assert classifiers._screen_bound(model, x) == 8 * 2.0**-24 * (60 * 9 + 64 * 61)
+
+    def test_tanh_error_within_bound(self):
+        # Every 2179th float32 bit pattern in [0, 10], and its negation:
+        # about 10^6 values, subnormals among them.
+        bits = np.arange(0, FLOAT32_TEN + 1, 2179, dtype=np.uint32)
+        x = np.concatenate([bits, bits | SIGN_BIT]).view(np.float32)
+        assert x.size > 10**6
+        assert np.abs(np.tanh(x)).max() <= 1.0
+        assert tanh_ulp_error(x).max() <= classifiers._TANH_ULP
+
+    def test_tanh_is_exactly_one_beyond_ten(self):
+        # Every 9973rd float32 bit pattern above 10, up to +inf, and its
+        # negation.
+        bits = np.arange(FLOAT32_TEN + 1, 0x7F800001, 9973, dtype=np.uint32)
+        bits[-1] = 0x7F800000
+        x = np.concatenate([bits, bits | SIGN_BIT]).view(np.float32)
+        assert np.all(np.abs(x) > 10.0) and np.isinf(x[-1])
+        np.testing.assert_array_equal(np.tanh(x), np.sign(x))
 
     def test_subnormal_weights_take_float64_pass(self, monkeypatch):
         # Every hidden unit is 0.5. In float64, output 0 is 60 * 3 * 2^-150

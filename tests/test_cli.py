@@ -469,6 +469,13 @@ class TestMalformedConfigFiles:
         argv = sweep_argv(spec_file, tmp_path, **{key: value})
         assert message in assert_one_error_line(argv, capsys)
 
+    @pytest.mark.parametrize("value", ["false", None, 0, 1])
+    def test_sweep_config_adc_normalize_exits_2(self, spec_file, tmp_path, capsys, value):
+        argv = sweep_argv(spec_file, tmp_path, adc={"normalize_by_terms": value})
+        err = assert_one_error_line(argv, capsys)
+        assert str(argv[2]) in err and "normalize_by_terms must be true or false" in err
+        assert not (tmp_path / "o").exists()
+
 
 NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
 

@@ -64,6 +64,17 @@ class TestExperimentConfig:
         assert cfg.classifiers == ("PO", "KO")
 
 
+    @pytest.mark.parametrize("value", ["false", None, 0, 1])
+    def test_adc_normalize_must_be_bool(self, tmp_path, value):
+        # "false" is truthy: it used to average the log-ratio terms anyway.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"adc": {"normalize_by_terms": value}}))
+        message = "normalize_by_terms must be true or false"
+        with pytest.raises(ValidationError, match=message) as err:
+            load_experiment_config(path)
+        assert str(path) in str(err.value)
+
+
 class TestBaseline:
     def test_outputs_and_cell_grid(self, small_cfg, tmp_path):
         result = run_baseline(small_cfg, out_dir=tmp_path)
