@@ -87,10 +87,12 @@ def load_adc_raw(path, slice_index: int = 0) -> Band:
     if width == 0 or height == 0:
         raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
     expected = width * height * 8
-    payload = data[12 : 12 + expected]
+    payload = data[12:]
     if len(payload) != expected:
+        what = "truncated payload" if len(payload) < expected else "trailing bytes"
         raise FormatError(
-            f"{path}: truncated payload, {len(payload)} of {expected} bytes"
+            f"{path}: {what}, {len(payload)} payload bytes where {width}x{height} "
+            f"takes {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(height, width)
     return Band(width, height, values, slice_index)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +176,14 @@ class MlpModel:
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         return mlp_forward(self.hidden_weights, self.output_weights, features)
+
+    @cached_property
+    def _label_table(self) -> _LabelTable | None:
+        """The model's label table, made on first use and kept in the
+        instance, outside its fields; None where the float32 screen cannot
+        take every point of the feature cube [0, 1]^3."""
+        tau1 = _screen_bound(self, np.ones(1))
+        return None if tau1 is None else _LabelTable(self, tau1)
 
 
 def _sigmoid_of_negated(a: np.ndarray) -> np.ndarray:
@@ -497,6 +505,8 @@ def _decide(model: Model, s: np.ndarray, classes: np.ndarray) -> np.ndarray:
 # spread numpy's cost per call.
 _MLP_BLOCK = 1024
 _BLOCK = 8192
+# float32 rows hold twice the pixels of float64 rows in the same bytes.
+_SCREEN_BLOCK = 2 * _MLP_BLOCK
 
 # The float32 MLP screen takes a model whose weights are each 0 or of
 # magnitude in [2^-60, 2^60], on features of magnitude at most 2^60. No
@@ -573,27 +583,137 @@ def _mlp_exact(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarra
     return _in_blocks(lambda xs: _decide(model, forward(xs), classes), x, _MLP_BLOCK)
 
 
+# Cells per band of the label table's grid over [0, 1]. A power of two, so
+# 64 x is exact; 64^3 one-byte cells are 256 KiB per model.
+_GRID = 64
+
+
+class _LabelTable:
+    """MLP labels that hold on whole cells of a _GRID^3 grid over the
+    feature cube [0, 1]^3, 0 where a cell is undecided.
+
+    Pixel x lies in cell floor(64 x_i) per band i, 64 taken as 63, so two
+    pixels of one cell differ by at most 1/64 in each band. A pixel whose
+    float32 screen output k beats every other output l by more than
+    ``margin[k, l]`` = tau1 + L_kl / 64 (an anchor) writes k into its cell,
+    where tau1 is _screen_bound at m = 1 and
+        L_kl = sum_j |wo_kj - wo_lj| * 1/4 * sum_i |wh_ji|,
+    j over the 60 hidden units and i over the 3 features.
+
+    Proof that the float64 pass picks k, strictly, at every y of the cell;
+    u = 2^-24, d = z_k - z_l for the exact outputs z:
+    - a sigmoid has a slope of at most 1/4, so L_kl bounds the change of d
+      per unit of the largest change of a feature: |d(y) - d(x)| <= L_kl / 64;
+    - on the cube m <= 1, so each screen output is off by at most tau1 / 8,
+      and d(x) > margin[k, l] - tau1 / 4 less the rounding of the float32
+      test, at most 2u * margin[k, l]. With S_j at m = 1 as in
+      _screen_bound, L_kl <= 1/2 max_k sum_j |wo_kj| * S_j <= tau1 / (32u),
+      so that rounding is below tau1 / 512;
+    - at y, then, d(y) > 3/4 * tau1 - tau1 / 512 > tau1 / 2;
+    - the float64 pass is 2^29 times closer than the screen: its d at y is
+      off by at most tau1 / 2^31, so it is positive there.
+    Every label the table gives is therefore the float64 pass's, with no
+    tie to break; in the screen's range no float64 output is non-finite.
+    """
+
+    def __init__(self, model: MlpModel, tau1: float):
+        wh, wo = model.hidden_weights, model.output_weights
+        slope = np.abs(wh[:, :-1]).sum(axis=1) / 4.0
+        lipschitz = np.abs(wo[:, None, :-1] - wo[None, :, :-1]) @ slope
+        self.tau1 = tau1
+        self.margin = (tau1 + lipschitz / _GRID).astype(np.float32)
+        self.labels = np.zeros(_GRID**3, dtype=np.uint8)
+
+    @staticmethod
+    def cells(x: np.ndarray) -> np.ndarray:
+        """The cell of each pixel of feature planes ``x`` (3, n) in [0, 1]."""
+        cell = np.zeros(x.shape[1], dtype=np.int32)
+        for row in x:  # one band at a time keeps the temporaries small
+            c = row * _GRID
+            np.minimum(c, _GRID - 1, out=c)
+            cell *= _GRID
+            cell += c.astype(np.int32)
+        return cell
+
+    def fill(self, z: np.ndarray, cells: np.ndarray, classes: np.ndarray) -> None:
+        """Write the anchors among screen outputs ``z`` (3, n) of pixels in
+        ``cells`` into their cells."""
+        m = self.margin
+        anchors = np.zeros(z.shape[1], dtype=np.uint8)
+        for k, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+            np.putmask(anchors, (z[k] - z[a] > m[k, a]) & (z[k] - z[b] > m[k, b]), classes[k])
+        # Every anchor in a cell has the cell's label, and 0 changes none.
+        np.maximum.at(self.labels, cells, anchors)
+
+
+def _table_for(model: MlpModel, x: np.ndarray) -> _LabelTable | None:
+    """The model's label table for feature planes ``x``, or None: on the
+    model's first classify call, so that a one-shot caller such as the CLI
+    makes no table, and where a feature lies outside [0, 1]."""
+    state = model.__dict__
+    if not state.get("_classified"):
+        state["_classified"] = True
+        return None
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
+        return None
+    return model._label_table
+
+
+def _screener(model: MlpModel, tau: float, classes: np.ndarray, n: int):
+    """The float32 screen of ``model`` for up to ``n`` pixels at a time:
+    ``forward`` (_screen_pass), and ``decided(z)``, the labels of the
+    pixels whose winner leads by more than ``tau`` in screen outputs
+    ``z``, 0 for the others."""
+    forward = _screen_pass(model, min(n, _SCREEN_BLOCK))
+
+    def decided(z: np.ndarray) -> np.ndarray:
+        return np.where(_clear_lead(z, tau), classes.take(_first_best(z, largest=True)), 0)
+
+    return forward, decided
+
+
 def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """The MLP's labels of feature planes ``x``: those of the float64 pass.
 
-    A float32 forward pass screens the pixels: one whose winner leads by
-    more than _screen_bound's ``tau`` takes it. Every other pixel, a
-    near-tie or a non-finite score, goes to the float64 pass, which keeps
-    the tie rule and the NumericalError. Out of the screen's range every
-    pixel takes the float64 pass.
+    From the model's second call on, a pixel whose cell of the label table
+    is decided takes that cell's label (_LabelTable). The float32 screen
+    labels the other pixels where their winner leads by more than
+    _screen_bound's ``tau`` (the table's ``tau1``, which holds on the whole
+    cube, once there is a table), and those that are anchors fill their
+    cells.
+    Every pixel the screen leaves, a near-tie or a non-finite score, goes
+    to the float64 pass, which keeps the tie rule and the NumericalError.
+    Out of the screen's range every pixel takes the float64 pass; the label
+    table is never made there.
     """
-    tau = _screen_bound(model, x)
-    if tau is None:
-        return _mlp_exact(model, x, classes)
-    # float32 rows hold twice the pixels of float64 rows in the same bytes.
-    block = 2 * _MLP_BLOCK
-    forward = _screen_pass(model, min(x.shape[1], block))
-
-    def screen(xs: np.ndarray) -> np.ndarray:  # 0 where undecided
-        z = forward(xs)
-        return np.where(_clear_lead(z, tau), classes.take(_first_best(z, largest=True)), 0)
-
-    labels = _in_blocks(screen, x, block)
+    table = _table_for(model, x)
+    if table is None:
+        tau = _screen_bound(model, x)
+        if tau is None:
+            return _mlp_exact(model, x, classes)
+        forward, decided = _screener(model, tau, classes, x.shape[1])
+        labels = _in_blocks(lambda xs: decided(forward(xs)), x, _SCREEN_BLOCK)
+    else:
+        cells = table.cells(x)
+        known = table.labels.take(cells)
+        labels = known.astype(np.int64)
+        todo = known.size - np.count_nonzero(known)
+        if todo:
+            # tau1 bounds the screen's error at every point of the cube.
+            forward, decided = _screener(model, table.tau1, classes, x.shape[1])
+            # The undecided pixels come first in ``order``, and the screen
+            # takes them in blocks of _SCREEN_BLOCK and _MLP_BLOCK pixels,
+            # the last one filled up with decided pixels. So each array has
+            # one of a few sizes: arrays of as many sizes as there are
+            # counts of undecided pixels would scatter over the heap.
+            order = np.argsort(known, kind="stable")
+            stop = min(-(-todo // _MLP_BLOCK) * _MLP_BLOCK, known.size)
+            for start in range(0, stop, _SCREEN_BLOCK):
+                pixels = order[start:min(start + _SCREEN_BLOCK, stop)]
+                z = forward(x.take(pixels, axis=1))
+                table.fill(z, cells.take(pixels), classes)
+                end = min(pixels.size, todo - start)
+                labels[pixels[:end]] = decided(z)[:end]
     close = np.flatnonzero(labels == 0)
     if close.size:
         labels[close] = _mlp_exact(model, x[:, close], classes)
@@ -608,6 +728,8 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     both round to 1.0 still differ before it, and the larger one wins. A
     float32 pass screens the MLP's pixels and the float64 pass decides
     every close call, so the labels are the float64 pass's (_mlp_labels).
+    From a model's second call on, a pixel whose cell of the feature cube
+    the screen has proven to hold one class skips the network.
 
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""

@@ -112,13 +112,17 @@ def _ellipse_mask(p, x, y):
 def _annulus_arc_mask(p, x, y):
     dx, dy = x - p["cx"], y - p["cy"]
     r = np.hypot(dx, dy)
+    ring = (r >= p["r_in"]) & (r <= p["r_out"])
+    # The angle only of the ring's pixels, a thin share of the slice.
+    dx, dy = (np.broadcast_to(d, ring.shape)[ring] for d in (dx, dy))
     theta = np.degrees(np.arctan2(dy, dx)) % 360.0
     t0, t1 = p["theta0"] % 360.0, p["theta1"] % 360.0
     if t0 <= t1:
         in_arc = (theta >= t0) & (theta <= t1)
     else:  # wraps through 0 degrees
         in_arc = (theta >= t0) | (theta <= t1)
-    return (r >= p["r_in"]) & (r <= p["r_out"]) & in_arc
+    ring[ring] = in_arc
+    return ring
 
 
 def _rect_mask(p, x, y):
@@ -355,11 +359,14 @@ def add_noise_to_stack(stack: SpectralStack, xi_max: float, seed: int) -> Spectr
     seed = whole_number(seed, "seed")
     if xi_max == 0.0:
         return stack
+    # data + sigma * z in one buffer: the bytes of data + rng.normal(0, sigma),
+    # whose draw is 0.0 + sigma * z for the same z.
     sigma = xi_max * FULL_SCALE
-    bands = []
-    for i, band in enumerate(stack.bands):
-        rng = np.random.default_rng((seed, band.slice_index, i))
-        noisy = band.data + rng.normal(0.0, sigma, size=band.data.shape)
-        np.clip(noisy, 0.0, FULL_SCALE, out=noisy)
-        bands.append(Band(band.width, band.height, noisy, band.slice_index))
+    noisy = np.empty((len(stack.bands), stack.height, stack.width))
+    for i, (band, buf) in enumerate(zip(stack.bands, noisy)):
+        np.random.default_rng((seed, band.slice_index, i)).standard_normal(out=buf)
+        buf *= sigma
+        buf += band.data
+    np.clip(noisy, 0.0, FULL_SCALE, out=noisy)
+    bands = (Band(b.width, b.height, buf, b.slice_index) for b, buf in zip(stack.bands, noisy))
     return SpectralStack(tuple(bands), stack.b_values)

@@ -144,6 +144,26 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"non-positive dimensions {width}x{height}"):
             load_adc_raw(path)
 
+    def test_raw_trailing_bytes_rejected(self, tmp_path, default_volume):
+        # A 128x128 file whose header was edited to say 64x64.
+        stacks, _ = default_volume
+        path = tmp_path / "edited.adc"
+        save_adc_raw(adc_map(stacks[13]), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<II", 64, 64) + data[12:])
+        message = f"{path}: trailing bytes, 131072 payload bytes where 64x64 takes 32768"
+        with pytest.raises(FormatError, match=message):
+            load_adc_raw(path)
+        path.write_bytes(data + bytes(1))
+        with pytest.raises(FormatError, match="131073 payload bytes where 128x128 takes 131072"):
+            load_adc_raw(path)
+
+    def test_raw_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "short.adc"
+        path.write_bytes(b"ADCF" + struct.pack("<II", 2, 2) + bytes(31))
+        with pytest.raises(FormatError, match="truncated payload, 31 payload bytes where 2x2 takes 32"):
+            load_adc_raw(path)
+
     def test_pgm_sidecar_records_scale(self, tmp_path, default_volume):
         import json
 

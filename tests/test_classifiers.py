@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -894,6 +895,115 @@ class TestFloat32Screen:
         z = np.array([[3.0, 0.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]], dtype=np.float32)
         np.testing.assert_array_equal(classifiers._clear_lead(z, 1.9), [True, True, True])
         np.testing.assert_array_equal(classifiers._clear_lead(z, 2.0), [False, False, False])
+
+    # The label table (classifiers._LabelTable), made on a model's second
+    # classify call.
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.5, 2.0, 8.0]),
+        levels=st.lists(st.sampled_from([0.0, 0.01, 0.07, 0.20]), min_size=3, max_size=5),
+    )
+    def test_table_labels_equal_float64_pass(self, seed, scale, levels):
+        # Each call's pixels scatter around the same 6 centres, at one noise
+        # level, so later calls meet cells that earlier ones filled.
+        rng = np.random.default_rng(seed)
+        model = MlpModel(rng.uniform(-scale, scale, (60, 4)), rng.uniform(-scale, scale, (3, 61)))
+        centres = rng.uniform(0.0, 1.0, (3, 6))
+        for level in levels:
+            x = centres[:, rng.integers(0, 6, 2500)] + level * rng.standard_normal((3, 2500))
+            image = stack_of(np.clip(x, 0.0, 1.0))
+            got = classify(model, image).labels.ravel()
+            np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
+        assert model.__dict__["_label_table"] is not None
+
+    def test_boundary_cell_stays_undecided(self, monkeypatch):
+        # z_0 - z_1 = 2 * sigmoid(64 * (x_0 - c)) - 1 with c the middle of
+        # cell 10 of band 0, so the decision boundary between CSF and MATTER
+        # crosses that cell; BACKGROUND is far below both. Pixels on the CSF
+        # side of it lead by 0.05 to 0.25, more than the screen's tau but
+        # less than the margin's L_01 / 64 = 0.5: the cell holds no anchor.
+        # Cell 12 lies wholly on the CSF side and its pixels are anchors.
+        c = 10.5 / 64
+        wh = np.zeros((60, 4))
+        wh[0, 0], wh[0, -1] = 64.0, -64.0 * c
+        wo = np.zeros((3, 61))
+        wo[0, 0], wo[1, 0], wo[1, -1], wo[2, -1] = 1.0, -1.0, 1.0, -10.0
+        model = MlpModel(wh, wo)
+        rng = np.random.default_rng(5)
+
+        def pixels(low, high):  # band 0 in [low, high) / 64, bands 1 and 2 in cell 20
+            x = rng.uniform(20 / 64, 21 / 64, (3, 2500))
+            x[0] = rng.uniform(low / 64, high / 64, 2500)
+            return stack_of(x)
+
+        csf_side = pixels(10.6, 11)
+        for _ in range(3):
+            assert np.all(classify(model, csf_side).labels == int(ClassLabel.CSF))
+            assert np.all(classify(model, pixels(12, 13)).labels == int(ClassLabel.CSF))
+        table = model.__dict__["_label_table"]
+        cell = (np.array([10, 12]) * 64 + 20) * 64 + 20
+        np.testing.assert_array_equal(table.labels[cell], [0, int(ClassLabel.CSF)])
+        assert np.count_nonzero(table.labels) == 1
+        # The other side of the boundary cell takes the float64 pass's label.
+        matter_side = pixels(10, 10.4)
+        x = _feature_planes(model, matter_side)
+        assert np.all(float64_labels(model, x) == int(ClassLabel.MATTER))
+        assert np.all(classify(model, matter_side).labels == int(ClassLabel.MATTER))
+        # Cell 12 is decided by the table alone.
+        seen = []
+        monkeypatch.setattr(classifiers, "_screen_pass", lambda *a: seen.append(a))
+        assert np.all(classify(model, pixels(12, 13)).labels == int(ClassLabel.CSF))
+        assert seen == []
+
+    def test_one_shot_classify_makes_no_table(self):
+        rng = np.random.default_rng(3)
+        model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), rng.uniform(-1.0, 1.0, (3, 61)))
+        doc = model_to_json(model)
+        image = stack_of(rng.uniform(0.0, 1.0, (3, 2500)))
+        first = classify(model, image).labels
+        assert "_label_table" not in model.__dict__
+        np.testing.assert_array_equal(classify(model, image).labels, first)
+        assert model.__dict__["_label_table"].labels.nbytes == 64**3
+        assert model_to_json(model) == doc
+        assert [f.name for f in fields(model)] == [f.name for f in fields(MlpModel)]
+
+    def test_no_table_outside_the_cube(self):
+        rng = np.random.default_rng(4)
+        model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), rng.uniform(-1.0, 1.0, (3, 61)))
+        image = stack_of(rng.uniform(0.0, 1.5, (3, 2500)))
+        for _ in range(3):
+            got = classify(model, image).labels.ravel()
+            np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
+        assert "_label_table" not in model.__dict__
+
+    def test_margin_follows_its_derivation(self):
+        # Every hidden unit has feature weights (1, 2, -3) and bias -1, so
+        # sum_i |wh_ji| = 6 and S_j = 7 at m = 1. Output rows are 1, -1 and 0
+        # on every unit: L_01 = 60 * 2 * 6 / 4 = 180 and L_02 = L_12 = 90,
+        # and tau1 = 8u * (60 * (2 * 7 + 4) + 64 * 60). The features reach
+        # only 0.5, so the image's own tau is below tau1.
+        wh = np.tile([1.0, 2.0, -3.0, -1.0], (60, 1))
+        wo = np.zeros((3, 61))
+        wo[0, :60], wo[1, :60] = 1.0, -1.0
+        model = MlpModel(wh, wo)
+        image = stack_of(np.full((3, 2500), 0.5))
+        classify(model, image)
+        classify(model, image)
+        tau1 = 8 * 2.0**-24 * (60 * 18 + 64 * 60)
+        assert classifiers._screen_bound(model, _feature_planes(model, image)) < tau1
+        lipschitz = np.array([[0.0, 180.0, 90.0], [180.0, 0.0, 90.0], [90.0, 90.0, 0.0]])
+        want = (tau1 + lipschitz / 64).astype(np.float32)
+        np.testing.assert_array_equal(model.__dict__["_label_table"].margin, want)
+
+    def test_cells_are_floor_of_64x(self):
+        edges = [0.0, np.nextafter(1 / 64, 0.0), 1 / 64, 0.5, np.nextafter(1.0, 0.0), 1.0]
+        x = np.array([edges, edges[::-1], edges[1:] + edges[:1]])
+        c = np.minimum(np.floor(64 * x), 63).astype(int)
+        assert c[0].tolist() == [0, 0, 1, 32, 63, 63]
+        want = (c[0] * 64 + c[1]) * 64 + c[2]
+        np.testing.assert_array_equal(classifiers._LabelTable.cells(x), want)
 
 
 class TestKoAdc:

@@ -113,6 +113,17 @@ class TestAdcCommand:
         assert f"{adc}: non-positive dimensions {width}x{height}" in err
         assert not (tmp_path / "p.pgm").exists()
 
+    def test_classify_adc_with_trailing_bytes_exits_2(self, tmp_path, capsys):
+        # 128x128 float64 values behind a header that says 64x64.
+        model = tmp_path / "ko-adc.json"
+        save_model(SomModel(np.array([[0.0], [1e-3], [3e-3]]), (1, 2, 3)), model)
+        adc = tmp_path / "edited.adc"
+        adc.write_bytes(b"ADCF" + struct.pack("<II", 64, 64) + bytes(128 * 128 * 8))
+        argv = ["classify", "--model", model, "--adc", adc, "--out", tmp_path / "p.pgm"]
+        err = assert_one_error_line(argv, capsys)
+        assert f"{adc}: trailing bytes, 131072 payload bytes where 64x64 takes 32768" in err
+        assert not (tmp_path / "p.pgm").exists()
+
 
 class TestTrainClassifyEval:
     def test_round_trip_po(self, phantom_dir, tmp_path):

@@ -207,6 +207,34 @@ def one_rect_spec(path, slices, x1):
     return path
 
 
+def reference_arc_mask(p, x, y):
+    """The annulus arc with the angle of every pixel of the slice."""
+    dx, dy = x - p["cx"], y - p["cy"]
+    r = np.hypot(dx, dy)
+    theta = np.degrees(np.arctan2(dy, dx)) % 360.0
+    t0, t1 = p["theta0"] % 360.0, p["theta1"] % 360.0
+    if t0 <= t1:
+        in_arc = (theta >= t0) & (theta <= t1)
+    else:
+        in_arc = (theta >= t0) | (theta <= t1)
+    return (r >= p["r_in"]) & (r <= p["r_out"]) & in_arc
+
+
+class TestAnnulusArc:
+    @settings(max_examples=200)
+    @given(
+        values=st.lists(st.floats(-20.0, 40.0), min_size=4, max_size=4),
+        angles=st.lists(st.floats(-400.0, 400.0) | st.sampled_from([0.0, 90.0, 360.0]),
+                        min_size=2, max_size=2),
+    )
+    def test_matches_whole_slice_angles(self, values, angles):
+        x = np.arange(24.0)[None, :]
+        y = np.arange(20.0)[:, None]
+        p = dict(zip(("cx", "cy", "r_in", "r_out", "theta0", "theta1"), values + angles))
+        got = Shape("annulus_arc", ClassLabel.CSF, p).mask(x, y, 0.0)
+        np.testing.assert_array_equal(got, reference_arc_mask(p, x, y))
+
+
 class TestShapeBounds:
     # 1,000,001 slices run from offset -500,000 to 500,000, where the right
     # edge lies 5 px right of its base; the image's last column is 11.
@@ -316,6 +344,23 @@ class TestNoise:
     def test_xi_non_number_rejected(self, xi):
         with pytest.raises(ValidationError, match="xi_max must be a finite number"):
             add_noise_to_stack(self._stack(), xi, seed=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    @pytest.mark.parametrize("xi", [0.01, 0.07, 0.20])
+    def test_bytes_of_per_band_normal_draws(self, small_volume, xi, seed):
+        # The reference: each band plus its own rng.normal(0, sigma) draw,
+        # clipped. At 0.20 the brightest bands clip at full scale too.
+        stack = small_volume[0][2]
+        out = add_noise_to_stack(stack, xi, seed)
+        assert isinstance(out, SpectralStack) and out.b_values == stack.b_values
+        for i, (band, got) in enumerate(zip(stack.bands, out.bands)):
+            rng = np.random.default_rng((seed, band.slice_index, i))
+            want = band.data + rng.normal(0.0, xi * FULL_SCALE, band.data.shape)
+            np.clip(want, 0.0, FULL_SCALE, out=want)
+            assert got.data.tobytes() == want.tobytes()
+            assert (got.width, got.height, got.slice_index) == (
+                band.width, band.height, band.slice_index
+            )
 
     def test_stack_noise_deterministic_per_band(self, small_volume):
         stacks, _ = small_volume
