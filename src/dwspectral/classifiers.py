@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .core_image import (
-    FULL_SCALE,
     Band,
     ClassLabel,
     LabelMap,
@@ -463,12 +462,17 @@ def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
 
 Model = PolyModel | MlpModel | SomModel
 
+# The labels of the three score rows of a PO or MLP model, as classify
+# writes them.
+_CLASS_CODES = np.array([int(c) for c in ClassLabel], dtype=np.uint8)
+_CLASS_CODES.setflags(write=False)
+
 
 def _feature_planes(model: Model, image: SpectralStack | Band) -> np.ndarray:
-    """Feature planes (d, n): a stack's bands scaled into [0, 1], row j
-    bitwise column j of ``pixel_features()``; an ADC map as it is."""
+    """Feature planes (d, n): a stack's ``planes``, built once per stack;
+    an ADC map as it is."""
     if isinstance(image, SpectralStack):
-        x = np.stack([b.data.reshape(-1) for b in image.bands]) / FULL_SCALE
+        x = image.planes
     else:
         x = image.data.reshape(1, -1)
     if x.shape[0] != model.feature_dim:
@@ -569,8 +573,9 @@ def _clear_lead(z: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _in_blocks(decide, x: np.ndarray, block: int) -> np.ndarray:
-    """``decide`` applied to each block of ``block`` columns of ``x``."""
-    labels = np.empty(x.shape[1], dtype=np.int64)
+    """``decide`` applied to each block of ``block`` columns of ``x``, as
+    uint8 labels."""
+    labels = np.empty(x.shape[1], dtype=np.uint8)
     for start in range(0, x.shape[1], block):
         labels[start:start + block] = decide(x[:, start:start + block])
     return labels
@@ -695,9 +700,8 @@ def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarr
         labels = _in_blocks(lambda xs: decided(forward(xs)), x, _SCREEN_BLOCK)
     else:
         cells = table.cells(x)
-        known = table.labels.take(cells)
-        labels = known.astype(np.int64)
-        todo = known.size - np.count_nonzero(known)
+        labels = table.labels.take(cells)
+        todo = labels.size - np.count_nonzero(labels)
         if todo:
             # tau1 bounds the screen's error at every point of the cube.
             forward, decided = _screener(model, table.tau1, classes, x.shape[1])
@@ -706,8 +710,8 @@ def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarr
             # the last one filled up with decided pixels. So each array has
             # one of a few sizes: arrays of as many sizes as there are
             # counts of undecided pixels would scatter over the heap.
-            order = np.argsort(known, kind="stable")
-            stop = min(-(-todo // _MLP_BLOCK) * _MLP_BLOCK, known.size)
+            order = np.argsort(labels, kind="stable")
+            stop = min(-(-todo // _MLP_BLOCK) * _MLP_BLOCK, labels.size)
             for start in range(0, stop, _SCREEN_BLOCK):
                 pixels = order[start:min(start + _SCREEN_BLOCK, stop)]
                 z = forward(x.take(pixels, axis=1))
@@ -734,13 +738,13 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""
     x = _feature_planes(model, image)
-    classes = np.array([int(c) for c in ClassLabel])
+    classes = _CLASS_CODES
     if isinstance(model, PolyModel):
         scores = model._planar
     elif isinstance(model, SomModel):
         if model.class_of_neuron is None:
             raise ValidationError("SOM model must be labeled before classification")
-        classes = np.array([int(c) for c in model.class_of_neuron])
+        classes = np.array([int(c) for c in model.class_of_neuron], dtype=np.uint8)
         scores = partial(_som_distances, model.neurons)
     # Overflow is expected where an MLP hidden unit saturates (its sigmoid
     # is then exactly 0); only non-finite scores or distances are errors.

@@ -7,6 +7,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,11 @@ class ClassLabel(IntEnum):
     CSF = 1
     MATTER = 2
     BACKGROUND = 3
+
+
+# As plain ints: a numpy scalar compares with an IntEnum member about a
+# hundred times slower than with an int.
+_CODE_RANGE = (int(min(ClassLabel)), int(max(ClassLabel)))
 
 
 @dataclass(frozen=True)
@@ -118,54 +124,82 @@ class SpectralStack:
     def slice_index(self) -> int:
         return self.bands[0].slice_index
 
+    @cached_property
+    def planes(self) -> np.ndarray:
+        """Read-only feature planes (n_bands, height*width): band i scaled
+        into [0, 1] by FULL_SCALE, bitwise column i of pixel_features().
+        Built on first use and kept in the instance, outside its fields, so
+        every classifier of one stack shares one build."""
+        x = np.stack([b.data.reshape(-1) for b in self.bands])
+        x /= FULL_SCALE
+        x.setflags(write=False)
+        return x
+
     def pixel_features(self) -> np.ndarray:
         """All pixels as feature rows scaled into [0, 1] by FULL_SCALE,
         shape (height*width, n_bands), row-major."""
         return np.stack([b.data.ravel() for b in self.bands], axis=1) / FULL_SCALE
 
 
+def _class_codes(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` as uint8 ClassLabel codes. The 1..3 range is checked on
+    the input, before the cast, so that 257 cannot wrap to 1; a NaN, a
+    non-whole value or a non-numeric dtype raises as well."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must hold integer class codes, got {arr.dtype}")
+    if arr.dtype.kind == "f":
+        odd = arr != np.floor(arr)  # NaN too; an infinity fails the range
+        if odd.any():
+            bad = np.unique(arr[odd])
+            raise ValidationError(f"{what} contains non-integer labels {bad.tolist()}")
+    # The labels are the integers 1..3, so their range decides validity.
+    low, high = _CODE_RANGE
+    if arr.size and (arr.min() < low or arr.max() > high):
+        bad = np.unique(arr[(arr < low) | (arr > high)])
+        raise ValidationError(f"{what} contains invalid labels {bad.tolist()}")
+    return arr.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class LabelMap:
-    """Per-pixel class assignment; ``labels`` is int array (height, width)."""
+    """Per-pixel class assignment; ``labels`` is a uint8 array (height,
+    width) of ClassLabel codes."""
 
     width: int
     height: int
     labels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.labels, dtype=np.int64)
+        arr = np.asarray(self.labels)
         if arr.shape != (self.height, self.width):
             raise ValidationError(
                 f"label map shape {arr.shape} does not match "
                 f"(height={self.height}, width={self.width})"
             )
-        # The labels are the integers 1..3, so their range decides validity;
-        # np.isin, several times slower, only names the offending values.
-        if arr.size and (arr.min() < min(ClassLabel) or arr.max() > max(ClassLabel)):
-            bad = np.unique(arr[~np.isin(arr, [int(c) for c in ClassLabel])])
-            raise ValidationError(f"label map contains invalid labels {bad.tolist()}")
+        arr = _class_codes(arr, "label map")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Labeled feature vectors: ``features`` (n, d), ``labels`` (n,) ints."""
+    """Labeled feature vectors: ``features`` (n, d), ``labels`` (n,) uint8
+    class codes."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.int64)
+        labs = np.asarray(self.labels)
         if feats.ndim != 2:
             raise ValidationError("features must be a 2-D (n, d) array")
         if feats.shape[0] == 0:
             raise ValidationError("sample set must be non-empty")
         if labs.shape != (feats.shape[0],):
             raise ValidationError("labels must align one-to-one with features")
-        if not np.isin(labs, [int(c) for c in ClassLabel]).all():
-            raise ValidationError("sample labels must be valid class labels")
+        labs = _class_codes(labs, "sample set")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -267,12 +301,12 @@ def save_band(band: Band, path) -> None:
 
 def load_labelmap(path) -> LabelMap:
     """Read an 8-bit P5 PGM holding ClassLabel integer codes."""
-    labels = _read_pgm(path, 255, np.uint8).astype(np.int64)
+    labels = _read_pgm(path, 255, np.uint8)
     return LabelMap(labels.shape[1], labels.shape[0], labels)
 
 
 def save_labelmap(labelmap: LabelMap, path) -> None:
-    _write_pgm(path, labelmap.labels.astype(np.uint8), 255)
+    _write_pgm(path, labelmap.labels, 255)
 
 
 # ---------------------------------------------------------------------------

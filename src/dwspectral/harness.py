@@ -178,29 +178,35 @@ def train_models(cfg: ExperimentConfig, stacks, truth) -> dict:
     return models
 
 
-def _classify_volume(name: str, model, stacks, adc_cfg: AdcConfig):
-    preds = []
-    for stack in stacks:
-        image = adc_map(stack, adc_cfg) if name == "KO-ADC" else stack
-        preds.append(classify(model, image))
-    return preds
+def _classify_slice(name: str, model, stack, adc_cfg: AdcConfig):
+    """Classifier ``name``'s labels of one slice: of its ADC map for KO-ADC,
+    of the stack for the others."""
+    image = adc_map(stack, adc_cfg) if name == "KO-ADC" else stack
+    return classify(model, image)
 
 
 def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
     """Score every (noise level, seed) cell: perturb every band of every
     slice, recompute the ADC map from the noisy bands, classify with each
     trained model and score against the noiseless phantom truth. Level 0
-    leaves the bands as they are."""
+    leaves the bands as they are.
+
+    A cell is one pass over its slices: each noisy slice is made once, every
+    classifier labels it, sharing its feature planes, and only the labels
+    are kept."""
     cells = []
     for level in levels:
         for seed in cfg.seeds:
-            noisy = [add_noise_to_stack(st, level, seed) for st in stacks]
-            for name in cfg.classifiers:
-                preds = _classify_volume(name, models[name][seed], noisy, cfg.adc)
-                cm = merge_confusions(confusion(p, t) for p, t in zip(preds, truth))
+            preds = {name: [] for name in cfg.classifiers}
+            for stack in stacks:
+                noisy = add_noise_to_stack(stack, level, seed)
+                for name, maps in preds.items():
+                    maps.append(_classify_slice(name, models[name][seed], noisy, cfg.adc))
+            del noisy  # else it lives on while the next cell's first slice is made
+            for name, maps in preds.items():
+                cm = merge_confusions(confusion(p, t) for p, t in zip(maps, truth))
                 report = report_from_confusion(cm)
-                cells.append(CellResult(name, level, seed, report, volumes(preds)))
-            del noisy, preds  # else they live on while the next cell's are built
+                cells.append(CellResult(name, level, seed, report, volumes(maps)))
     cells.sort(key=CellResult.sort_key)
     return cells
 
@@ -215,7 +221,7 @@ def run_baseline(cfg: ExperimentConfig, out_dir=None) -> BaselineResult:
     ground_truth_maps = []
     if "PO" in cfg.classifiers:
         po_model = models["PO"][cfg.seeds[0]]
-        ground_truth_maps = _classify_volume("PO", po_model, stacks, cfg.adc)
+        ground_truth_maps = [_classify_slice("PO", po_model, st, cfg.adc) for st in stacks]
 
     result = BaselineResult(cells, models, stacks, truth, ground_truth_maps)
     if out_dir is not None:

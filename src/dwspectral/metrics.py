@@ -71,9 +71,11 @@ def confusion(pred: LabelMap, truth: LabelMap) -> ConfusionMatrix:
             f"prediction {pred.width}x{pred.height} does not match "
             f"truth {truth.width}x{truth.height}"
         )
-    idx = (truth.labels.ravel() - 1) * N + (pred.labels.ravel() - 1)
-    counts = np.bincount(idx, minlength=N * N).reshape(N, N)
-    return ConfusionMatrix(counts)
+    # uint8 codes 1..3 (LabelMap), so the index stays below 16 in uint8.
+    idx = truth.labels.ravel() * (N + 1)
+    idx += pred.labels.ravel()
+    counts = np.bincount(idx, minlength=(N + 1) ** 2).reshape(N + 1, N + 1)
+    return ConfusionMatrix(counts[1:, 1:])
 
 
 def merge_confusions(matrices) -> ConfusionMatrix:
@@ -116,18 +118,19 @@ def report_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
 
 
 def volumes(labelmaps) -> VolumeReport:
-    """Percentage of pixels per class pooled over all slices."""
+    """Percentage of pixels per class pooled over all slices, counted map
+    by map."""
     labelmaps = list(labelmaps)
     if not labelmaps:
         raise ValidationError("volumes need at least one label map")
     dims = {(lm.width, lm.height) for lm in labelmaps}
     if len(dims) != 1:
         raise ValidationError(f"label maps have mixed dimensions: {sorted(dims)}")
-    pooled = np.concatenate([lm.labels.ravel() for lm in labelmaps])
-    total = pooled.size
-    pct = [
-        100.0 * float(np.count_nonzero(pooled == int(c))) / total for c in ClassLabel
+    counts = [
+        sum(np.count_nonzero(lm.labels == int(c)) for lm in labelmaps) for c in ClassLabel
     ]
+    total = sum(lm.labels.size for lm in labelmaps)
+    pct = [100.0 * float(n) / total for n in counts]
     v1, v2, v3 = pct
     rate = v1 / v2 if v2 > 0 else None
     return VolumeReport(v1, v2, v3, rate)

@@ -211,7 +211,7 @@ class PhantomSpec:
         """Labels for one slice; CSF shapes override MATTER override BACKGROUND."""
         off = slice_index - self.slices // 2
         labels = np.full(
-            (self.height, self.width), int(ClassLabel.BACKGROUND), dtype=np.int64
+            (self.height, self.width), int(ClassLabel.BACKGROUND), dtype=np.uint8
         )
         x = np.arange(self.width, dtype=np.float64)
         y = np.arange(self.height, dtype=np.float64)[:, None]

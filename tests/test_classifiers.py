@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -603,6 +604,30 @@ class TestBlockedClassify:
         np.testing.assert_array_equal(classify(model, image).labels.ravel(), want)
 
 
+class TestSharedPlanes:
+    def test_stack_classifiers_build_the_planes_once(self, noisy_slice, monkeypatch):
+        cfg, models, stack = noisy_slice
+        fresh = SpectralStack(stack.bands, stack.b_values)
+        built = []
+        build = SpectralStack.planes.func
+
+        def counted(self):
+            built.append(self)
+            return build(self)
+
+        planes = cached_property(counted)
+        planes.__set_name__(SpectralStack, "planes")
+        monkeypatch.setattr(SpectralStack, "planes", planes)
+        labels = [classify(models[name][1], fresh).labels for name in ("PO", "MLP", "KO")]
+        assert built == [fresh]
+        assert all(lab.dtype == np.uint8 for lab in labels)
+        x = fresh.planes
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+        assert _feature_planes(models["PO"][1], fresh) is x
+
+
 class TestLayoutIdentities:
     """The planar products that classify computes, bit for bit against the
     row-major formulas. The golden digests rely on these identities; a BLAS
@@ -612,6 +637,12 @@ class TestLayoutIdentities:
         cfg, models, stack = noisy_slice
         x = _feature_planes(models["PO"][1], stack)
         assert x.tobytes() == np.ascontiguousarray(stack.pixel_features().T).tobytes()
+
+    def test_stack_planes_are_pixel_feature_columns(self, noisy_slice):
+        cfg, models, stack = noisy_slice
+        want = np.ascontiguousarray(stack.pixel_features().T)
+        assert stack.planes.shape == want.shape
+        assert stack.planes.tobytes() == want.tobytes()
 
     def test_polynomial_scores(self, noisy_slice):
         cfg, models, stack = noisy_slice

@@ -201,6 +201,37 @@ class TestLabelMapIO:
         np.testing.assert_array_equal(LabelMap(3, 2, labels).labels, labels)
         assert LabelMap(0, 0, np.empty((0, 0))).labels.size == 0
 
+    def test_labels_are_uint8(self, tmp_path):
+        lm = LabelMap(2, 2, np.array([[1, 2], [3, 1]]))
+        assert lm.labels.dtype == np.uint8
+        save_labelmap(lm, tmp_path / "lm.pgm")
+        assert load_labelmap(tmp_path / "lm.pgm").labels.dtype == np.uint8
+
+    @pytest.mark.parametrize("bad", [256, 257, -255])
+    def test_codes_that_wrap_in_uint8_rejected(self, bad):
+        # 256 and 257 would cast to 0 and 1, -255 to 1: the range is checked first.
+        with pytest.raises(ValidationError) as exc:
+            LabelMap(2, 2, np.array([[1, bad], [2, 3]], dtype=np.int64))
+        assert str(exc.value) == f"label map contains invalid labels [{bad}]"
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, 2.0000001])
+    def test_float_codes_must_be_whole(self, bad):
+        with pytest.raises(ValidationError, match="non-integer labels"):
+            LabelMap(2, 2, np.array([[1.0, bad], [2.0, 3.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, 4.0, 0.0])
+    def test_float_codes_out_of_range_rejected(self, bad):
+        with pytest.raises(ValidationError, match="invalid labels"):
+            LabelMap(2, 2, np.array([[1.0, bad], [2.0, 3.0]]))
+
+    def test_whole_float_codes_accepted(self):
+        lm = LabelMap(2, 2, np.array([[1.0, 2.0], [3.0, 1.0]]))
+        assert lm.labels.tolist() == [[1, 2], [3, 1]]
+
+    def test_non_numeric_codes_rejected(self):
+        with pytest.raises(ValidationError, match="integer class codes"):
+            LabelMap(2, 1, np.array([["1", "2"]]))
+
 
 class TestExtractSamples:
     def _stack(self, values, w, h):
@@ -269,3 +300,16 @@ class TestSampleSet:
     def test_label_alignment_required(self):
         with pytest.raises(ValidationError):
             SampleSet(np.zeros((2, 3)), np.array([1]))
+
+    @pytest.mark.parametrize("bad", [0, 4, 257, -255])
+    def test_labels_checked_by_range(self, bad):
+        with pytest.raises(ValidationError, match=rf"sample set contains invalid labels \[{bad}\]"):
+            SampleSet(np.zeros((2, 3)), np.array([1, bad]))
+
+    def test_nan_label_rejected(self):
+        with pytest.raises(ValidationError, match="non-integer labels"):
+            SampleSet(np.zeros((2, 3)), np.array([1.0, np.nan]))
+
+    def test_labels_kept_as_uint8(self):
+        s = SampleSet(np.zeros((3, 3)), np.array([1, 2, 3]))
+        assert s.labels.dtype == np.uint8 and s.labels.tolist() == [1, 2, 3]

@@ -1,9 +1,12 @@
 import csv
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from dwspectral import harness
 from dwspectral.errors import ValidationError
 from dwspectral.harness import (
     CLASSIFIER_NAMES,
@@ -15,7 +18,8 @@ from dwspectral.harness import (
     run_baseline,
     run_sweep,
 )
-from dwspectral.metrics import ConfusionMatrix, kappa
+from dwspectral.metrics import ConfusionMatrix, confusion, kappa, merge_confusions, volumes
+from dwspectral.physics import add_noise_to_stack
 
 
 def read_csv_rows(path):
@@ -160,6 +164,51 @@ class TestSweep:
         med = result.median_kappa("PO")
         assert sorted(med) == sorted(cfg.noise_levels)
         assert med[0.0] == pytest.approx(1.0)
+
+    def test_cells_do_not_depend_on_classifier_order_or_subset(self, sweep_run, tmp_path):
+        cfg, out, _, _ = sweep_run
+        subset = ExperimentConfig(
+            phantom=cfg.phantom,
+            training_slice=cfg.training_slice,
+            noise_levels=cfg.noise_levels,
+            seeds=cfg.seeds,
+            classifiers=("KO-ADC", "PO"),
+        )
+        run_sweep(subset, out_dir=tmp_path)
+        full_rows = read_csv_rows(out / "sweep.csv")
+        want = [r for r in full_rows if r["classifier"] in subset.classifiers]
+        assert read_csv_rows(tmp_path / "sweep.csv") == want
+        full = json.loads((out / "sweep_confusions.json").read_text())
+        got = json.loads((tmp_path / "sweep_confusions.json").read_text())
+        assert got == [r for r in full if r["classifier"] in subset.classifiers]
+
+    def test_noise_drawn_once_per_level_seed_and_slice(self, sweep_run, monkeypatch):
+        cfg, _, baseline, _ = sweep_run
+        drawn = Counter()
+
+        def counted(stack, xi_max, seed):
+            drawn[xi_max, seed, stack.slice_index] += 1
+            return add_noise_to_stack(stack, xi_max, seed)
+
+        monkeypatch.setattr(harness, "add_noise_to_stack", counted)
+        run_sweep(cfg, baseline=baseline)
+        slices = range(cfg.phantom.slices)
+        assert sorted(drawn) == sorted(itertools.product(cfg.noise_levels, cfg.seeds, slices))
+        assert set(drawn.values()) == {1}
+
+    def test_volumes_are_confusion_column_shares(self, sweep_run):
+        cfg, _, baseline, _ = sweep_run
+        models = baseline.models
+        for name in cfg.classifiers:
+            preds = []
+            for stack in baseline.stacks:
+                noisy = add_noise_to_stack(stack, 0.10, 2)
+                preds.append(harness._classify_slice(name, models[name][2], noisy, cfg.adc))
+            cm = merge_confusions(confusion(p, t) for p, t in zip(preds, baseline.truth))
+            cols = cm.counts.sum(axis=0)
+            shares = [100.0 * float(n) / cm.total for n in cols]
+            rep = volumes(preds)
+            assert [rep.v1, rep.v2, rep.v3] == shares
 
     def test_empty_levels_rejected(self, small_spec):
         cfg = ExperimentConfig(
