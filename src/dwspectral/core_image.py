@@ -79,9 +79,11 @@ class Band:
                 f"band data shape {arr.shape} does not match "
                 f"(height={self.height}, width={self.width})"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("band contains non-finite intensities")
-        if np.any(arr < 0):
+        # Two reductions and no temporary: a NaN fails both comparisons, so
+        # the message is worked out only once a check has failed.
+        if arr.size and not (0 <= arr.min() and arr.max() < np.inf):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("band contains non-finite intensities")
             raise ValidationError("band contains negative intensities")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

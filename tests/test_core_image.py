@@ -41,6 +41,46 @@ class TestBandInvariants:
         with pytest.raises(ValidationError):
             band([0, np.nan, 2, 3], 2, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_each_non_finite_value_named(self, bad):
+        with pytest.raises(ValidationError, match="non-finite intensities"):
+            band([0, 1, bad, 3], 2, 2)
+
+    def test_smallest_negative_rejected(self):
+        with pytest.raises(ValidationError, match="negative intensities"):
+            band([0, 1, 2, -5e-324], 2, 2)
+
+    @pytest.mark.parametrize("values", [[np.nan, -1, 2, 3], [-1, 0, 2, np.nan], [-1, np.inf, 0, 0]])
+    def test_non_finite_named_before_negative(self, values):
+        with pytest.raises(ValidationError, match="non-finite intensities"):
+            band(values, 2, 2)
+
+    def test_empty_band_accepted(self):
+        assert Band(0, 0, np.zeros((0, 0))).data.shape == (0, 0)
+
+    def test_negative_zero_accepted(self):
+        b = band([-0.0, 1, 2, 3], 2, 2)
+        assert np.signbit(b.data[0, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            (3, 4),
+            elements=st.sampled_from([0.0, -0.0, 1.0, 65535.0, -1.0, -5e-324, np.nan, np.inf, -np.inf]),
+        )
+    )
+    def test_checks_agree_with_elementwise_rule(self, arr):
+        if not np.all(np.isfinite(arr)):
+            want = "non-finite intensities"
+        elif np.any(arr < 0):
+            want = "negative intensities"
+        else:
+            Band(4, 3, arr)
+            return
+        with pytest.raises(ValidationError, match=want):
+            Band(4, 3, arr)
+
     def test_data_is_immutable(self):
         b = band([1, 2, 3, 4], 2, 2)
         with pytest.raises(ValueError):

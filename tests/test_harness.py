@@ -1,13 +1,15 @@
 import csv
 import itertools
 import json
+import threading
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from dwspectral import harness
-from dwspectral.errors import ValidationError
+from dwspectral.errors import NumericalError, ValidationError
 from dwspectral.harness import (
     CLASSIFIER_NAMES,
     DEFAULT_NOISE_LEVELS,
@@ -216,3 +218,108 @@ class TestSweep:
         )
         with pytest.raises(ValidationError, match="at least one noise level"):
             run_sweep(cfg)
+
+
+class TestNoiseHelperThread:
+    """A sweep draws its noise on one helper thread that lives only for the
+    call: no thread outlives ``run_sweep`` or ``run_baseline``, whether the
+    call returns or raises, and an error on either thread reaches the
+    caller unchanged."""
+
+    @pytest.fixture
+    def one_level(self, small_spec):
+        return ExperimentConfig(
+            phantom=small_spec, training_slice=3, noise_levels=(0.05,), seeds=(1, 2)
+        )
+
+    def test_no_thread_left_after_baseline_and_sweep(self, one_level):
+        before = threading.active_count()
+        baseline = run_baseline(one_level)
+        assert threading.active_count() == before
+        run_sweep(one_level, baseline=baseline)
+        assert threading.active_count() == before
+
+    def test_noise_drawn_on_one_thread_other_than_the_callers(self, one_level, monkeypatch):
+        baseline = run_baseline(one_level)
+        threads = set()
+
+        def recorded(stack, xi_max, seed):
+            threads.add(threading.get_ident())
+            return add_noise_to_stack(stack, xi_max, seed)
+
+        monkeypatch.setattr(harness, "add_noise_to_stack", recorded)
+        run_sweep(one_level, baseline=baseline)
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
+
+    def test_classify_error_reaches_caller_and_helper_is_joined(self, one_level, monkeypatch):
+        baseline = run_baseline(one_level)
+        err = NumericalError("planted at slice 5")
+        drawn = Counter()
+        real_classify = harness.classify
+
+        def counted(stack, xi_max, seed):
+            drawn[seed, stack.slice_index] += 1
+            return add_noise_to_stack(stack, xi_max, seed)
+
+        def failing(model, image):
+            if image.slice_index == 5:
+                raise err
+            return real_classify(model, image)
+
+        monkeypatch.setattr(harness, "add_noise_to_stack", counted)
+        monkeypatch.setattr(harness, "classify", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericalError) as caught:
+            run_sweep(one_level, baseline=baseline)
+        assert caught.value is err
+        assert threading.active_count() == before
+        # Seed 1's slices come first; the helper draws at most two ahead of
+        # the failing slice 5, and nothing twice.
+        order = {(seed, k): (seed - 1) * one_level.phantom.slices + k for seed, k in drawn}
+        assert max(order.values()) <= 5 + 2
+        assert set(drawn.values()) == {1}
+
+    def test_noise_error_reaches_caller_and_helper_is_joined(self, one_level, monkeypatch):
+        baseline = run_baseline(one_level)
+        err = ValidationError("planted in seed 2, slice 3")
+
+        def failing(stack, xi_max, seed):
+            if (seed, stack.slice_index) == (2, 3):
+                raise err
+            return add_noise_to_stack(stack, xi_max, seed)
+
+        monkeypatch.setattr(harness, "add_noise_to_stack", failing)
+        before = threading.active_count()
+        with pytest.raises(ValidationError) as caught:
+            run_sweep(one_level, baseline=baseline)
+        assert caught.value is err
+        assert threading.active_count() == before
+
+    def test_draws_not_started_are_cancelled_on_error(self, small_spec, monkeypatch):
+        """Slice 0's classify fails while the helper is drawing slice 1, with
+        slice 2 queued behind it: slice 2 is never drawn."""
+        cfg = ExperimentConfig(
+            phantom=small_spec, training_slice=3, noise_levels=(0.05,), seeds=(1,),
+            classifiers=("PO",),
+        )
+        baseline = run_baseline(cfg)
+        drawing_1 = threading.Event()
+        drawn = []
+
+        def gated(stack, xi_max, seed):
+            drawn.append(stack.slice_index)
+            if stack.slice_index == 1:
+                drawing_1.set()
+                time.sleep(0.5)  # the failing caller cancels slice 2 meanwhile
+            return add_noise_to_stack(stack, xi_max, seed)
+
+        def failing(model, image):
+            assert drawing_1.wait(timeout=10)
+            raise NumericalError("planted at slice 0")
+
+        monkeypatch.setattr(harness, "add_noise_to_stack", gated)
+        monkeypatch.setattr(harness, "classify", failing)
+        with pytest.raises(NumericalError, match="planted at slice 0"):
+            run_sweep(cfg, baseline=baseline)
+        assert drawn == [0, 1]
