@@ -48,20 +48,17 @@ def _quadratic_planes(x: np.ndarray) -> np.ndarray:
 
 
 def expand_quadratic(x: np.ndarray) -> np.ndarray:
-    """Degree-2 monomials of a 3-vector (or rows of an (n, 3) matrix), in
-    the fixed order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]."""
+    """Degree-2 monomials of the rows of an (n, 3) matrix, in the fixed
+    order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]. A SampleSet
+    does not check that its features are finite; this does."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.shape[1] != 3:
+    if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(
-            f"quadratic expansion expects 3 features, got {arr.shape[1]}"
+            f"quadratic expansion expects (n, 3) feature rows, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
         raise ValidationError("quadratic expansion requires finite input")
-    out = np.ascontiguousarray(_quadratic_planes(arr.T).T)
-    return out[0] if single else out
+    return np.ascontiguousarray(_quadratic_planes(arr.T).T)
 
 
 def _one_hot(labels: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -88,10 +85,6 @@ class PolyModel:
             raise ValidationError("polynomial weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        """(n, 3) class scores of (n, 3) feature rows."""
-        return self._planar(np.asarray(features, dtype=np.float64).T).T
 
     def _planar(self, x: np.ndarray) -> np.ndarray:
         """(3, n) class scores of feature planes x (3, n)."""
@@ -164,6 +157,7 @@ class MlpModel:
             raise ValidationError(f"output weights must be 3x61, got {wo.shape}")
         if not (np.all(np.isfinite(wh)) and np.all(np.isfinite(wo))):
             raise ValidationError("MLP weights must be finite")
+        whole_number(self.epochs_run, "epochs_run")
         wh.setflags(write=False)
         wo.setflags(write=False)
         object.__setattr__(self, "hidden_weights", wh)
@@ -172,9 +166,6 @@ class MlpModel:
     @property
     def feature_dim(self) -> int:
         return self.hidden_weights.shape[1] - 1
-
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.hidden_weights, self.output_weights, features)
 
     @cached_property
     def _label_table(self) -> _LabelTable | None:
@@ -251,31 +242,34 @@ def _screen_pass(model: MlpModel, cols: int):
     return _layers(halved, folded.astype(np.float32), cols, _tanh_in_place)[0]
 
 
-def mlp_forward(wh: np.ndarray, wo: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Batch forward pass; returns (n, 3) sigmoid outputs."""
-    x = np.asarray(features, dtype=np.float64).T
-    return _sigmoid(_mlp_pass(wh, wo, x.shape[1])[0](x)).T
+def _backprop_step(
+    wh: np.ndarray, wo: np.ndarray, xi: np.ndarray, ti: np.ndarray,
+    eta: float, hb: np.ndarray, steps: tuple[np.ndarray, np.ndarray],
+) -> float:
+    """One online backpropagation step on sample ``xi`` (its features and a
+    last 1) with targets ``ti``; returns the squared error |y - t|^2 of the
+    step's forward pass.
 
-
-def mlp_loss_and_gradients(
-    wh: np.ndarray, wo: np.ndarray, features: np.ndarray, targets: np.ndarray
-):
-    """Summed squared-error loss 0.5*sum((y-t)^2) and its exact gradients.
-
-    A batch reference for the finite-difference gradient check; train_mlp
-    runs its own per-sample update loop.
-    """
-    x = np.asarray(features, dtype=np.float64).T
-    forward, xb, hb = _mlp_pass(wh, wo, x.shape[1])
-    y = _sigmoid(forward(x))
+    The step writes eta times the gradient of the sample's loss
+    0.5 * |y - t|^2 into ``steps`` = (step_wh, step_wo) and subtracts it from
+    ``wh`` and ``wo`` in place. ``hb`` (61,) holds the hidden layer and a
+    last 1; the step overwrites the hidden layer."""
+    step_wh, step_wo = steps
     h = hb[:MLP_HIDDEN]
-    err = y - np.asarray(targets).T
-    loss = 0.5 * float(np.sum(err * err))
+    _sigmoid(np.matmul(wh, xi, out=h), out=h)
+    y = _sigmoid(wo @ hb)
+    err = y - ti
+    sq_err = float(err @ err)
     d_out = err * y * (1.0 - y)
     d_hid = (wo[:, :MLP_HIDDEN].T @ d_out) * h * (1.0 - h)
-    grad_wo = d_out @ hb.T
-    grad_wh = d_hid @ xb.T
-    return loss, grad_wh, grad_wo
+    # wo -= eta * outer(d_out, hb), and the same for wh, in place
+    np.multiply.outer(d_out, hb, out=step_wo)
+    step_wo *= eta
+    wo -= step_wo
+    np.multiply.outer(d_hid, xi, out=step_wh)
+    step_wh *= eta
+    wh -= step_wh
+    return sq_err
 
 
 def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
@@ -296,32 +290,19 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
     wo = rng.uniform(-0.5, 0.5, size=(N_CLASSES, MLP_HIDDEN + 1))
 
     n = x.shape[0]
-    xb = np.hstack([x, np.ones((n, 1))])
+    # Each sample's features and a last 1, in one contiguous row: the
+    # features of a stack's samples are a transposed view of its planes.
+    xb = np.ones((n, 4))
+    xb[:, :-1] = x
     hb = np.ones(MLP_HIDDEN + 1)  # the hidden layer and its bias
-    h = hb[:MLP_HIDDEN]
-    step_wh = np.empty_like(wh)
-    step_wo = np.empty_like(wo)
+    steps = (np.empty_like(wh), np.empty_like(wo))
     epochs_run = cfg.max_epochs
     for epoch in range(cfg.max_epochs):
         eta = cfg.eta0 * (1.0 - epoch / cfg.max_epochs)
         order = rng.permutation(n)
         sq_err = 0.0
         for idx in order:
-            xi = xb[idx]
-            ti = targets[idx]
-            _sigmoid(np.matmul(wh, xi, out=h), out=h)
-            y = _sigmoid(wo @ hb)
-            err = y - ti
-            sq_err += float(err @ err)
-            d_out = err * y * (1.0 - y)
-            d_hid = (wo[:, :MLP_HIDDEN].T @ d_out) * h * (1.0 - h)
-            # wo -= eta * outer(d_out, hb), and the same for wh, in place
-            np.multiply.outer(d_out, hb, out=step_wo)
-            step_wo *= eta
-            wo -= step_wo
-            np.multiply.outer(d_hid, xi, out=step_wh)
-            step_wh *= eta
-            wh -= step_wh
+            sq_err += _backprop_step(wh, wo, xb[idx], targets[idx], eta, hb, steps)
         mse = sq_err / (n * N_CLASSES)
         if not np.isfinite(mse):
             raise NumericalError(f"MLP diverged at epoch {epoch}")

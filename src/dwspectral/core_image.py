@@ -128,19 +128,14 @@ class SpectralStack:
 
     @cached_property
     def planes(self) -> np.ndarray:
-        """Read-only feature planes (n_bands, height*width): band i scaled
-        into [0, 1] by FULL_SCALE, bitwise column i of pixel_features().
+        """Read-only feature planes (n_bands, height*width): band i, in
+        row-major pixel order, scaled into [0, 1] by FULL_SCALE.
         Built on first use and kept in the instance, outside its fields, so
         every classifier of one stack shares one build."""
         x = np.stack([b.data.reshape(-1) for b in self.bands])
         x /= FULL_SCALE
         x.setflags(write=False)
         return x
-
-    def pixel_features(self) -> np.ndarray:
-        """All pixels as feature rows scaled into [0, 1] by FULL_SCALE,
-        shape (height*width, n_bands), row-major."""
-        return np.stack([b.data.ravel() for b in self.bands], axis=1) / FULL_SCALE
 
 
 def _class_codes(values: np.ndarray, what: str) -> np.ndarray:
@@ -399,7 +394,7 @@ def extract_samples(stack: SpectralStack, labels: LabelMap) -> SampleSet:
         )
     if labels.width * labels.height == 0:
         raise ValidationError("label map is empty")
-    return SampleSet(stack.pixel_features(), labels.labels.ravel())
+    return SampleSet(stack.planes.T, labels.labels.ravel())
 
 
 def extract_band_samples(band: Band, labels: LabelMap) -> SampleSet:

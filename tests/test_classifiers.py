@@ -12,11 +12,13 @@ from dwspectral import classifiers
 from dwspectral.adc import adc_map
 from dwspectral.classifiers import (
     _MLP_BLOCK,
+    MLP_HIDDEN,
     MlpConfig,
     MlpModel,
     PolyModel,
     SomConfig,
     SomModel,
+    _backprop_step,
     _feature_planes,
     _first_best,
     _mlp_pass,
@@ -24,8 +26,6 @@ from dwspectral.classifiers import (
     classify,
     expand_quadratic,
     label_som,
-    mlp_forward,
-    mlp_loss_and_gradients,
     model_from_json,
     model_to_json,
     train_ko_adc,
@@ -48,6 +48,8 @@ from dwspectral.harness import ExperimentConfig, train_models
 from dwspectral.metrics import confusion, kappa
 from dwspectral.physics import add_noise_to_stack, default_phantom_spec, render_phantom
 
+from test_core_image import pixel_features
+
 
 def blob_samples(centers_labels, n_per, spread, seed=0, clip=True):
     """Gaussian blobs with analytic labels; features kept inside [0, 1]."""
@@ -66,20 +68,82 @@ def accuracy(pred, truth):
     return float(np.mean(pred == truth))
 
 
+# Plain-formula references: row-major, one (n, d) feature row per pixel.
+def reference_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_po_labels(model, feats):
+    return np.argmax(expand_quadratic(feats) @ model.weights.T, axis=1) + 1
+
+
+def reference_mlp_preactivations(model, feats):
+    """The textbook forward pass up to the output pre-activations (n, 3)."""
+    ones = np.ones((feats.shape[0], 1))
+    hidden = reference_sigmoid(np.hstack([feats, ones]) @ model.hidden_weights.T)
+    return np.hstack([hidden, ones]) @ model.output_weights.T
+
+
+def reference_mlp_labels(model, feats):
+    """Argmax of the textbook forward pass's pre-activations."""
+    return np.argmax(reference_mlp_preactivations(model, feats), axis=1) + 1
+
+
+def reference_sample_loss(wh, wo, xi, ti):
+    """0.5 * |y - t|^2 of one sample ``xi`` (its features and a last 1) by
+    the textbook forward pass."""
+    h = reference_sigmoid(wh @ xi)
+    y = reference_sigmoid(wo @ np.append(h, 1.0))
+    return 0.5 * float(np.sum((y - ti) ** 2))
+
+
+def backprop_step_errors(wh, wo, xi, ti, eta, coords, step=1e-5):
+    """Take one _backprop_step on sample (xi, ti), in place, as train_mlp
+    does. Returns its squared error; whether the weights moved by exactly
+    the step it wrote into its step buffers; and, at each of ``coords``
+    (0 for wh or 1 for wo, and a flat index), the relative error between
+    that step divided by ``eta`` and the central finite difference of the
+    sample's loss at the weights before the step."""
+    before = (wh.copy(), wo.copy())
+    steps = (np.empty_like(wh), np.empty_like(wo))
+    sq_err = _backprop_step(wh, wo, xi, ti, eta, np.ones(MLP_HIDDEN + 1), steps)
+    applied = all(
+        np.array_equal(w, w0 - s) for w, w0, s in zip((wh, wo), before, steps)
+    )
+    errors = []
+    for k, flat in coords:
+        idx = np.unravel_index(flat, before[k].shape)
+        w = [before[0].copy(), before[1].copy()]
+        w[k][idx] = before[k][idx] + step
+        lp = reference_sample_loss(*w, xi, ti)
+        w[k][idx] = before[k][idx] - step
+        lm = reference_sample_loss(*w, xi, ti)
+        fd = (lp - lm) / (2 * step)
+        grad = steps[k][idx] / eta
+        errors.append(abs(fd - grad) / max(abs(fd), abs(grad), 1e-12))
+    return sq_err, applied, errors
+
+
 class TestExpandQuadratic:
     def test_zero_input(self):
-        assert expand_quadratic(np.zeros(3)).tolist() == [1] + [0] * 9
+        assert expand_quadratic(np.zeros((1, 3))).tolist() == [[1] + [0] * 9]
 
     def test_all_ones(self):
-        assert expand_quadratic(np.ones(3)).tolist() == [1] * 10
+        assert expand_quadratic(np.ones((1, 3))).tolist() == [[1] * 10]
 
     def test_hand_expansion(self):
-        out = expand_quadratic(np.array([1.0, 2.0, 3.0]))
-        assert out.tolist() == [1, 1, 2, 3, 1, 4, 9, 2, 3, 6]
+        out = expand_quadratic(np.array([[1.0, 2.0, 3.0]]))
+        assert out.tolist() == [[1, 1, 2, 3, 1, 4, 9, 2, 3, 6]]
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(ValidationError, match="expects 3 features, got 4"):
-            expand_quadratic(np.zeros(4))
+        with pytest.raises(ValidationError, match=r"rows, got shape \(1, 4\)"):
+            expand_quadratic(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_rows_required(self, shape):
+        with pytest.raises(ValidationError, match=r"expects \(n, 3\) feature rows"):
+            expand_quadratic(np.zeros(shape))
 
     def test_matches_stacked_expansion(self):
         x = np.random.default_rng(0).normal(scale=10.0, size=(500, 3))
@@ -90,7 +154,7 @@ class TestExpandQuadratic:
             axis=1,
         )
         assert expand_quadratic(x).tobytes() == stacked.tobytes()
-        assert expand_quadratic(x[7]).tobytes() == stacked[7].tobytes()
+        assert expand_quadratic(x[7:8]).tobytes() == stacked[7].tobytes()
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValidationError, match="requires finite input"):
@@ -109,7 +173,7 @@ class TestPolynomial:
             spread=0.04,
         )
         model = train_polynomial(samples)
-        pred = np.argmax(model.scores(samples.features), axis=1) + 1
+        pred = reference_po_labels(model, samples.features)
 
         centroids = np.stack(
             [samples.features[samples.labels == c].mean(axis=0) for c in (1, 2, 3)]
@@ -131,8 +195,8 @@ class TestPolynomial:
         )
         a = train_polynomial(samples)
         b = train_polynomial(doubled)
-        da = np.argmax(a.scores(samples.features), axis=1)
-        db = np.argmax(b.scores(samples.features), axis=1)
+        da = reference_po_labels(a, samples.features)
+        db = reference_po_labels(b, samples.features)
         np.testing.assert_array_equal(da, db)
 
     def test_training_is_deterministic(self):
@@ -206,7 +270,7 @@ class TestHyperquadricSeparability:
     def test_annulus_poly_vs_best_linear(self):
         samples = annulus_dataset()
         model = train_polynomial(samples)
-        pred = np.argmax(model.scores(samples.features), axis=1) + 1
+        pred = reference_po_labels(model, samples.features)
         assert accuracy(pred, samples.labels) >= 0.99
         assert best_linear_accuracy(samples) <= 0.70
 
@@ -220,7 +284,7 @@ class TestMlp:
         )
         model = train_mlp(samples, MlpConfig(seed=3))
         assert model.epochs_run < 1000
-        pred = np.argmax(model.scores(samples.features), axis=1) + 1
+        pred = reference_mlp_labels(model, samples.features)
         assert accuracy(pred, samples.labels) >= 0.99
 
     def test_same_seed_bit_identical(self):
@@ -240,33 +304,57 @@ class TestMlp:
             train_mlp(s, MlpConfig())
 
     def test_gradient_matches_finite_differences(self):
+        """Each online step is eta times the gradient of its sample's loss:
+        20 samples in turn, 20 coordinates of each layer."""
         rng = np.random.default_rng(42)
         wh = rng.uniform(-0.5, 0.5, (60, 4))
         wo = rng.uniform(-0.5, 0.5, (3, 61))
-        x = rng.random((20, 3))
+        xb = np.hstack([rng.random((20, 3)), np.ones((20, 1))])
         t = np.full((20, 3), 0.1)
         t[np.arange(20), rng.integers(0, 3, 20)] = 0.9
+        coords = [(0, i) for i in rng.choice(wh.size, size=20, replace=False)]
+        coords += [(1, i) for i in rng.choice(wo.size, size=20, replace=False)]
+        for xi, ti in zip(xb, t):
+            loss = reference_sample_loss(wh, wo, xi, ti)
+            sq_err, applied, errors = backprop_step_errors(wh, wo, xi, ti, 0.2, coords)
+            assert applied
+            assert sq_err == pytest.approx(2 * loss, rel=1e-12)
+            assert max(errors) <= 1e-4
 
-        _, grad_wh, grad_wo = mlp_loss_and_gradients(wh, wo, x, t)
-        step = 1e-5
-        for mat, grad in ((wh, grad_wh), (wo, grad_wo)):
-            flat_idx = rng.choice(mat.size, size=20, replace=False)
-            for fi in flat_idx:
-                i, j = np.unravel_index(fi, mat.shape)
-                orig = mat[i, j]
-                mat[i, j] = orig + step
-                lp, _, _ = mlp_loss_and_gradients(wh, wo, x, t)
-                mat[i, j] = orig - step
-                lm, _, _ = mlp_loss_and_gradients(wh, wo, x, t)
-                mat[i, j] = orig
-                fd = (lp - lm) / (2 * step)
-                denom = max(abs(fd), abs(grad[i, j]), 1e-12)
-                assert abs(fd - grad[i, j]) / denom <= 1e-4
+    def test_training_applies_the_checked_step(self, monkeypatch):
+        """train_mlp's weights are those of _backprop_step replayed by hand:
+        the initial weights, then one permutation per epoch, from one
+        default_rng(seed)."""
+        samples = blob_samples(
+            [((0.2, 0.3, 0.4), ClassLabel.CSF), ((0.7, 0.6, 0.5), ClassLabel.MATTER)],
+            n_per=30,
+            spread=0.05,
+        )
+        cfg = MlpConfig(target_error=1e-9, max_epochs=2, seed=5)
+        step = classifiers._backprop_step
+        calls = []
 
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
 
-def reference_sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        monkeypatch.setattr(classifiers, "_backprop_step", counted)
+        model = train_mlp(samples, cfg)
+        assert model.epochs_run == 2 and len(calls) == 2 * len(samples)
+
+        rng = np.random.default_rng(cfg.seed)
+        wh = rng.uniform(-0.5, 0.5, size=(60, 4))
+        wo = rng.uniform(-0.5, 0.5, size=(3, 61))
+        xb = np.hstack([samples.features, np.ones((len(samples), 1))])
+        targets = np.where(samples.labels[:, None] == np.arange(1, 4), 0.9, 0.1)
+        hb = np.ones(61)
+        steps = (np.empty_like(wh), np.empty_like(wo))
+        for epoch in range(cfg.max_epochs):
+            eta = cfg.eta0 * (1.0 - epoch / cfg.max_epochs)
+            for idx in rng.permutation(len(samples)):
+                step(wh, wo, xb[idx], targets[idx], eta, hb, steps)
+        assert model.hidden_weights.tobytes() == wh.tobytes()
+        assert model.output_weights.tobytes() == wo.tobytes()
 
 
 class TestMlpForwardPass:
@@ -309,7 +397,6 @@ class TestMlpForwardPass:
             assert np.all(hb[60] == 1.0)
             assert z.shape == (3, n)
             np.testing.assert_allclose(z, wo @ hb[:, :n], rtol=1e-13, atol=1e-13)
-            assert mlp_forward(wh, wo, x).tobytes() == reference_sigmoid(z.T).tobytes()
 
     def test_saturated_tie_goes_to_larger_preactivation(self, small_volume):
         # Every hidden unit is 0.5, so the output pre-activations are the
@@ -317,7 +404,7 @@ class TestMlpForwardPass:
         wo = np.zeros((3, 61))
         wo[:, -1] = [100.0, 200.0, -5.0]
         model = MlpModel(np.zeros((60, 4)), wo)
-        y = model.scores(np.full((1, 3), 0.5))
+        y = reference_sigmoid(reference_mlp_preactivations(model, np.full((1, 3), 0.5)))
         assert y[0, 0] == y[0, 1] == 1.0
         labels = classify(model, small_volume[0][0]).labels
         assert np.all(labels == int(ClassLabel.MATTER))
@@ -553,18 +640,6 @@ def noisy_slice(request):
     return cfg, train_models(cfg, stacks, truth), add_noise_to_stack(stacks[1], 0.1, 5)
 
 
-# Plain-formula references: each gives the labels of (n, d) feature rows.
-def reference_po_labels(model, feats):
-    return np.argmax(expand_quadratic(feats) @ model.weights.T, axis=1) + 1
-
-
-def reference_mlp_labels(model, feats):
-    """The row-major textbook forward pass; argmax of the pre-activations."""
-    ones = np.ones((feats.shape[0], 1))
-    hidden = reference_sigmoid(np.hstack([feats, ones]) @ model.hidden_weights.T)
-    return np.argmax(np.hstack([hidden, ones]) @ model.output_weights.T, axis=1) + 1
-
-
 def reference_som_labels(model, feats):
     lut = np.array([int(c) for c in model.class_of_neuron])
     return lut[broadcast_winners(model.neurons, feats)]
@@ -583,7 +658,7 @@ def slice_input(cfg, stack, name):
     if name == "KO-ADC":
         image = adc_map(stack, cfg.adc)
         return image, image.data.reshape(-1, 1)
-    return stack, stack.pixel_features()
+    return stack, pixel_features(stack)
 
 
 class TestBlockedClassify:
@@ -636,11 +711,11 @@ class TestLayoutIdentities:
     def test_feature_planes_are_pixel_feature_columns(self, noisy_slice):
         cfg, models, stack = noisy_slice
         x = _feature_planes(models["PO"][1], stack)
-        assert x.tobytes() == np.ascontiguousarray(stack.pixel_features().T).tobytes()
+        assert x.tobytes() == np.ascontiguousarray(pixel_features(stack).T).tobytes()
 
     def test_stack_planes_are_pixel_feature_columns(self, noisy_slice):
         cfg, models, stack = noisy_slice
-        want = np.ascontiguousarray(stack.pixel_features().T)
+        want = np.ascontiguousarray(pixel_features(stack).T)
         assert stack.planes.shape == want.shape
         assert stack.planes.tobytes() == want.tobytes()
 
@@ -648,14 +723,14 @@ class TestLayoutIdentities:
         cfg, models, stack = noisy_slice
         model = models["PO"][1]
         x = _feature_planes(model, stack)
-        want = expand_quadratic(stack.pixel_features()) @ model.weights.T
+        want = expand_quadratic(pixel_features(stack)) @ model.weights.T
         assert model._planar(x).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
     def test_mlp_hidden_layer(self, noisy_slice):
         cfg, models, stack = noisy_slice
         model = models["MLP"][1]
         x = _feature_planes(model, stack)
-        feats = stack.pixel_features()
+        feats = pixel_features(stack)
         forward, _, hb = _mlp_pass(model.hidden_weights, model.output_weights, _MLP_BLOCK)
         for start in range(0, x.shape[1], _MLP_BLOCK):
             cols = slice(start, start + _MLP_BLOCK)

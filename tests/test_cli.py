@@ -293,6 +293,14 @@ class TestMalformedModelFiles:
         rule = "positive integer" if key.startswith("max_") else "finite number"
         assert str(model) in err and f"must be a {rule}, got {value!r}" in err
 
+    @pytest.mark.parametrize("value", ["banana", -7, 1.5, True, None, [1]])
+    def test_epochs_run_exits_2(self, phantom_dir, model_docs, tmp_path, capsys, value):
+        doc = {**model_docs["mlp"], "epochs_run": value}
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        want = f"epochs_run must be a non-negative integer, got {value!r}"
+        assert str(model) in err and want in err
+
     @pytest.mark.parametrize("method", ["po", "mlp", "ko"])
     def test_legacy_normalize_key_still_loads(
         self, phantom_dir, model_docs, tmp_path, method

@@ -28,6 +28,12 @@ def band(values, width, height, slice_index=0):
     return Band(width, height, np.array(values, dtype=float).reshape(height, width), slice_index)
 
 
+def pixel_features(stack):
+    """The row-major reference for a stack's feature planes: all pixels as
+    feature rows (height*width, n_bands), scaled into [0, 1] by FULL_SCALE."""
+    return np.stack([b.data.ravel() for b in stack.bands], axis=1) / FULL_SCALE
+
+
 class TestBandInvariants:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="does not match"):
@@ -282,7 +288,7 @@ class TestExtractSamples:
         stack = self._stack([[100], [80], [60]], 1, 1)
         lm = LabelMap(1, 1, np.array([[1]]))
         s = extract_samples(stack, lm)
-        np.testing.assert_array_equal(s.features, stack.pixel_features())
+        np.testing.assert_array_equal(s.features, pixel_features(stack))
         assert s.labels.tolist() == [int(ClassLabel.CSF)]
 
     def test_single_pixel_normalized(self):

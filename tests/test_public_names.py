@@ -1,0 +1,59 @@
+"""Every public function, class and method of the package is used by the
+package itself, so that no API exists for the tests alone."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "dwspectral"
+
+ALLOWED = {
+    # The schema of a phantom spec file: load_phantom_spec's docstring points
+    # to it, and the tests and the benchmark write spec files with it.
+    "physics.phantom_spec_to_json",
+}
+
+
+def public_definitions(tree):
+    """(name, node) of each public module-level function or class, and of
+    each public method of a module-level class, named Class.method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def referenced_names(tree) -> Counter:
+    """How often each name is read, as a variable, an attribute or an
+    imported name, in ``tree``."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def unreferenced(src: Path) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    everywhere = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree):
+            bare = name.rsplit(".", 1)[-1]
+            # A reference inside the definition itself does not count.
+            if everywhere[bare] - referenced_names(node)[bare] == 0:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_every_public_name_is_used_in_src():
+    assert sorted(unreferenced(SRC)) == sorted(ALLOWED)
