@@ -40,13 +40,14 @@ def adc_map_raw(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> np.ndarra
     signals floored at epsilon; optionally divided by the term count so a
     constant-D noiseless pixel yields exactly C * D.
     """
-    n = len(stack.bands)
+    data = stack.data
+    n = len(data)
     if n < 2:
         raise ValidationError(f"ADC needs at least 2 bands, got {n}")
-    f1 = np.maximum(stack.bands[0].data, cfg.epsilon)
+    f1 = np.maximum(data[0], cfg.epsilon)
     out = np.zeros_like(f1)
     for i in range(1, n):
-        fi = np.maximum(stack.bands[i].data, cfg.epsilon)
+        fi = np.maximum(data[i], cfg.epsilon)
         out += (cfg.c_const / stack.b_values[i]) * np.log(f1 / fi)
     if cfg.normalize_by_terms:
         out /= n - 1
@@ -55,13 +56,7 @@ def adc_map_raw(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> np.ndarra
 
 def adc_map(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> Band:
     """ADC map as a Band; negative raw values are clamped to 0 for storage."""
-    raw = adc_map_raw(stack, cfg)
-    return Band(
-        stack.width,
-        stack.height,
-        np.maximum(raw, 0.0),
-        slice_index=stack.slice_index,
-    )
+    return Band(np.maximum(adc_map_raw(stack, cfg), 0.0), stack.slice_index)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +90,7 @@ def load_adc_raw(path, slice_index: int = 0) -> Band:
             f"takes {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(height, width)
-    return Band(width, height, values, slice_index)
+    return Band(values, slice_index)
 
 
 def save_adc_pgm(adc: Band, path) -> float:
@@ -107,7 +102,7 @@ def save_adc_pgm(adc: Band, path) -> float:
     path = Path(path)
     peak = float(adc.data.max())
     scale = FULL_SCALE / peak if peak > 0 else 1.0
-    scaled = Band(adc.width, adc.height, adc.data * scale, adc.slice_index)
+    scaled = Band(adc.data * scale, adc.slice_index)
     save_band(scaled, path)
     sidecar = {"scale": scale, "peak": peak, "slice_index": adc.slice_index}
     path.with_suffix(path.suffix + ".json").write_text(

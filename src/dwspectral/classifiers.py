@@ -382,8 +382,6 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     n = x.shape[0]
     if n < SOM_NEURONS:
         raise ValidationError(f"need at least 3 samples, got {n}")
-    if np.unique(x, axis=0).shape[0] < SOM_NEURONS:
-        raise ValidationError("need at least 3 distinct samples")
 
     rng = np.random.default_rng(cfg.seed)
     neurons = []
@@ -391,8 +389,10 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
         cand = x[idx]
         if all(not np.array_equal(cand, w) for w in neurons):
             neurons.append(cand.copy())
-        if len(neurons) == SOM_NEURONS:
-            break
+            if len(neurons) == SOM_NEURONS:
+                break
+    else:
+        raise ValidationError("need at least 3 distinct samples")
     w = np.stack(neurons)
 
     neighbor_cutoff = int(SOM_NEIGHBOR_PHASE * cfg.max_iters)
@@ -734,7 +734,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
             labels = _mlp_labels(model, x, classes)
         else:
             labels = _in_blocks(lambda xs: _decide(model, scores(xs), classes), x, _BLOCK)
-    return LabelMap(image.width, image.height, labels.reshape(image.height, image.width))
+    return LabelMap(labels.reshape(image.height, image.width))
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def cmd_classify(args) -> Path:
 def cmd_eval(args) -> Path:
     pred = load_labelmap(args.pred)
     report = metrics_report(pred, load_labelmap(args.truth))
-    doc = {"metrics": report.to_json(), "volumes": volumes([pred]).to_json()}
+    doc = {"metrics": report.to_json(), "volumes": volumes(report.matrix).to_json()}
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return _record_beside(Path(args.out))
 

@@ -59,6 +59,23 @@ class ClassLabel(IntEnum):
 _CODE_RANGE = (int(min(ClassLabel)), int(max(ClassLabel)))
 
 
+def _intensities(data, ndim: int, what: str) -> np.ndarray:
+    """``data`` as a read-only, C-contiguous float64 array of ``ndim``
+    dimensions; any other ``ndim``, or a negative or non-finite intensity,
+    raises ValidationError naming ``what``."""
+    arr = np.asarray(data, dtype=np.float64, order="C")
+    if arr.ndim != ndim:
+        raise ValidationError(f"{what} data must be {ndim}-D, got {arr.ndim}-D")
+    # Two reductions and no temporary: a NaN fails both comparisons, so
+    # the message is worked out only once a check has failed.
+    if arr.size and not (0 <= arr.min() and arr.max() < np.inf):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{what} contains non-finite intensities")
+        raise ValidationError(f"{what} contains negative intensities")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Band:
     """A single 2-D scalar image for one diffusion exponent and one slice.
@@ -67,64 +84,53 @@ class Band:
     holding non-negative finite intensities.
     """
 
-    width: int
-    height: int
     data: np.ndarray
     slice_index: int = 0
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != (self.height, self.width):
-            raise ValidationError(
-                f"band data shape {arr.shape} does not match "
-                f"(height={self.height}, width={self.width})"
-            )
-        # Two reductions and no temporary: a NaN fails both comparisons, so
-        # the message is worked out only once a check has failed.
-        if arr.size and not (0 <= arr.min() and arr.max() < np.inf):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("band contains non-finite intensities")
-            raise ValidationError("band contains negative intensities")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _intensities(self.data, 2, "band"))
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
 
 
 @dataclass(frozen=True)
 class SpectralStack:
-    """Ordered bands plus their diffusion exponents (b-values, s/mm^2)."""
+    """One slice's bands as a single (n_bands, height, width) float64 array,
+    read-only and row-major, plus their diffusion exponents (b-values,
+    s/mm^2)."""
 
-    bands: tuple[Band, ...]
+    data: np.ndarray
     b_values: tuple[float, ...]
+    slice_index: int = 0
 
     def __post_init__(self):
-        bands = tuple(self.bands)
         b_values = b_value_sequence(self.b_values)
-        if len(bands) < 2:
+        data = _intensities(self.data, 3, "stack")
+        if len(data) < 2:
             raise ValidationError("a spectral stack needs at least 2 bands")
-        if len(bands) != len(b_values):
-            raise ValidationError(
-                f"{len(bands)} bands but {len(b_values)} b-values"
-            )
-        first = bands[0]
-        for b in bands[1:]:
-            if (b.width, b.height) != (first.width, first.height):
-                raise ValidationError("all bands in a stack must share dimensions")
-            if b.slice_index != first.slice_index:
-                raise ValidationError("all bands in a stack must share slice_index")
-        object.__setattr__(self, "bands", bands)
+        if len(data) != len(b_values):
+            raise ValidationError(f"{len(data)} bands but {len(b_values)} b-values")
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "b_values", b_values)
 
     @property
     def width(self) -> int:
-        return self.bands[0].width
+        return self.data.shape[2]
 
     @property
     def height(self) -> int:
-        return self.bands[0].height
+        return self.data.shape[1]
 
     @property
-    def slice_index(self) -> int:
-        return self.bands[0].slice_index
+    def bands(self) -> tuple[Band, ...]:
+        """Each band as a Band viewing ``data``."""
+        return tuple(Band(plane, self.slice_index) for plane in self.data)
 
     @cached_property
     def planes(self) -> np.ndarray:
@@ -132,8 +138,7 @@ class SpectralStack:
         row-major pixel order, scaled into [0, 1] by FULL_SCALE.
         Built on first use and kept in the instance, outside its fields, so
         every classifier of one stack shares one build."""
-        x = np.stack([b.data.reshape(-1) for b in self.bands])
-        x /= FULL_SCALE
+        x = self.data.reshape(len(self.data), -1) / FULL_SCALE
         x.setflags(write=False)
         return x
 
@@ -163,20 +168,23 @@ class LabelMap:
     """Per-pixel class assignment; ``labels`` is a uint8 array (height,
     width) of ClassLabel codes."""
 
-    width: int
-    height: int
     labels: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.labels)
-        if arr.shape != (self.height, self.width):
-            raise ValidationError(
-                f"label map shape {arr.shape} does not match "
-                f"(height={self.height}, width={self.width})"
-            )
+        if arr.ndim != 2:
+            raise ValidationError(f"label map must be 2-D, got {arr.ndim}-D")
         arr = _class_codes(arr, "label map")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
+
+    @property
+    def width(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -281,8 +289,7 @@ def _write_pgm(path, pixels: np.ndarray, maxval: int) -> None:
 
 def load_band(path, slice_index: int = 0) -> Band:
     """Read a 16-bit binary PGM (P5, maxval 65535) as a Band."""
-    pixels = _read_pgm(path, FULL_SCALE, ">u2").astype(np.float64)
-    return Band(pixels.shape[1], pixels.shape[0], pixels, slice_index)
+    return Band(_read_pgm(path, FULL_SCALE, ">u2").astype(np.float64), slice_index)
 
 
 def save_band(band: Band, path) -> None:
@@ -298,8 +305,7 @@ def save_band(band: Band, path) -> None:
 
 def load_labelmap(path) -> LabelMap:
     """Read an 8-bit P5 PGM holding ClassLabel integer codes."""
-    labels = _read_pgm(path, 255, np.uint8)
-    return LabelMap(labels.shape[1], labels.shape[0], labels)
+    return LabelMap(_read_pgm(path, 255, np.uint8))
 
 
 def save_labelmap(labelmap: LabelMap, path) -> None:
@@ -354,10 +360,10 @@ def load_stack(manifest_path) -> SpectralStack:
 
     def build(doc):
         slice_index = whole_number(doc.get("slice_index", 0), "slice_index")
-        bands = tuple(
-            load_band(manifest_path.parent / rel, slice_index) for rel in doc["bands"]
-        )
-        return SpectralStack(bands, tuple(doc["b_values"]))
+        bands = [_read_pgm(manifest_path.parent / rel, FULL_SCALE, ">u2") for rel in doc["bands"]]
+        if len({b.shape for b in bands}) > 1:
+            raise ValidationError("all bands in a stack must share dimensions")
+        return SpectralStack(np.array(bands, np.float64), tuple(doc["b_values"]), slice_index)
 
     return read_json(manifest_path, build)
 

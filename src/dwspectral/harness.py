@@ -194,10 +194,11 @@ def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
     leaves the bands as they are.
 
     A cell is one pass over its slices: each noisy slice is made once, every
-    classifier labels it, sharing its feature planes, and only the labels
-    are kept. One helper thread, which lives only for this call, makes the
-    noisy slices two ahead of the classifiers, across cell boundaries, so
-    at most three are alive at once; numpy draws them with the GIL released.
+    classifier labels it, sharing its feature planes, and each label map is
+    scored as soon as it is made, so only confusion counts are kept. One
+    helper thread, which lives only for this call, makes the noisy slices
+    two ahead of the classifiers, across cell boundaries, so at most three
+    are alive at once; numpy draws them with the GIL released.
     Each band's generator is keyed by (seed, slice, band), so the bytes do
     not depend on when the helper draws them. On an error the draws not yet
     started are cancelled and the helper is joined before the error
@@ -213,17 +214,17 @@ def _score_cells(cfg: ExperimentConfig, stacks, truth, models, levels) -> list:
         ahead = deque(helper.submit(add_noise_to_stack, *d) for d in islice(draws, 2))
         for level in levels:
             for seed in cfg.seeds:
-                preds = {name: [] for name in cfg.classifiers}
-                for _ in stacks:
+                scored = {name: [] for name in cfg.classifiers}
+                for t in truth:
                     noisy = ahead.popleft().result()
                     ahead.extend(helper.submit(add_noise_to_stack, *d) for d in islice(draws, 1))
-                    for name, maps in preds.items():
-                        maps.append(_classify_slice(name, models[name][seed], noisy, cfg.adc))
-                del noisy  # else it lives on through scoring, beside the two drawn ahead
-                for name, maps in preds.items():
-                    cm = merge_confusions(confusion(p, t) for p, t in zip(maps, truth))
+                    for name, matrices in scored.items():
+                        pred = _classify_slice(name, models[name][seed], noisy, cfg.adc)
+                        matrices.append(confusion(pred, t))
+                for name, matrices in scored.items():
+                    cm = merge_confusions(matrices)
                     report = report_from_confusion(cm)
-                    cells.append(CellResult(name, level, seed, report, volumes(maps)))
+                    cells.append(CellResult(name, level, seed, report, volumes(cm)))
     finally:
         helper.shutdown(cancel_futures=True)
     cells.sort(key=CellResult.sort_key)

@@ -117,20 +117,11 @@ def report_from_confusion(cm: ConfusionMatrix) -> MetricsReport:
     return MetricsReport(cm, overall_accuracy(cm), kappa(cm))
 
 
-def volumes(labelmaps) -> VolumeReport:
-    """Percentage of pixels per class pooled over all slices, counted map
-    by map."""
-    labelmaps = list(labelmaps)
-    if not labelmaps:
-        raise ValidationError("volumes need at least one label map")
-    dims = {(lm.width, lm.height) for lm in labelmaps}
-    if len(dims) != 1:
-        raise ValidationError(f"label maps have mixed dimensions: {sorted(dims)}")
-    counts = [
-        sum(np.count_nonzero(lm.labels == int(c)) for lm in labelmaps) for c in ClassLabel
-    ]
-    total = sum(lm.labels.size for lm in labelmaps)
-    pct = [100.0 * float(n) / total for n in counts]
-    v1, v2, v3 = pct
-    rate = v1 / v2 if v2 > 0 else None
-    return VolumeReport(v1, v2, v3, rate)
+def volumes(cm: ConfusionMatrix) -> VolumeReport:
+    """Percentage of pixels predicted as each class: the column shares of
+    ``cm``, pooled over every slice it counts."""
+    total = cm.total
+    if total == 0:
+        raise ValidationError("volumes undefined for an empty matrix")
+    v1, v2, v3 = (100.0 * float(n) / total for n in cm.counts.sum(axis=0))
+    return VolumeReport(v1, v2, v3, v1 / v2 if v2 > 0 else None)

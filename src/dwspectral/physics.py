@@ -9,7 +9,6 @@ import numpy as np
 
 from .core_image import (
     FULL_SCALE,
-    Band,
     ClassLabel,
     LabelMap,
     SpectralStack,
@@ -219,7 +218,7 @@ class PhantomSpec:
             for shape in self.shapes:
                 if shape.label == wanted:
                     labels[shape.mask(x, y, off)] = int(wanted)
-        return LabelMap(self.width, self.height, labels)
+        return LabelMap(labels)
 
 
 def default_phantom_spec(
@@ -337,12 +336,11 @@ def render_phantom(
     b0_max = lut[0].max()
     lut *= RENDER_HEADROOM * FULL_SCALE / b0_max if b0_max > 0 else 1.0
 
-    stacks = []
-    for s, lm in enumerate(truth):
-        bands = tuple(
-            Band(spec.width, spec.height, row[lm.labels], slice_index=s) for row in lut
-        )
-        stacks.append(SpectralStack(bands, acq.b_values))
+    # take, not lut[:, labels]: that result is not C-contiguous.
+    stacks = [
+        SpectralStack(lut.take(lm.labels, axis=1), acq.b_values, s)
+        for s, lm in enumerate(truth)
+    ]
     return stacks, truth
 
 
@@ -362,11 +360,10 @@ def add_noise_to_stack(stack: SpectralStack, xi_max: float, seed: int) -> Spectr
     # data + sigma * z in one buffer: the bytes of data + rng.normal(0, sigma),
     # whose draw is 0.0 + sigma * z for the same z.
     sigma = xi_max * FULL_SCALE
-    noisy = np.empty((len(stack.bands), stack.height, stack.width))
-    for i, (band, buf) in enumerate(zip(stack.bands, noisy)):
-        np.random.default_rng((seed, band.slice_index, i)).standard_normal(out=buf)
-        buf *= sigma
-        buf += band.data
+    noisy = np.empty(stack.data.shape)
+    for i, buf in enumerate(noisy):
+        np.random.default_rng((seed, stack.slice_index, i)).standard_normal(out=buf)
+    noisy *= sigma
+    noisy += stack.data
     np.clip(noisy, 0.0, FULL_SCALE, out=noisy)
-    bands = (Band(b.width, b.height, buf, b.slice_index) for b, buf in zip(stack.bands, noisy))
-    return SpectralStack(tuple(bands), stack.b_values)
+    return SpectralStack(noisy, stack.b_values, stack.slice_index)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dwspectral.core_image import ClassLabel
+from dwspectral.core_image import ClassLabel, SpectralStack
 from dwspectral.harness import ExperimentConfig
 from dwspectral.physics import (
     AcquisitionParams,
@@ -16,6 +16,13 @@ from dwspectral.physics import (
 # machine can make one example slow. Tests keep their own max_examples.
 settings.register_profile("dwspectral", derandomize=True, deadline=None)
 settings.load_profile("dwspectral")
+
+
+def stack_of(array, b_values=(0.0, 500.0, 1000.0)):
+    """A SpectralStack of ``array`` (n_bands, height, width) with the first
+    n_bands of ``b_values``."""
+    data = np.asarray(array, dtype=np.float64)
+    return SpectralStack(data, b_values[: len(data)])
 
 
 @pytest.fixture(scope="session")

@@ -12,18 +12,11 @@ from dwspectral.adc import (
     save_adc_pgm,
     save_adc_raw,
 )
-from dwspectral.core_image import Band, ClassLabel, SpectralStack
+from dwspectral.core_image import ClassLabel
 from dwspectral.errors import FormatError, ValidationError
 from dwspectral.physics import add_noise_to_stack
 
-
-def stack_of(values_per_band, b_values=(0.0, 500.0, 1000.0)):
-    h = len(values_per_band[0])
-    w = len(values_per_band[0][0])
-    bands = tuple(
-        Band(w, h, np.array(v, dtype=float)) for v in values_per_band
-    )
-    return SpectralStack(bands, b_values[: len(bands)])
+from conftest import stack_of
 
 
 class TestAdcMap:
@@ -62,9 +55,7 @@ class TestAdcMap:
         assert adc_map(stack, cfg).data[0, 0] == 0.0
 
     def test_fewer_than_two_bands_rejected(self):
-        fake = SimpleNamespace(
-            bands=[Band(1, 1, np.array([[1.0]]))], b_values=(0.0,)
-        )
+        fake = SimpleNamespace(data=np.ones((1, 1, 1)), b_values=(0.0,))
         with pytest.raises(ValidationError, match="at least 2 bands, got 1"):
             adc_map_raw(fake)
 
@@ -90,17 +81,11 @@ class TestAdcProperties:
     def test_invariant_under_common_band_scaling(self, default_volume):
         stacks, _ = default_volume
         stack = stacks[13]
-        scaled = SpectralStack(
-            tuple(
-                Band(b.width, b.height, b.data * 3.0, b.slice_index)
-                for b in stack.bands
-            ),
-            stack.b_values,
-        )
+        scaled = stack_of(stack.data * 3.0, stack.b_values)
         a = adc_map_raw(stack)
         b = adc_map_raw(scaled)
         # ratios cancel wherever signals sit above the epsilon floor
-        tissue = stack.bands[0].data > 1.0
+        tissue = stack.data[0] > 1.0
         np.testing.assert_allclose(a[tissue], b[tissue], rtol=1e-12)
 
     def test_noise_creates_background_artifacts(self, default_volume):

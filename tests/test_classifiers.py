@@ -35,7 +35,6 @@ from dwspectral.classifiers import (
 )
 from dwspectral.core_image import (
     FULL_SCALE,
-    Band,
     ClassLabel,
     LabelMap,
     SampleSet,
@@ -47,6 +46,8 @@ from dwspectral.errors import NumericalError, ValidationError
 from dwspectral.harness import ExperimentConfig, train_models
 from dwspectral.metrics import confusion, kappa
 from dwspectral.physics import add_noise_to_stack, default_phantom_spec, render_phantom
+
+from conftest import stack_of
 
 from test_core_image import pixel_features
 
@@ -564,20 +565,8 @@ class TestClassify:
         stack = stacks[0]
         rng = np.random.default_rng(0)
         perm = rng.permutation(stack.width * stack.height)
-        from dwspectral.core_image import Band as B, SpectralStack as S
-
-        permuted = S(
-            tuple(
-                B(
-                    b.width,
-                    b.height,
-                    b.data.ravel()[perm].reshape(b.height, b.width),
-                    b.slice_index,
-                )
-                for b in stack.bands
-            ),
-            stack.b_values,
-        )
+        pixels = stack.data.reshape(len(stack.data), -1)
+        permuted = stack_of(pixels[:, perm].reshape(stack.data.shape), stack.b_values)
         direct = classify(model, stack).labels.ravel()
         via_perm = classify(model, permuted).labels.ravel()
         inverse = np.empty_like(perm)
@@ -682,7 +671,7 @@ class TestBlockedClassify:
 class TestSharedPlanes:
     def test_stack_classifiers_build_the_planes_once(self, noisy_slice, monkeypatch):
         cfg, models, stack = noisy_slice
-        fresh = SpectralStack(stack.bands, stack.b_values)
+        fresh = SpectralStack(stack.data, stack.b_values)
         built = []
         build = SpectralStack.planes.func
 
@@ -755,11 +744,9 @@ class TestFirstBest:
         np.testing.assert_array_equal(_first_best(rows, largest=False), np.argmin(rows, axis=0))
 
 
-def stack_of(x):
-    """A one-slice 50x50 stack whose feature planes are about x (3, 2500):
-    two float32 screen blocks, the last partial."""
-    bands = [Band(50, 50, (row * FULL_SCALE).reshape(50, 50)) for row in x]
-    return SpectralStack(tuple(bands), (0.0, 500.0, 1000.0))
+# The stacks below are 50x50, whose 2500 pixels make two float32 screen
+# blocks, the last partial; feature planes x (3, 2500) become the stack
+# FULL_SCALE * x.reshape(3, 50, 50).
 
 
 def float64_labels(model, x):
@@ -838,7 +825,7 @@ class TestFloat32Screen:
         wo[k] = wo[i] + delta * rng.uniform(-1.0, 1.0, 61)
         wo[k, -1] += 61 * delta
         model = MlpModel(wh, wo)
-        image = stack_of(rng.uniform(0.0, 1.0, (3, 2500)))
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
         x = _feature_planes(model, image)
         assert classifiers._screen_bound(model, x) is not None
         got = classify(model, image).labels.ravel()
@@ -870,7 +857,8 @@ class TestFloat32Screen:
         wo[2] = wo[0]
         wo[2, -1] -= 1.0
         seen = counting_fallback(monkeypatch)
-        labels = classify(MlpModel(wh, wo), stack_of(rng.uniform(0.0, 1.0, (3, 2500)))).labels
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
+        labels = classify(MlpModel(wh, wo), image).labels
         assert np.all(labels == int(ClassLabel.CSF))
         assert seen == [2500]
 
@@ -886,7 +874,7 @@ class TestFloat32Screen:
         # on: the float64 output, with the folded bias cancelled back to b_k.
         rng = np.random.default_rng(23)
         model, x = saturating_model(rng, rng.uniform(-0.01, 0.01, (3, 61)))
-        image = stack_of(x)
+        image = stack_of(FULL_SCALE * x.reshape(3, 50, 50))
         x = _feature_planes(model, image)
         tau = classifiers._screen_bound(model, x)
         assert tau is not None
@@ -919,7 +907,7 @@ class TestFloat32Screen:
         wh[30:, :3] = 0.0
         wh[30:, 3] = 1e4
         model = MlpModel(wh, wo)
-        image = stack_of(x)
+        image = stack_of(FULL_SCALE * x.reshape(3, 50, 50))
         x = _feature_planes(model, image)
         assert classifiers._screen_bound(model, x) is not None
         z = classifiers._screen_pass(model, x.shape[1])(x)
@@ -969,7 +957,7 @@ class TestFloat32Screen:
         wo[0, :60] = 3 * tiny
         wo[1, -1] = 100 * tiny
         model = MlpModel(np.zeros((60, 4)), wo)
-        image = stack_of(np.full((3, 2500), 0.5))
+        image = stack_of(np.full((3, 50, 50), 0.5 * FULL_SCALE))
         assert classifiers._screen_bound(model, _feature_planes(model, image)) is None
         seen = counting_fallback(monkeypatch)
         assert np.all(classify(model, image).labels == int(ClassLabel.MATTER))
@@ -1019,7 +1007,7 @@ class TestFloat32Screen:
         centres = rng.uniform(0.0, 1.0, (3, 6))
         for level in levels:
             x = centres[:, rng.integers(0, 6, 2500)] + level * rng.standard_normal((3, 2500))
-            image = stack_of(np.clip(x, 0.0, 1.0))
+            image = stack_of(FULL_SCALE * np.clip(x, 0.0, 1.0).reshape(3, 50, 50))
             got = classify(model, image).labels.ravel()
             np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
         assert model.__dict__["_label_table"] is not None
@@ -1042,7 +1030,7 @@ class TestFloat32Screen:
         def pixels(low, high):  # band 0 in [low, high) / 64, bands 1 and 2 in cell 20
             x = rng.uniform(20 / 64, 21 / 64, (3, 2500))
             x[0] = rng.uniform(low / 64, high / 64, 2500)
-            return stack_of(x)
+            return stack_of(FULL_SCALE * x.reshape(3, 50, 50))
 
         csf_side = pixels(10.6, 11)
         for _ in range(3):
@@ -1067,7 +1055,7 @@ class TestFloat32Screen:
         rng = np.random.default_rng(3)
         model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), rng.uniform(-1.0, 1.0, (3, 61)))
         doc = model_to_json(model)
-        image = stack_of(rng.uniform(0.0, 1.0, (3, 2500)))
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
         first = classify(model, image).labels
         assert "_label_table" not in model.__dict__
         np.testing.assert_array_equal(classify(model, image).labels, first)
@@ -1078,7 +1066,7 @@ class TestFloat32Screen:
     def test_no_table_outside_the_cube(self):
         rng = np.random.default_rng(4)
         model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), rng.uniform(-1.0, 1.0, (3, 61)))
-        image = stack_of(rng.uniform(0.0, 1.5, (3, 2500)))
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.5, (3, 50, 50)))
         for _ in range(3):
             got = classify(model, image).labels.ravel()
             np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
@@ -1094,7 +1082,7 @@ class TestFloat32Screen:
         wo = np.zeros((3, 61))
         wo[0, :60], wo[1, :60] = 1.0, -1.0
         model = MlpModel(wh, wo)
-        image = stack_of(np.full((3, 2500), 0.5))
+        image = stack_of(np.full((3, 50, 50), 0.5 * FULL_SCALE))
         classify(model, image)
         classify(model, image)
         tau1 = 8 * 2.0**-24 * (60 * 18 + 64 * 60)

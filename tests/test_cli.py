@@ -178,7 +178,7 @@ class TestTrainClassifyEval:
     def test_eval_single_class_maps_exits_2(self, tmp_path, capsys):
         """Kappa is undefined when both maps hold one class (p_e = 1)."""
         single = tmp_path / "matter.pgm"
-        save_labelmap(LabelMap(4, 4, np.full((4, 4), int(ClassLabel.MATTER))), single)
+        save_labelmap(LabelMap(np.full((4, 4), int(ClassLabel.MATTER))), single)
         argv = ["eval", "--pred", single, "--truth", single, "--out", tmp_path / "r.json"]
         assert "kappa" in assert_one_error_line(argv, capsys)
 

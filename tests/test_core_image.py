@@ -23,9 +23,11 @@ from dwspectral.core_image import (
 )
 from dwspectral.errors import FormatError, ValidationError
 
+from conftest import stack_of
+
 
 def band(values, width, height, slice_index=0):
-    return Band(width, height, np.array(values, dtype=float).reshape(height, width), slice_index)
+    return Band(np.array(values, dtype=float).reshape(height, width), slice_index)
 
 
 def pixel_features(stack):
@@ -35,10 +37,6 @@ def pixel_features(stack):
 
 
 class TestBandInvariants:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="does not match"):
-            Band(2, 2, np.zeros((3, 2)))
-
     def test_negative_rejected(self):
         with pytest.raises(ValidationError, match="negative intensities"):
             band([0, -1, 2, 3], 2, 2)
@@ -62,7 +60,7 @@ class TestBandInvariants:
             band(values, 2, 2)
 
     def test_empty_band_accepted(self):
-        assert Band(0, 0, np.zeros((0, 0))).data.shape == (0, 0)
+        assert Band(np.zeros((0, 0))).data.shape == (0, 0)
 
     def test_negative_zero_accepted(self):
         b = band([-0.0, 1, 2, 3], 2, 2)
@@ -82,10 +80,10 @@ class TestBandInvariants:
         elif np.any(arr < 0):
             want = "negative intensities"
         else:
-            Band(4, 3, arr)
+            Band(arr)
             return
         with pytest.raises(ValidationError, match=want):
-            Band(4, 3, arr)
+            Band(arr)
 
     def test_data_is_immutable(self):
         b = band([1, 2, 3, 4], 2, 2)
@@ -111,7 +109,7 @@ class TestPgmRoundTrip:
     )
     def test_round_trip_is_identity(self, tmp_path_factory, values):
         h, w = values.shape
-        b = Band(w, h, values.astype(float))
+        b = Band(values.astype(float))
         path = tmp_path_factory.mktemp("pgm") / "b.pgm"
         save_band(b, path)
         np.testing.assert_array_equal(load_band(path).data, b.data)
@@ -158,25 +156,102 @@ class TestPgmFormatErrors:
 
 class TestStack:
     def test_b_values_must_start_at_zero(self):
-        b0 = band([1, 2, 3, 4], 2, 2)
         with pytest.raises(ValidationError):
-            SpectralStack((b0, b0), (500.0, 1000.0))
+            stack_of(np.ones((2, 2, 2)), (500.0, 1000.0))
 
     def test_b_values_strictly_increasing(self):
-        b0 = band([1, 2, 3, 4], 2, 2)
         with pytest.raises(ValidationError):
-            SpectralStack((b0, b0, b0), (0.0, 1000.0, 500.0))
+            stack_of(np.ones((3, 2, 2)), (0.0, 1000.0, 500.0))
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), "1000", True])
     def test_non_finite_or_non_number_b_value_rejected(self, value):
-        b0 = band([1, 2, 3, 4], 2, 2)
         with pytest.raises(ValidationError, match="b-value must be a finite number"):
-            SpectralStack((b0, b0, b0), (0.0, 500.0, value))
+            stack_of(np.ones((3, 2, 2)), (0.0, 500.0, value))
 
     def test_single_band_rejected(self):
-        b0 = band([1, 2, 3, 4], 2, 2)
         with pytest.raises(ValidationError):
-            SpectralStack((b0,), (0.0,))
+            stack_of(np.ones((1, 2, 2)), (0.0,))
+
+    def test_band_count_must_match_b_values(self):
+        with pytest.raises(ValidationError, match="3 bands but 2 b-values"):
+            SpectralStack(np.ones((3, 2, 2)), (0.0, 500.0))
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "stack contains non-finite intensities"),
+        (-1.0, "stack contains negative intensities"),
+    ])
+    def test_intensities_checked_across_all_bands(self, bad, message):
+        data = np.ones((3, 2, 2))
+        data[2, 1, 0] = bad
+        with pytest.raises(ValidationError, match=message):
+            stack_of(data)
+
+    def test_shape_and_bands_come_from_data(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        stack = SpectralStack(data, (0.0, 500.0), slice_index=7)
+        assert (stack.width, stack.height) == (4, 3)
+        assert not stack.data.flags.writeable and stack.data.flags.c_contiguous
+        assert [b.data.tolist() for b in stack.bands] == data.tolist()
+        assert all(b.slice_index == 7 and np.shares_memory(b.data, stack.data) for b in stack.bands)
+
+
+class TestDimensions:
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 2, 2)])
+    def test_band_must_be_2d(self, shape):
+        with pytest.raises(ValidationError, match=f"band data must be 2-D, got {len(shape)}-D"):
+            Band(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2), (2, 1, 2, 2)])
+    def test_stack_must_be_3d(self, shape):
+        with pytest.raises(ValidationError, match=f"stack data must be 3-D, got {len(shape)}-D"):
+            SpectralStack(np.ones(shape), (0.0, 500.0))
+
+    @pytest.mark.parametrize("shape", [(), (4,), (1, 2, 2)])
+    def test_label_map_must_be_2d(self, shape):
+        with pytest.raises(ValidationError, match=f"label map must be 2-D, got {len(shape)}-D"):
+            LabelMap(np.ones(shape))
+
+    def test_width_and_height_come_from_data(self):
+        assert (band(range(6), 3, 2).width, band(range(6), 3, 2).height) == (3, 2)
+        lm = LabelMap(np.ones((2, 3)))
+        assert (lm.width, lm.height) == (3, 2)
+
+
+def layouts(data):
+    """Views of ``data`` (n_bands, height, width) in other memory layouts,
+    none of them C-contiguous: band-interleaved pixels, column-major, and
+    a strided window into a larger array."""
+    interleaved = np.moveaxis(np.ascontiguousarray(np.moveaxis(data, 0, -1)), -1, 0)
+    window = np.zeros((data.shape[0], 2 * data.shape[1], data.shape[2] + 3))
+    window[:, ::2, 1:-2] = data
+    return {
+        "interleaved": interleaved,
+        "fortran": np.asfortranarray(data),
+        "strided": window[:, ::2, 1:-2],
+    }
+
+
+class TestAnyLayout:
+    """A stack copies data of any layout into one C-contiguous array, so
+    what it gives does not depend on how its input was laid out."""
+
+    @pytest.mark.parametrize("layout", ["interleaved", "fortran", "strided"])
+    def test_same_planes_noise_and_adc_as_contiguous_copy(self, small_volume, layout):
+        from dwspectral.adc import adc_map_raw
+        from dwspectral.physics import add_noise_to_stack
+
+        ref = small_volume[0][2]
+        view = layouts(ref.data)[layout]
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(view, ref.data)
+        stack = SpectralStack(view, ref.b_values, ref.slice_index)
+        assert stack.data.flags.c_contiguous
+        assert stack.planes.tobytes() == ref.planes.tobytes()
+        for xi in (0.0, 0.10):
+            got = add_noise_to_stack(stack, xi, seed=4)
+            want = add_noise_to_stack(ref, xi, seed=4)
+            assert got.data.tobytes() == want.data.tobytes()
+        assert adc_map_raw(stack).tobytes() == adc_map_raw(ref).tobytes()
 
 
 class TestManifest:
@@ -184,7 +259,7 @@ class TestManifest:
         paths = []
         for i, (w, h) in enumerate(shapes):
             p = tmp_path / f"band_{i}.pgm"
-            save_band(Band(w, h, np.full((h, w), 10.0 * (i + 1))), p)
+            save_band(Band(np.full((h, w), 10.0 * (i + 1))), p)
             paths.append(p.name)
         return paths
 
@@ -195,7 +270,7 @@ class TestManifest:
             json.dumps({"bands": names, "b_values": [0, 500, 1000], "slice_index": 13})
         )
         stack = load_stack(manifest)
-        assert len(stack.bands) == 3
+        assert stack.data.shape == (3, 3, 4)
         assert stack.b_values == (0.0, 500.0, 1000.0)
         assert stack.slice_index == 13
 
@@ -223,32 +298,32 @@ class TestManifest:
 class TestLabelMapIO:
     def test_round_trip(self, tmp_path):
         labels = np.array([[1, 2], [3, 1]])
-        lm = LabelMap(2, 2, labels)
+        lm = LabelMap(labels)
         path = tmp_path / "lm.pgm"
         save_labelmap(lm, path)
         np.testing.assert_array_equal(load_labelmap(path).labels, labels)
 
     def test_invalid_codes_rejected(self):
         with pytest.raises(ValidationError):
-            LabelMap(2, 2, np.array([[0, 1], [2, 3]]))
+            LabelMap(np.array([[0, 1], [2, 3]]))
 
     @pytest.mark.parametrize("bad", [0, 4, -1])
     def test_each_invalid_code_named(self, bad):
         with pytest.raises(ValidationError) as exc:
-            LabelMap(2, 2, np.array([[1, bad], [2, 3]]))
+            LabelMap(np.array([[1, bad], [2, 3]]))
         assert str(exc.value) == f"label map contains invalid labels [{bad}]"
 
     def test_all_invalid_codes_named_once(self):
         with pytest.raises(ValidationError, match=r"invalid labels \[-1, 0, 4\]$"):
-            LabelMap(3, 2, np.array([[4, 0, 1], [-1, 4, 3]]))
+            LabelMap(np.array([[4, 0, 1], [-1, 4, 3]]))
 
     def test_valid_and_empty_maps_accepted(self):
         labels = np.array([[1, 2, 3], [3, 2, 1]])
-        np.testing.assert_array_equal(LabelMap(3, 2, labels).labels, labels)
-        assert LabelMap(0, 0, np.empty((0, 0))).labels.size == 0
+        np.testing.assert_array_equal(LabelMap(labels).labels, labels)
+        assert LabelMap(np.empty((0, 0))).labels.size == 0
 
     def test_labels_are_uint8(self, tmp_path):
-        lm = LabelMap(2, 2, np.array([[1, 2], [3, 1]]))
+        lm = LabelMap(np.array([[1, 2], [3, 1]]))
         assert lm.labels.dtype == np.uint8
         save_labelmap(lm, tmp_path / "lm.pgm")
         assert load_labelmap(tmp_path / "lm.pgm").labels.dtype == np.uint8
@@ -257,43 +332,39 @@ class TestLabelMapIO:
     def test_codes_that_wrap_in_uint8_rejected(self, bad):
         # 256 and 257 would cast to 0 and 1, -255 to 1: the range is checked first.
         with pytest.raises(ValidationError) as exc:
-            LabelMap(2, 2, np.array([[1, bad], [2, 3]], dtype=np.int64))
+            LabelMap(np.array([[1, bad], [2, 3]], dtype=np.int64))
         assert str(exc.value) == f"label map contains invalid labels [{bad}]"
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, 2.0000001])
     def test_float_codes_must_be_whole(self, bad):
         with pytest.raises(ValidationError, match="non-integer labels"):
-            LabelMap(2, 2, np.array([[1.0, bad], [2.0, 3.0]]))
+            LabelMap(np.array([[1.0, bad], [2.0, 3.0]]))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, 4.0, 0.0])
     def test_float_codes_out_of_range_rejected(self, bad):
         with pytest.raises(ValidationError, match="invalid labels"):
-            LabelMap(2, 2, np.array([[1.0, bad], [2.0, 3.0]]))
+            LabelMap(np.array([[1.0, bad], [2.0, 3.0]]))
 
     def test_whole_float_codes_accepted(self):
-        lm = LabelMap(2, 2, np.array([[1.0, 2.0], [3.0, 1.0]]))
+        lm = LabelMap(np.array([[1.0, 2.0], [3.0, 1.0]]))
         assert lm.labels.tolist() == [[1, 2], [3, 1]]
 
     def test_non_numeric_codes_rejected(self):
         with pytest.raises(ValidationError, match="integer class codes"):
-            LabelMap(2, 1, np.array([["1", "2"]]))
+            LabelMap(np.array([["1", "2"]]))
 
 
 class TestExtractSamples:
-    def _stack(self, values, w, h):
-        bands = tuple(band(v, w, h) for v in values)
-        return SpectralStack(bands, tuple(float(b) for b in (0, 500, 1000)[: len(bands)]))
-
     def test_single_pixel_identity(self):
-        stack = self._stack([[100], [80], [60]], 1, 1)
-        lm = LabelMap(1, 1, np.array([[1]]))
+        stack = stack_of(np.reshape([100, 80, 60], (3, 1, 1)))
+        lm = LabelMap(np.array([[1]]))
         s = extract_samples(stack, lm)
         np.testing.assert_array_equal(s.features, pixel_features(stack))
         assert s.labels.tolist() == [int(ClassLabel.CSF)]
 
     def test_single_pixel_normalized(self):
-        stack = self._stack([[100], [80], [60]], 1, 1)
-        lm = LabelMap(1, 1, np.array([[1]]))
+        stack = stack_of(np.reshape([100, 80, 60], (3, 1, 1)))
+        lm = LabelMap(np.array([[1]]))
         s = extract_samples(stack, lm)
         np.testing.assert_allclose(
             s.features, [[100 / 65535, 80 / 65535, 60 / 65535]]
@@ -301,8 +372,8 @@ class TestExtractSamples:
 
     def test_row_major_order(self):
         values = [[0, 1, 2, 3], [10, 11, 12, 13], [20, 21, 22, 23]]
-        stack = self._stack(values, 2, 2)
-        lm = LabelMap(2, 2, np.array([[1, 2], [3, 2]]))
+        stack = stack_of(np.reshape(values, (3, 2, 2)))
+        lm = LabelMap(np.array([[1, 2], [3, 2]]))
         s = extract_samples(stack, lm)
         assert len(s) == 4
         expected = np.array([0, 1, 2, 3]) / FULL_SCALE
@@ -310,8 +381,8 @@ class TestExtractSamples:
         assert s.labels.tolist() == [1, 2, 3, 2]
 
     def test_dimension_mismatch(self):
-        stack = self._stack([[0, 1], [2, 3]], 2, 1)
-        lm = LabelMap(1, 1, np.array([[1]]))
+        stack = stack_of(np.reshape([[0, 1], [2, 3]], (2, 1, 2)))
+        lm = LabelMap(np.array([[1]]))
         with pytest.raises(ValidationError, match="does not match stack"):
             extract_samples(stack, lm)
 
@@ -324,15 +395,14 @@ class TestExtractSamples:
         )
     )
     def test_normalized_features_in_unit_interval(self, values):
-        bands = tuple(band(row, 3, 2) for row in np.vstack([values[0], values[1]]))
-        stack = SpectralStack(bands, (0.0, 500.0))
-        lm = LabelMap(3, 2, np.full((2, 3), 2))
+        stack = stack_of(values.reshape(2, 2, 3))
+        lm = LabelMap(np.full((2, 3), 2))
         s = extract_samples(stack, lm)
         assert s.features.min() >= 0.0 and s.features.max() <= 1.0
 
     def test_band_samples_scalar(self):
         b = band([5, 6, 7, 8], 2, 2)
-        lm = LabelMap(2, 2, np.full((2, 2), 2))
+        lm = LabelMap(np.full((2, 2), 2))
         s = extract_band_samples(b, lm)
         assert s.feature_dim == 1
         assert s.features.ravel().tolist() == [5, 6, 7, 8]

@@ -23,7 +23,6 @@ from dwspectral.classifiers import (
 from dwspectral.cli import main
 from dwspectral.core_image import (
     Band,
-    SpectralStack,
     load_band,
     load_labelmap,
     load_stack,
@@ -32,6 +31,8 @@ from dwspectral.core_image import (
 from dwspectral.errors import ValidationError
 from dwspectral.harness import load_experiment_config
 from dwspectral.physics import AcquisitionParams, load_phantom_spec, phantom_spec_to_json
+
+from conftest import stack_of
 
 DEEP = "[" * 100_000
 
@@ -132,8 +133,7 @@ def workdir(tmp_path_factory, valid_docs):
     documents name."""
     d = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
-    bands = tuple(Band(2, 2, rng.integers(0, 60000, (2, 2))) for _ in range(3))
-    save_stack(SpectralStack(bands, (0.0, 500.0, 1000.0)), d, prefix="valid")
+    save_stack(stack_of(rng.integers(0, 60000, (3, 2, 2))), d, prefix="valid")
     (d / "spec.json").write_text(json.dumps(valid_docs["spec"]))
     return d
 
@@ -262,7 +262,7 @@ def test_main_exits_1_on_overflowing_scores(workdir, tmp_path, capsys, name):
     model = OVERFLOWING_MODELS[name]
     save_model(model, tmp_path / "model.json")
     if name.startswith("ko-adc"):
-        save_adc_raw(Band(2, 2, np.array([[0.0, 1e-3], [2e-3, 3e-3]])), tmp_path / "adc.raw")
+        save_adc_raw(Band(np.array([[0.0, 1e-3], [2e-3, 3e-3]])), tmp_path / "adc.raw")
         image = ["--adc", tmp_path / "adc.raw"]
     else:
         image = ["--stack", workdir / "valid_manifest.json"]

@@ -207,9 +207,9 @@ class TestSweep:
                 noisy = add_noise_to_stack(stack, 0.10, 2)
                 preds.append(harness._classify_slice(name, models[name][2], noisy, cfg.adc))
             cm = merge_confusions(confusion(p, t) for p, t in zip(preds, baseline.truth))
-            cols = cm.counts.sum(axis=0)
-            shares = [100.0 * float(n) / cm.total for n in cols]
-            rep = volumes(preds)
+            labels = np.concatenate([p.labels.ravel() for p in preds])
+            shares = [100.0 * np.count_nonzero(labels == c) / labels.size for c in (1, 2, 3)]
+            rep = volumes(cm)
             assert [rep.v1, rep.v2, rep.v3] == shares
 
     def test_empty_levels_rejected(self, small_spec):

@@ -77,8 +77,8 @@ class TestConfusion:
     def _maps(self, truth, pred):
         truth = np.array(truth)
         return (
-            LabelMap(truth.shape[1], truth.shape[0], np.array(pred)),
-            LabelMap(truth.shape[1], truth.shape[0], truth),
+            LabelMap(np.array(pred)),
+            LabelMap(truth),
         )
 
     def test_counts_by_truth_row_pred_column(self):
@@ -110,36 +110,37 @@ class TestReport:
 
     def test_report_from_maps_identity(self):
         labels = np.array([[1, 2], [3, 2]])
-        lm = LabelMap(2, 2, labels)
+        lm = LabelMap(labels)
         report = metrics_report(lm, lm)
         assert report.phi == 1.0
         assert report.kappa == 1.0
 
 
 class TestVolumes:
-    def _lm(self, labels):
-        labels = np.array(labels)
-        return LabelMap(labels.shape[1], labels.shape[0], labels)
+    def _scored(self, pred, truth=None):
+        """The confusion matrix of ``pred`` against ``truth`` (default:
+        itself)."""
+        pred = LabelMap(np.array(pred))
+        return confusion(pred, pred if truth is None else LabelMap(np.array(truth)))
 
     def test_all_matter(self):
-        rep = volumes([self._lm([[2, 2], [2, 2]])])
+        rep = volumes(self._scored([[2, 2], [2, 2]]))
         assert (rep.v1, rep.v2, rep.v3) == (0.0, 100.0, 0.0)
         assert rep.fluid_matter_rate == 0.0
 
     def test_mixed_percentages(self):
         labels = [[1] * 10, [2] * 10, [2] * 10, [3] * 10, [3] * 10,
                   [3] * 10, [3] * 10, [3] * 10, [3] * 10, [3] * 10]
-        rep = volumes([self._lm(labels)])
+        rep = volumes(self._scored(labels))
         assert (rep.v1, rep.v2, rep.v3) == (10.0, 20.0, 70.0)
         assert rep.fluid_matter_rate == pytest.approx(0.5)
 
     def test_no_matter_gives_undefined_rate(self):
-        rep = volumes([self._lm([[1, 3], [3, 3]])])
+        rep = volumes(self._scored([[1, 3], [3, 3]]))
         assert rep.fluid_matter_rate is None
 
     def test_pooled_over_slices(self):
-        maps = [self._lm([[1, 1]]), self._lm([[2, 2]])]
-        rep = volumes(maps)
+        rep = volumes(merge_confusions([self._scored([[1, 1]]), self._scored([[2, 2]])]))
         assert (rep.v1, rep.v2, rep.v3) == (50.0, 50.0, 0.0)
         assert rep.fluid_matter_rate == pytest.approx(1.0)
 
@@ -147,5 +148,13 @@ class TestVolumes:
     @given(arrays(np.int64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
                   elements=st.integers(1, 3)))
     def test_percentages_sum_to_hundred(self, labels):
-        rep = volumes([self._lm(labels)])
+        rep = volumes(self._scored(labels))
         assert rep.v1 + rep.v2 + rep.v3 == pytest.approx(100.0, abs=1e-9)
+
+    def test_predicted_classes_counted_not_true_ones(self):
+        rep = volumes(self._scored([[2, 2], [2, 3]], truth=[[1, 1], [1, 1]]))
+        assert (rep.v1, rep.v2, rep.v3) == (0.0, 75.0, 25.0)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="volumes undefined for an empty matrix"):
+            volumes(cm(np.zeros((3, 3))))

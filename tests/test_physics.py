@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwspectral.core_image import FULL_SCALE, Band, ClassLabel, SpectralStack
+from dwspectral.core_image import FULL_SCALE, ClassLabel, SpectralStack
 from dwspectral.errors import ValidationError
 from dwspectral.physics import (
     AcquisitionParams,
@@ -21,6 +21,8 @@ from dwspectral.physics import (
     render_phantom,
     signal,
 )
+
+from conftest import stack_of
 
 CSF = TissueParams(rho=1.0, t2=2000.0, diffusion=3.0e-3)
 MATTER = TissueParams(rho=0.8, t2=90.0, diffusion=0.8e-3)
@@ -303,8 +305,7 @@ class TestShapeBounds:
 
 class TestNoise:
     def _stack(self, value=32768.0, n=128):
-        band = Band(n, n, np.full((n, n), value), slice_index=5)
-        return SpectralStack((band, band), (0.0, 500.0))
+        return stack_of(np.full((2, n, n), value), (0.0, 500.0))
 
     def test_zero_noise_is_identity(self):
         stack = self._stack()
