@@ -38,7 +38,8 @@ def adc_map_raw(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> np.ndarra
 
     Sums (C / b_i) * ln(f_1 / f_i) over all nonzero-b bands, with both
     signals floored at epsilon; optionally divided by the term count so a
-    constant-D noiseless pixel yields exactly C * D.
+    constant-D noiseless pixel yields exactly C * D; an overflow gives an
+    inf or NaN pixel, not a warning.
     """
     data = stack.data
     n = len(data)
@@ -46,17 +47,24 @@ def adc_map_raw(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> np.ndarra
         raise ValidationError(f"ADC needs at least 2 bands, got {n}")
     f1 = np.maximum(data[0], cfg.epsilon)
     out = np.zeros_like(f1)
-    for i in range(1, n):
-        fi = np.maximum(data[i], cfg.epsilon)
-        out += (cfg.c_const / stack.b_values[i]) * np.log(f1 / fi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            fi = np.maximum(data[i], cfg.epsilon)
+            out += (cfg.c_const / stack.b_values[i]) * np.log(f1 / fi)
     if cfg.normalize_by_terms:
         out /= n - 1
     return out
 
 
 def adc_map(stack: SpectralStack, cfg: AdcConfig = AdcConfig()) -> Band:
-    """ADC map as a Band; negative raw values are clamped to 0 for storage."""
-    return Band(np.maximum(adc_map_raw(stack, cfg), 0.0), stack.slice_index)
+    """ADC map as a Band, clamped at 0; an inf or NaN pixel raises ValidationError."""
+    clamped = np.maximum(adc_map_raw(stack, cfg), 0.0)
+    try:
+        return Band(clamped, stack.slice_index)
+    except ValidationError:
+        raise ValidationError(
+            f"ADC map of slice {stack.slice_index} is not finite: C / b or a signal ratio overflows"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +79,7 @@ def save_adc_raw(adc: Band, path) -> None:
     Path(path).write_bytes(header + adc.data.astype("<f8").tobytes())
 
 
-def load_adc_raw(path, slice_index: int = 0) -> Band:
+def load_adc_raw(path) -> Band:
     path = Path(path)
     data = path.read_bytes()
     if data[:4] != _RAW_MAGIC:
@@ -90,7 +98,7 @@ def load_adc_raw(path, slice_index: int = 0) -> Band:
             f"takes {expected}"
         )
     values = np.frombuffer(payload, dtype="<f8").reshape(height, width)
-    return Band(values, slice_index)
+    return Band(values)
 
 
 def save_adc_pgm(adc: Band, path) -> float:

@@ -377,7 +377,8 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     """Competitive training on a 3-neuron chain; labels in ``samples`` are
     ignored. Neurons start at 3 distinct seeded training samples; updates
     are winner-take-all with a radius-1 neighborhood during the early
-    fraction of iterations and a linearly decaying learning rate."""
+    fraction of iterations and a linearly decaying learning rate. Distances
+    that overflow give no warning here: ``winners`` raises on them."""
     x = samples.features
     n = x.shape[0]
     if n < SOM_NEURONS:
@@ -396,15 +397,16 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     w = np.stack(neurons)
 
     neighbor_cutoff = int(SOM_NEIGHBOR_PHASE * cfg.max_iters)
-    for t in range(cfg.max_iters):
-        xi = x[rng.integers(n)]
-        eta = cfg.eta0 * (1.0 - t / cfg.max_iters)
-        win = int(_first_best(_som_distances(w, xi[:, None]), largest=False)[0])
-        w[win] += eta * (xi - w[win])
-        if t < neighbor_cutoff:
-            for j in (win - 1, win + 1):
-                if 0 <= j < SOM_NEURONS:
-                    w[j] += eta * SOM_NEIGHBOR_WEIGHT * (xi - w[j])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.max_iters):
+            xi = x[rng.integers(n)]
+            eta = cfg.eta0 * (1.0 - t / cfg.max_iters)
+            win = int(_first_best(_som_distances(w, xi[:, None]), largest=False)[0])
+            w[win] += eta * (xi - w[win])
+            if t < neighbor_cutoff:
+                for j in (win - 1, win + 1):
+                    if 0 <= j < SOM_NEURONS:
+                        w[j] += eta * SOM_NEIGHBOR_WEIGHT * (xi - w[j])
     return SomModel(w, config=cfg)
 
 

@@ -287,11 +287,6 @@ def _write_pgm(path, pixels: np.ndarray, maxval: int) -> None:
     Path(path).write_bytes(header + pixels.tobytes())
 
 
-def load_band(path, slice_index: int = 0) -> Band:
-    """Read a 16-bit binary PGM (P5, maxval 65535) as a Band."""
-    return Band(_read_pgm(path, FULL_SCALE, ">u2").astype(np.float64), slice_index)
-
-
 def save_band(band: Band, path) -> None:
     """Write a Band as 16-bit binary PGM, rounding half-to-even."""
     rounded = np.rint(band.data)

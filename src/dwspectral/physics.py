@@ -66,13 +66,6 @@ DEFAULT_TISSUES = {
 }
 
 
-def b_value(gamma: float, gradient: float, te: float) -> float:
-    """Diffusion exponent of a spin-echo experiment: gamma^2 G^2 TE^3 / 3."""
-    if te <= 0:
-        raise ValidationError(f"TE must be > 0, got {te}")
-    return gamma * gamma * gradient * gradient * te**3 / 3.0
-
-
 def signal(tissue: TissueParams, acq: AcquisitionParams, band_index: int) -> float:
     """Noiseless voxel intensity K * rho * exp(-TE/T2) * exp(-b_i * D)."""
     if not 0 <= band_index < len(acq.b_values):

@@ -59,6 +59,20 @@ class TestAdcMap:
         with pytest.raises(ValidationError, match="at least 2 bands, got 1"):
             adc_map_raw(fake)
 
+    def test_overflow_gives_nan_then_names_the_map(self):
+        # C / b is inf and every log ratio is ln 1 = 0; a numpy warning
+        # would fail the test.
+        stack = stack_of(np.ones((3, 2, 2)), (0.0, 1e-300, 2e-300))
+        cfg = AdcConfig(c_const=1e10)
+        assert np.isnan(adc_map_raw(stack, cfg)).all()
+        with pytest.raises(ValidationError, match="ADC map of slice 0 is not finite"):
+            adc_map(stack, cfg)
+
+    def test_stack_errors_keep_their_message_in_adc_map(self):
+        fake = SimpleNamespace(data=np.ones((1, 1, 1)), b_values=(0.0,), slice_index=0)
+        with pytest.raises(ValidationError, match="at least 2 bands, got 1"):
+            adc_map(fake)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValidationError):
             AdcConfig(c_const=0.0)

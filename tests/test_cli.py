@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dwspectral import cli
+from dwspectral.adc import save_adc_raw
 from dwspectral.classifiers import SomModel, save_model
 from dwspectral.cli import main
-from dwspectral.core_image import ClassLabel, LabelMap, load_labelmap, save_labelmap
+from dwspectral.core_image import Band, ClassLabel, LabelMap, load_labelmap, save_labelmap
 from dwspectral.errors import FormatError, NumericalError, PipelineError, ValidationError
 from dwspectral.metrics import confusion, kappa
 from dwspectral.physics import phantom_spec_to_json
@@ -102,6 +103,18 @@ class TestAdcCommand:
         assert str(manifest) in err and message in err
         assert not (tmp_path / "x.adc").exists()
 
+    def test_non_finite_map_exits_2(self, phantom_dir, tmp_path, capsys):
+        """C / b overflows to inf, and inf * ln 1 is NaN on the background:
+        one error line naming the ADC map, and no numpy warning before it."""
+        doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())
+        doc["b_values"] = [0, 1e-300, 2e-300]
+        manifest = phantom_dir / "tiny_b_values.json"
+        manifest.write_text(json.dumps(doc))
+        argv = ["adc", "--stack", manifest, "--c", "1e10", "--out", tmp_path / "x"]
+        err = assert_one_error_line(argv, capsys)
+        assert "ADC map of slice 3 is not finite" in err
+        assert not (tmp_path / "x.adc").exists()
+
     @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, 0)])
     def test_classify_zero_dimension_adc_exits_2(self, tmp_path, capsys, width, height):
         model = tmp_path / "ko-adc.json"
@@ -174,6 +187,19 @@ class TestTrainClassifyEval:
         ) == 0
         k = kappa(confusion(load_labelmap(pred), load_labelmap(truth)))
         assert k >= 0.99
+
+    def test_ko_adc_overflowing_distances_exit_1(self, phantom_dir, tmp_path, capsys):
+        """Squared distances between ADC values near 1e200 overflow: one
+        internal-error line, and no numpy warning from training before it."""
+        truth = phantom_dir / "truth_03.pgm"
+        adc = tmp_path / "huge.adc"
+        values = np.random.default_rng(0).uniform(0.0, 1e200, load_labelmap(truth).labels.shape)
+        save_adc_raw(Band(values), adc)
+        argv = ["train", "--method", "ko-adc", "--adc", adc, "--labels", truth,
+                "--out", tmp_path / "m.json"]
+        assert main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err == "internal error: som model gave non-finite distances\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_eval_single_class_maps_exits_2(self, tmp_path, capsys):
         """Kappa is undefined when both maps hold one class (p_e = 1)."""

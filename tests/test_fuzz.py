@@ -23,7 +23,6 @@ from dwspectral.classifiers import (
 from dwspectral.cli import main
 from dwspectral.core_image import (
     Band,
-    load_band,
     load_labelmap,
     load_stack,
     save_stack,
@@ -152,8 +151,12 @@ class TestBinaryLoaders:
     @settings(max_examples=150)
     @given(data=st.binary(max_size=64) | pgm_like(65535))
     def test_load_band(self, workdir, data):
+        """A band PGM as load_stack reads it, through a two-band manifest
+        that names the file twice."""
         (workdir / "in.pgm").write_bytes(data)
-        only_validation_errors(load_band, workdir / "in.pgm")
+        manifest = workdir / "in.json"
+        manifest.write_text(json.dumps({"bands": ["in.pgm"] * 2, "b_values": [0, 500]}))
+        only_validation_errors(load_stack, manifest)
 
     @settings(max_examples=150)
     @given(data=st.binary(max_size=64) | pgm_like(255))

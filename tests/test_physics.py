@@ -15,7 +15,6 @@ from dwspectral.physics import (
     Shape,
     TissueParams,
     add_noise_to_stack,
-    b_value,
     default_phantom_spec,
     load_phantom_spec,
     render_phantom,
@@ -26,22 +25,6 @@ from conftest import stack_of
 
 CSF = TissueParams(rho=1.0, t2=2000.0, diffusion=3.0e-3)
 MATTER = TissueParams(rho=0.8, t2=90.0, diffusion=0.8e-3)
-
-
-class TestBValue:
-    def test_zero_gradient(self):
-        assert b_value(1.0, 0.0, 3.0) == 0.0
-
-    def test_hand_evaluation(self):
-        # 1 * 4 * 27 / 3
-        assert b_value(1.0, 2.0, 3.0) == pytest.approx(36.0)
-
-    def test_gamma_gradient_symmetry(self):
-        assert b_value(2.0, 1.0, 3.0) == pytest.approx(b_value(1.0, 2.0, 3.0))
-
-    def test_nonpositive_te_rejected(self):
-        with pytest.raises(ValidationError):
-            b_value(1.0, 1.0, 0.0)
 
 
 class TestConfigNumbers:

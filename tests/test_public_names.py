@@ -1,5 +1,6 @@
 """Every public function, class and method of the package is used by the
-package itself, so that no API exists for the tests alone."""
+package itself, so that no API exists for the tests alone. Only a read of
+a name counts as a use: importing it, as a re-export does, does not."""
 
 import ast
 from collections import Counter
@@ -29,16 +30,14 @@ def public_definitions(tree):
 
 
 def referenced_names(tree) -> Counter:
-    """How often each name is read, as a variable, an attribute or an
-    imported name, in ``tree``."""
+    """How often each name is read, as a variable or an attribute, in
+    ``tree``. An ``import`` binds a name but does not read it."""
     names = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            names[node.name] += 1
     return names
 
 
