@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,11 +106,16 @@ def save_adc_pgm(adc: Band, path) -> float:
     """Affine-rescaled 16-bit PGM plus a JSON sidecar recording the scale.
 
     Returns the scale factor; a pixel value v in the PGM decodes back to
-    approximately v / scale.
+    approximately v / scale. A peak so small that the scale overflows raises
+    ValidationError before anything is written.
     """
     path = Path(path)
     peak = float(adc.data.max())
     scale = FULL_SCALE / peak if peak > 0 else 1.0
+    if not math.isfinite(scale):  # the JSON sidecar cannot hold it
+        raise ValidationError(
+            f"ADC map peak {peak:g} is too small for a 16-bit PGM: {FULL_SCALE} / peak overflows"
+        )
     scaled = Band(adc.data * scale, adc.slice_index)
     save_band(scaled, path)
     sidecar = {"scale": scale, "peak": peak, "slice_index": adc.slice_index}

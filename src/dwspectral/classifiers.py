@@ -8,6 +8,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,11 +185,6 @@ def _sigmoid_of_negated(a: np.ndarray) -> np.ndarray:
     return np.reciprocal(a, out=a)
 
 
-def _sigmoid(x, out=None) -> np.ndarray:
-    """1 / (1 + exp(-x)), bit for bit, computed in ``out`` if given."""
-    return _sigmoid_of_negated(np.negative(x, out=out))
-
-
 def _layers(wh: np.ndarray, wo: np.ndarray, cols: int, activate):
     """A two-layer pass for feature planes (3, n) of up to ``cols`` pixels,
     whose hidden units are ``activate(wh @ xb)``, computed in place.
@@ -242,33 +238,118 @@ def _screen_pass(model: MlpModel, cols: int):
     return _layers(halved, folded.astype(np.float32), cols, _tanh_in_place)[0]
 
 
+# Training's flat weight buffer: -wh (60, 4), then -wo (3, 61).
+_HIDDEN_SIZE = MLP_HIDDEN * 4
+_WEIGHT_SIZE = _HIDDEN_SIZE + N_CLASSES * (MLP_HIDDEN + 1)
+
+
+class _Backprop(NamedTuple):
+    """The buffers of online backpropagation, all made once per training.
+
+    ``w`` holds the negated weights, -wh then -wo, in one flat buffer;
+    ``nh`` (60, 4) and ``no`` (3, 61) are its views, and ``no_hidden_t`` is
+    the transpose of no's first 60 columns. ``step`` is a flat buffer of
+    w's size, with views ``step_h`` and ``step_o``. ``hb`` (61,) holds the
+    hidden layer ``h`` and a last 1. The rest are the step's vectors, their
+    column views, and vectors of ones: a ufunc call with an array operand
+    costs less than one with the scalar 1.0."""
+
+    w: np.ndarray
+    nh: np.ndarray
+    no: np.ndarray
+    no_hidden_t: np.ndarray
+    step: np.ndarray
+    step_h: np.ndarray
+    step_o: np.ndarray
+    hb: np.ndarray
+    h: np.ndarray
+    omh: np.ndarray
+    d_hid: np.ndarray
+    y: np.ndarray
+    err: np.ndarray
+    d_out: np.ndarray
+    d_hid_col: np.ndarray
+    d_out_col: np.ndarray
+    ones_h: np.ndarray
+    ones_y: np.ndarray
+
+
+def _backprop_buffers(wh: np.ndarray, wo: np.ndarray) -> _Backprop:
+    """Buffers for training from weights wh (60, 4) and wo (3, 61)."""
+    w = np.empty(_WEIGHT_SIZE)
+    nh = w[:_HIDDEN_SIZE].reshape(MLP_HIDDEN, 4)
+    no = w[_HIDDEN_SIZE:].reshape(N_CLASSES, MLP_HIDDEN + 1)
+    np.negative(wh, out=nh)
+    np.negative(wo, out=no)
+    step = np.empty_like(w)
+    hb = np.ones(MLP_HIDDEN + 1)
+    d_hid, d_out = np.empty(MLP_HIDDEN), np.empty(N_CLASSES)
+    return _Backprop(
+        w=w, nh=nh, no=no, no_hidden_t=no[:, :MLP_HIDDEN].T,
+        step=step,
+        step_h=step[:_HIDDEN_SIZE].reshape(nh.shape),
+        step_o=step[_HIDDEN_SIZE:].reshape(no.shape),
+        hb=hb, h=hb[:MLP_HIDDEN], omh=np.empty(MLP_HIDDEN), d_hid=d_hid,
+        y=np.empty(N_CLASSES), err=np.empty(N_CLASSES), d_out=d_out,
+        d_hid_col=d_hid[:, None], d_out_col=d_out[:, None],
+        ones_h=np.ones(MLP_HIDDEN), ones_y=np.ones(N_CLASSES),
+    )
+
+
+def _backprop_weights(b: _Backprop) -> tuple[np.ndarray, np.ndarray]:
+    """(wh, wo), new arrays, from the negated weights in ``b``."""
+    # 0 - w, not -w: a weight that cancels to +0 is +0 unnegated too
+    return 0.0 - b.nh, 0.0 - b.no
+
+
+def _step_rates(eta: float) -> np.ndarray:
+    """The rates _backprop_step scales its step by: -eta for the hidden
+    weights, whose delta it computes with its sign flipped, and eta for the
+    output weights."""
+    rates = np.full(_WEIGHT_SIZE, eta)
+    rates[:_HIDDEN_SIZE] = -eta
+    return rates
+
+
 def _backprop_step(
-    wh: np.ndarray, wo: np.ndarray, xi: np.ndarray, ti: np.ndarray,
-    eta: float, hb: np.ndarray, steps: tuple[np.ndarray, np.ndarray],
+    b: _Backprop, xi: np.ndarray, ti: np.ndarray, rates: np.ndarray
 ) -> float:
     """One online backpropagation step on sample ``xi`` (its features and a
     last 1) with targets ``ti``; returns the squared error |y - t|^2 of the
     step's forward pass.
 
     The step writes eta times the gradient of the sample's loss
-    0.5 * |y - t|^2 into ``steps`` = (step_wh, step_wo) and subtracts it from
-    ``wh`` and ``wo`` in place. ``hb`` (61,) holds the hidden layer and a
-    last 1; the step overwrites the hidden layer."""
-    step_wh, step_wo = steps
-    h = hb[:MLP_HIDDEN]
-    _sigmoid(np.matmul(wh, xi, out=h), out=h)
-    y = _sigmoid(wo @ hb)
-    err = y - ti
-    sq_err = float(err @ err)
-    d_out = err * y * (1.0 - y)
-    d_hid = (wo[:, :MLP_HIDDEN].T @ d_out) * h * (1.0 - h)
-    # wo -= eta * outer(d_out, hb), and the same for wh, in place
-    np.multiply.outer(d_out, hb, out=step_wo)
-    step_wo *= eta
-    wo -= step_wo
-    np.multiply.outer(d_hid, xi, out=step_wh)
-    step_wh *= eta
-    wh -= step_wh
+    0.5 * |y - t|^2 with respect to (wh, wo), flattened, into ``b.step``
+    and adds it to the negated weights ``b.w``, which subtracts it from
+    (wh, wo). ``rates`` is _step_rates(eta). Negating is exact, so every
+    rounding is that of the same step taken on (wh, wo). Each line is one
+    numpy call into a buffer of ``b``: the step's cost is call overhead."""
+    (w, nh, no, no_hidden_t, step, step_h, step_o, hb, h, omh, d_hid,
+     y, err, d_out, d_hid_col, d_out_col, ones_h, ones_y) = b
+    # (-wh) @ xi is bitwise -(wh @ xi), so h = 1 / (1 + exp(-(wh @ xi)))
+    np.dot(nh, xi, out=h)
+    np.exp(h, out=h)
+    np.add(h, ones_h, out=h)
+    np.reciprocal(h, out=h)
+    np.dot(no, hb, out=y)
+    np.exp(y, out=y)
+    np.add(y, ones_y, out=y)
+    np.reciprocal(y, out=y)
+    np.subtract(y, ti, out=err)
+    sq_err = float(err.dot(err))
+    # d_out = (y - t) * y * (1 - y)
+    np.multiply(err, y, out=err)
+    np.subtract(ones_y, y, out=d_out)
+    np.multiply(d_out, err, out=d_out)
+    # d_hid = -(wo^T d_out) * h * (1 - h), the hidden delta negated
+    np.matmul(no_hidden_t, d_out, out=d_hid)
+    np.multiply(d_hid, h, out=d_hid)
+    np.subtract(ones_h, h, out=omh)
+    np.multiply(d_hid, omh, out=d_hid)
+    np.multiply(d_out_col, hb, out=step_o)
+    np.multiply(d_hid_col, xi, out=step_h)
+    np.multiply(step, rates, out=step)
+    np.add(w, step, out=w)
     return sq_err
 
 
@@ -286,30 +367,30 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
     targets = _one_hot(samples.labels, low=0.1, high=0.9)
 
     rng = np.random.default_rng(cfg.seed)
-    wh = rng.uniform(-0.5, 0.5, size=(MLP_HIDDEN, 4))
-    wo = rng.uniform(-0.5, 0.5, size=(N_CLASSES, MLP_HIDDEN + 1))
+    b = _backprop_buffers(
+        rng.uniform(-0.5, 0.5, size=(MLP_HIDDEN, 4)),
+        rng.uniform(-0.5, 0.5, size=(N_CLASSES, MLP_HIDDEN + 1)),
+    )
 
     n = x.shape[0]
     # Each sample's features and a last 1, in one contiguous row: the
     # features of a stack's samples are a transposed view of its planes.
     xb = np.ones((n, 4))
     xb[:, :-1] = x
-    hb = np.ones(MLP_HIDDEN + 1)  # the hidden layer and its bias
-    steps = (np.empty_like(wh), np.empty_like(wo))
     epochs_run = cfg.max_epochs
     for epoch in range(cfg.max_epochs):
-        eta = cfg.eta0 * (1.0 - epoch / cfg.max_epochs)
+        rates = _step_rates(cfg.eta0 * (1.0 - epoch / cfg.max_epochs))
         order = rng.permutation(n)
         sq_err = 0.0
-        for idx in order:
-            sq_err += _backprop_step(wh, wo, xb[idx], targets[idx], eta, hb, steps)
+        for xi, ti in zip(xb[order], targets[order]):
+            sq_err += _backprop_step(b, xi, ti, rates)
         mse = sq_err / (n * N_CLASSES)
         if not np.isfinite(mse):
             raise NumericalError(f"MLP diverged at epoch {epoch}")
         if mse <= cfg.target_error:
             epochs_run = epoch + 1
             break
-    return MlpModel(wh, wo, config=cfg, epochs_run=epochs_run)
+    return MlpModel(*_backprop_weights(b), config=cfg, epochs_run=epochs_run)
 
 
 # ---------------------------------------------------------------------------

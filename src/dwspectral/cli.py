@@ -5,6 +5,7 @@ the pipeline is independently inspectable."""
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -69,7 +70,7 @@ def _write_run_record(args, target: Path) -> None:
         "flags": {
             k: str(v)
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "command") and v is not None
+            if k != "command" and v is not None
         },
         "input_digests": {p: _sha256(p) for p in inputs if Path(p).is_file()},
     }
@@ -108,8 +109,9 @@ def cmd_adc(args) -> Path:
     )
     band = adc_map(load_stack(args.stack), cfg)
     out = Path(args.out)
-    save_adc_raw(band, out.with_suffix(".adc"))
+    # The PGM first: it checks its scale before either file is written.
     save_adc_pgm(band, out.with_suffix(".pgm"))
+    save_adc_raw(band, out.with_suffix(".adc"))
     return _record_beside(out.with_suffix(".adc"))
 
 
@@ -174,7 +176,10 @@ def cmd_sweep(args) -> Path:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``main`` runs the
+    ``cmd_<command>`` that the module holds when it is called."""
     parser = argparse.ArgumentParser(
         prog="dwspectral",
         description="Diffusion-weighted MR phantom synthesis, ADC maps, "
@@ -182,24 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = sub.add_parser
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("phantom", cmd_phantom, "render a synthetic labeled DW-MR volume")
+    p = add("phantom", help="render a synthetic labeled DW-MR volume")
     p.add_argument("--spec", help="phantom spec JSON (default: built-in head)")
     p.add_argument("--acq", help="acquisition params JSON")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("noise", cmd_noise, "add seeded Gaussian noise to a stack")
+    p = add("noise", help="add seeded Gaussian noise to a stack")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--stack", required=True, help="stack manifest JSON")
     p.add_argument("--xi", type=float, required=True, help="sigma as fraction of full scale")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("adc", cmd_adc, "compute the ADC map of a stack")
+    p = add("adc", help="compute the ADC map of a stack")
     p.add_argument("--stack", required=True, help="stack manifest JSON")
     p.add_argument("--c", type=float, default=1.0, help="proportionality constant")
     p.add_argument(
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1.0, help="signal floor")
     p.add_argument("--out", required=True, help="output base path (.adc/.pgm)")
 
-    p = add("train", cmd_train, "train a classifier on a labeled image")
+    p = add("train", help="train a classifier on a labeled image")
     p.add_argument("--seed", type=int, default=0, help="MLP/SOM training seed")
     p.add_argument("--method", required=True, choices=("po", "mlp", "ko", "ko-adc"))
     p.add_argument("--stack", help="stack manifest JSON")
@@ -219,22 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="truth label map PGM")
     p.add_argument("--out", required=True, help="output model JSON")
 
-    p = add("classify", cmd_classify, "classify a stack or ADC map")
+    p = add("classify", help="classify a stack or ADC map")
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--stack", help="stack manifest JSON")
     p.add_argument("--adc", help="raw ADC file")
     p.add_argument("--out", required=True, help="output label map PGM")
 
-    p = add("eval", cmd_eval, "score a prediction against a truth map")
+    p = add("eval", help="score a prediction against a truth map")
     p.add_argument("--pred", required=True, help="predicted label map PGM")
     p.add_argument("--truth", required=True, help="truth label map PGM")
     p.add_argument("--out", required=True, help="output report JSON")
 
-    p = add("baseline", cmd_baseline, "noiseless end-to-end experiment")
+    p = add("baseline", help="noiseless end-to-end experiment")
     p.add_argument("--config", help="experiment config JSON (default config otherwise)")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("sweep", cmd_sweep, "noise-robustness sweep")
+    p = add("sweep", help="noise-robustness sweep")
     p.add_argument("--config", help="experiment config JSON (default config otherwise)")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -243,9 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Read at each call, so that a cmd_* replaced on the module is the one run.
+    command = {
+        "phantom": cmd_phantom, "noise": cmd_noise, "adc": cmd_adc,
+        "train": cmd_train, "classify": cmd_classify, "eval": cmd_eval,
+        "baseline": cmd_baseline, "sweep": cmd_sweep,
+    }[args.command]
     try:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        _write_run_record(args, args.func(args))
+        _write_run_record(args, command(args))
         return 0
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from test_classifiers import (  # reuse the oracle datasets and references
     best_linear_accuracy,
     reference_po_labels,
 )
-from dwspectral.classifiers import train_polynomial
+from dwspectral.classifiers import _backprop_buffers, train_polynomial
 
 
 @pytest.fixture(scope="module")
@@ -93,17 +93,16 @@ def test_criterion_3_mlp_gradient_check(capsys):
     central finite differences of that sample's loss 0.5 * |y - t|^2."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
-    wh = rng.uniform(-0.5, 0.5, (60, 4))
-    wo = rng.uniform(-0.5, 0.5, (3, 61))
+    b = _backprop_buffers(rng.uniform(-0.5, 0.5, (60, 4)), rng.uniform(-0.5, 0.5, (3, 61)))
     xb = np.hstack([rng.random((25, 3)), np.ones((25, 1))])
     t = np.full((25, 3), 0.1)
     t[np.arange(25), rng.integers(0, 3, 25)] = 0.9
-    coords = [(0, i) for i in rng.choice(wh.size, 10, replace=False)]
-    coords += [(1, i) for i in rng.choice(wo.size, 10, replace=False)]
+    coords = [(0, i) for i in rng.choice(b.nh.size, 10, replace=False)]
+    coords += [(1, i) for i in rng.choice(b.no.size, 10, replace=False)]
     worst = 0.0
     applied = True
     for xi, ti in zip(xb, t):
-        _, step_applied, errors = backprop_step_errors(wh, wo, xi, ti, 0.2, coords)
+        _, step_applied, errors = backprop_step_errors(b, xi, ti, 0.2, coords)
         applied = applied and step_applied
         worst = max(worst, *errors)
     elapsed = time.perf_counter() - t0

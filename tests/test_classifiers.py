@@ -18,11 +18,14 @@ from dwspectral.classifiers import (
     PolyModel,
     SomConfig,
     SomModel,
+    _backprop_buffers,
     _backprop_step,
+    _backprop_weights,
     _feature_planes,
     _first_best,
     _mlp_pass,
-    _sigmoid,
+    _sigmoid_of_negated,
+    _step_rates,
     classify,
     expand_quadratic,
     label_som,
@@ -99,19 +102,55 @@ def reference_sample_loss(wh, wo, xi, ti):
     return 0.5 * float(np.sum((y - ti) ** 2))
 
 
-def backprop_step_errors(wh, wo, xi, ti, eta, coords, step=1e-5):
-    """Take one _backprop_step on sample (xi, ti), in place, as train_mlp
-    does. Returns its squared error; whether the weights moved by exactly
-    the step it wrote into its step buffers; and, at each of ``coords``
-    (0 for wh or 1 for wo, and a flat index), the relative error between
-    that step divided by ``eta`` and the central finite difference of the
-    sample's loss at the weights before the step."""
-    before = (wh.copy(), wo.copy())
-    steps = (np.empty_like(wh), np.empty_like(wo))
-    sq_err = _backprop_step(wh, wo, xi, ti, eta, np.ones(MLP_HIDDEN + 1), steps)
-    applied = all(
-        np.array_equal(w, w0 - s) for w, w0, s in zip((wh, wo), before, steps)
-    )
+def reference_backprop_step(wh, wo, xi, ti, eta):
+    """One online backpropagation step on (wh, wo) themselves, in place, in
+    the arithmetic train_mlp used before it kept its weights negated: the
+    sample ``xi`` (its features and a last 1), targets ``ti``. Returns the
+    squared error |y - t|^2 of the step's forward pass."""
+    h = reference_sigmoid(wh @ xi)
+    hb = np.append(h, 1.0)
+    y = reference_sigmoid(wo @ hb)
+    err = y - ti
+    sq_err = float(err @ err)
+    d_out = err * y * (1.0 - y)
+    d_hid = (wo[:, :MLP_HIDDEN].T @ d_out) * h * (1.0 - h)
+    wo -= np.outer(d_out, hb) * eta
+    wh -= np.outer(d_hid, xi) * eta
+    return sq_err
+
+
+def reference_train_mlp(samples, cfg):
+    """train_mlp as a plain loop over reference_backprop_step: the initial
+    weights, then one permutation per epoch, from one default_rng(seed).
+    Returns (wh, wo, epochs_run)."""
+    rng = np.random.default_rng(cfg.seed)
+    wh = rng.uniform(-0.5, 0.5, size=(60, 4))
+    wo = rng.uniform(-0.5, 0.5, size=(3, 61))
+    n = len(samples)
+    xb = np.hstack([samples.features, np.ones((n, 1))])
+    targets = np.where(samples.labels[:, None] == np.arange(1, 4), 0.9, 0.1)
+    for epoch in range(cfg.max_epochs):
+        eta = cfg.eta0 * (1.0 - epoch / cfg.max_epochs)
+        sq_err = 0.0
+        for idx in rng.permutation(n):
+            sq_err += reference_backprop_step(wh, wo, xb[idx], targets[idx], eta)
+        if sq_err / (n * 3) <= cfg.target_error:
+            return wh, wo, epoch + 1
+    return wh, wo, cfg.max_epochs
+
+
+def backprop_step_errors(b, xi, ti, eta, coords, step=1e-5):
+    """Take one _backprop_step on sample (xi, ti), in place on the buffers
+    ``b``, as train_mlp does. Returns its squared error; whether the negated
+    weights moved by exactly the step it wrote into ``b.step``; and, at each
+    of ``coords`` (0 for wh or 1 for wo, and a flat index), the relative
+    error between that step divided by ``eta`` and the central finite
+    difference of the sample's loss at the weights (wh, wo) before the step."""
+    before = _backprop_weights(b)
+    w0 = b.w.copy()
+    sq_err = _backprop_step(b, xi, ti, _step_rates(eta))
+    applied = np.array_equal(b.w, w0 + b.step)
+    steps = (b.step_h, b.step_o)
     errors = []
     for k, flat in coords:
         idx = np.unravel_index(flat, before[k].shape)
@@ -308,16 +347,17 @@ class TestMlp:
         """Each online step is eta times the gradient of its sample's loss:
         20 samples in turn, 20 coordinates of each layer."""
         rng = np.random.default_rng(42)
-        wh = rng.uniform(-0.5, 0.5, (60, 4))
-        wo = rng.uniform(-0.5, 0.5, (3, 61))
+        b = _backprop_buffers(
+            rng.uniform(-0.5, 0.5, (60, 4)), rng.uniform(-0.5, 0.5, (3, 61))
+        )
         xb = np.hstack([rng.random((20, 3)), np.ones((20, 1))])
         t = np.full((20, 3), 0.1)
         t[np.arange(20), rng.integers(0, 3, 20)] = 0.9
-        coords = [(0, i) for i in rng.choice(wh.size, size=20, replace=False)]
-        coords += [(1, i) for i in rng.choice(wo.size, size=20, replace=False)]
+        coords = [(0, i) for i in rng.choice(b.nh.size, size=20, replace=False)]
+        coords += [(1, i) for i in rng.choice(b.no.size, size=20, replace=False)]
         for xi, ti in zip(xb, t):
-            loss = reference_sample_loss(wh, wo, xi, ti)
-            sq_err, applied, errors = backprop_step_errors(wh, wo, xi, ti, 0.2, coords)
+            loss = reference_sample_loss(*_backprop_weights(b), xi, ti)
+            sq_err, applied, errors = backprop_step_errors(b, xi, ti, 0.2, coords)
             assert applied
             assert sq_err == pytest.approx(2 * loss, rel=1e-12)
             assert max(errors) <= 1e-4
@@ -344,16 +384,41 @@ class TestMlp:
         assert model.epochs_run == 2 and len(calls) == 2 * len(samples)
 
         rng = np.random.default_rng(cfg.seed)
-        wh = rng.uniform(-0.5, 0.5, size=(60, 4))
-        wo = rng.uniform(-0.5, 0.5, size=(3, 61))
+        b = _backprop_buffers(
+            rng.uniform(-0.5, 0.5, size=(60, 4)), rng.uniform(-0.5, 0.5, size=(3, 61))
+        )
         xb = np.hstack([samples.features, np.ones((len(samples), 1))])
         targets = np.where(samples.labels[:, None] == np.arange(1, 4), 0.9, 0.1)
-        hb = np.ones(61)
-        steps = (np.empty_like(wh), np.empty_like(wo))
         for epoch in range(cfg.max_epochs):
-            eta = cfg.eta0 * (1.0 - epoch / cfg.max_epochs)
+            rates = _step_rates(cfg.eta0 * (1.0 - epoch / cfg.max_epochs))
             for idx in rng.permutation(len(samples)):
-                step(wh, wo, xb[idx], targets[idx], eta, hb, steps)
+                step(b, xb[idx], targets[idx], rates)
+        wh, wo = _backprop_weights(b)
+        assert model.hidden_weights.tobytes() == wh.tobytes()
+        assert model.output_weights.tobytes() == wo.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_epochs=st.integers(2, 4),
+        data=st.data(),
+    )
+    def test_matches_the_positive_weight_reference(self, seed, max_epochs, data):
+        """Training on the negated flat buffer gives the weights and epoch
+        count of the plain positive-weight loop, bit for bit, over several
+        epochs: the target error is never reached, so eta decays."""
+        n = data.draw(st.integers(3, 24))
+        features = data.draw(arrays(np.float64, (n, 3), elements=st.floats(0.0, 1.0)))
+        labels = data.draw(
+            arrays(np.int64, n, elements=st.integers(1, 3)).filter(
+                lambda a: np.unique(a).size >= 2
+            )
+        )
+        samples = SampleSet(features, labels)
+        cfg = MlpConfig(target_error=1e-12, max_epochs=max_epochs, seed=seed)
+        model = train_mlp(samples, cfg)
+        wh, wo, epochs_run = reference_train_mlp(samples, cfg)
+        assert model.epochs_run == epochs_run == max_epochs
         assert model.hidden_weights.tobytes() == wh.tobytes()
         assert model.output_weights.tobytes() == wo.tobytes()
 
@@ -366,15 +431,15 @@ class TestMlpForwardPass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="ignore"):
-                got = _sigmoid(x)
+                got = _sigmoid_of_negated(-x)
         assert got.tobytes() == reference_sigmoid(x).tobytes()
         assert got[0] == 0.0 and got[-4] == 1.0
 
     def test_sigmoid_in_place(self):
         x = np.linspace(-30.0, 30.0, 101)
-        want = reference_sigmoid(x)
-        assert _sigmoid(x, out=x) is x
-        assert x.tobytes() == want.tobytes()
+        a = -x
+        assert _sigmoid_of_negated(a) is a
+        assert a.tobytes() == reference_sigmoid(x).tobytes()
 
     def test_negated_weights_identity(self):
         rng = np.random.default_rng(5)

@@ -115,6 +115,15 @@ class TestAdcCommand:
         assert "ADC map of slice 3 is not finite" in err
         assert not (tmp_path / "x.adc").exists()
 
+    def test_pgm_scale_overflow_exits_2(self, phantom_dir, tmp_path, capsys):
+        """A finite map whose peak is below 65535 / 1.8e308: its PGM scale
+        overflows, so one error line names the peak and no file is left."""
+        manifest = phantom_dir / "slice_03_manifest.json"
+        argv = ["adc", "--stack", manifest, "--c", "1e-310", "--out", tmp_path / "a"]
+        err = assert_one_error_line(argv, capsys)
+        assert "is too small for a 16-bit PGM" in err and "ADC map peak " in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("width, height", [(0, 0), (0, 5), (5, 0)])
     def test_classify_zero_dimension_adc_exits_2(self, tmp_path, capsys, width, height):
         model = tmp_path / "ko-adc.json"
@@ -576,6 +585,26 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_phantom", fail)
         assert main(["phantom", "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+class TestDispatch:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_replaced_command_runs_after_a_first_call(self, monkeypatch, tmp_path):
+        """main runs the cmd_* that the module holds at the call, not one
+        bound when the parser was built."""
+        assert main(["phantom", "--out", str(tmp_path / "first")]) == 0
+        calls = []
+
+        def replaced(args):
+            calls.append(args.out)
+            return tmp_path / "run.json"
+
+        monkeypatch.setattr(cli, "cmd_phantom", replaced)
+        assert main(["phantom", "--out", str(tmp_path / "second")]) == 0
+        assert calls == [str(tmp_path / "second")]
+        assert json.loads((tmp_path / "run.json").read_text())["command"] == "phantom"
 
 
 class TestArgumentErrors:
