@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
+# Imports every name of perfbench/layers.py CLI_CALLS, called here or not: the tracer wraps them.
 from .adc import AdcConfig, adc_map, load_adc_raw, save_adc_pgm, save_adc_raw
 from .classifiers import (
-    MlpConfig,
-    SomConfig,
     classify,
     label_som,
     load_model,
@@ -36,10 +35,12 @@ from .core_image import (
 )
 from .errors import PipelineError, ValidationError
 from .harness import (
+    CLASSIFIERS,
     ExperimentConfig,
     load_experiment_config,
     run_baseline,
     run_sweep,
+    training_samples,
 )
 from .metrics import metrics_report, volumes
 from .physics import (
@@ -115,39 +116,32 @@ def cmd_adc(args) -> Path:
     return _record_beside(out.with_suffix(".adc"))
 
 
+def _stack_or_adc(args, need: str):
+    """The image of the one of --stack and --adc given; ``need`` is the
+    error when neither is. Both at once is refused: one would be ignored."""
+    if args.stack and args.adc:
+        raise ValidationError(f"{need}, not both")
+    if args.stack:
+        return load_stack(args.stack)
+    if args.adc:
+        return load_adc_raw(args.adc)
+    raise ValidationError(need)
+
+
 def cmd_train(args) -> Path:
-    labels = load_labelmap(args.labels)
-    if args.method == "ko-adc":
-        if args.adc:
-            band = load_adc_raw(args.adc)
-        elif args.stack:
-            band = adc_map(load_stack(args.stack), AdcConfig())
-        else:
-            raise ValidationError("ko-adc training needs --adc or --stack")
-        samples = extract_band_samples(band, labels)
-        model = train_ko_adc(samples, SomConfig(seed=args.seed))
-    else:
-        if not args.stack:
-            raise ValidationError(f"{args.method} training needs --stack")
-        samples = extract_samples(load_stack(args.stack), labels)
-        if args.method == "po":
-            model = train_polynomial(samples)
-        elif args.method == "mlp":
-            model = train_mlp(samples, MlpConfig(seed=args.seed))
-        else:  # ko
-            model = label_som(train_som(samples, SomConfig(seed=args.seed)), samples)
-    save_model(model, args.out)
+    input, train = CLASSIFIERS[args.method.upper()]
+    if input == "stack" and args.adc:
+        raise ValidationError(f"{args.method} training needs --stack, not --adc")
+    need = "--adc or --stack" if input == "adc" else "--stack"
+    image = _stack_or_adc(args, f"{args.method} training needs {need}")
+    samples = training_samples(input, image, load_labelmap(args.labels), AdcConfig())
+    save_model(train(samples, (args.seed,))[args.seed], args.out)
     return _record_beside(Path(args.out))
 
 
 def cmd_classify(args) -> Path:
     model = load_model(args.model)
-    if args.stack:
-        image = load_stack(args.stack)
-    elif args.adc:
-        image = load_adc_raw(args.adc)
-    else:
-        raise ValidationError("classify needs --stack or --adc")
+    image = _stack_or_adc(args, "classify needs --stack or --adc")
     save_labelmap(classify(model, image), args.out)
     return _record_beside(Path(args.out))
 
@@ -214,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train", help="train a classifier on a labeled image")
     p.add_argument("--seed", type=int, default=0, help="MLP/SOM training seed")
-    p.add_argument("--method", required=True, choices=("po", "mlp", "ko", "ko-adc"))
+    p.add_argument("--method", required=True, choices=[c.lower() for c in CLASSIFIERS])
     p.add_argument("--stack", help="stack manifest JSON")
     p.add_argument("--adc", help="raw ADC file (ko-adc)")
     p.add_argument("--labels", required=True, help="truth label map PGM")

@@ -23,6 +23,7 @@ from .classifiers import (
     train_som,
 )
 from .core_image import (
+    SpectralStack,
     config_from_json,
     extract_band_samples,
     extract_samples,
@@ -49,10 +50,31 @@ from .physics import (
     render_phantom,
 )
 
-CLASSIFIER_NAMES = ("PO", "MLP", "KO", "KO-ADC")
 DEFAULT_NOISE_LEVELS = tuple(i / 100.0 for i in range(1, 21))
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 SWEEP_CSV_HEADER = "classifier,xi_max,seed,kappa,phi,v1,v2,v3,rate"
+
+
+# name -> (input, train): input is "stack" or "adc", the slice's ADC map, and
+# train(samples, seeds) -> {seed: model}, one PO model for all seeds. They call
+# this module's train_* names, which the benchmark replaces here to trace them.
+CLASSIFIERS = {
+    "PO": ("stack", lambda x, seeds: dict.fromkeys(seeds, train_polynomial(x))),
+    "MLP": ("stack", lambda x, seeds: {s: train_mlp(x, MlpConfig(seed=s)) for s in seeds}),
+    "KO": ("stack", lambda x, seeds: {
+        s: label_som(train_som(x, SomConfig(seed=s)), x) for s in seeds}),
+    "KO-ADC": ("adc", lambda x, seeds: {s: train_ko_adc(x, SomConfig(seed=s)) for s in seeds}),
+}
+
+
+def training_samples(input: str, image, labels, adc_cfg: AdcConfig):
+    """A classifier's training samples from ``image``, a stack or an ADC
+    map; an "adc" input takes the map of a stack, made with ``adc_cfg``."""
+    if input == "stack":
+        return extract_samples(image, labels)
+    if isinstance(image, SpectralStack):
+        image = adc_map(image, adc_cfg)
+    return extract_band_samples(image, labels)
 
 
 @dataclass(frozen=True)
@@ -63,7 +85,7 @@ class ExperimentConfig:
     training_slice: int = 13
     noise_levels: tuple = DEFAULT_NOISE_LEVELS
     seeds: tuple = DEFAULT_SEEDS
-    classifiers: tuple = CLASSIFIER_NAMES
+    classifiers: tuple = tuple(CLASSIFIERS)
 
     def __post_init__(self):
         if not 0 <= self.training_slice < self.phantom.slices:
@@ -79,7 +101,7 @@ class ExperimentConfig:
         if not seeds:
             raise ValidationError("at least one seed is required")
         names = tuple(self.classifiers)
-        unknown = [c for c in names if c not in CLASSIFIER_NAMES]
+        unknown = [c for c in names if c not in CLASSIFIERS]
         if unknown:
             raise ValidationError(f"unknown classifiers {unknown}")
         if not names:
@@ -153,37 +175,20 @@ class SweepResult:
 
 
 def train_models(cfg: ExperimentConfig, stacks, truth) -> dict:
-    """Train every selected classifier once per seed on the training slice.
-
-    The polynomial net is deterministic; it is shared across seeds.
-    """
-    stack_t = stacks[cfg.training_slice]
-    truth_t = truth[cfg.training_slice]
-    samples = extract_samples(stack_t, truth_t)
-    models = {name: {} for name in cfg.classifiers}
-    if "PO" in models:
-        po_model = train_polynomial(samples)
-        for seed in cfg.seeds:
-            models["PO"][seed] = po_model
-    if "MLP" in models:
-        for seed in cfg.seeds:
-            models["MLP"][seed] = train_mlp(samples, MlpConfig(seed=seed))
-    if "KO" in models:
-        for seed in cfg.seeds:
-            som = train_som(samples, SomConfig(seed=seed))
-            models["KO"][seed] = label_som(som, samples)
-    if "KO-ADC" in models:
-        adc_t = adc_map(stack_t, cfg.adc)
-        adc_samples = extract_band_samples(adc_t, truth_t)
-        for seed in cfg.seeds:
-            models["KO-ADC"][seed] = train_ko_adc(adc_samples, SomConfig(seed=seed))
+    """Train every selected classifier once per seed on the training slice."""
+    stack, labels = stacks[cfg.training_slice], truth[cfg.training_slice]
+    samples, models = {}, {}
+    for name in cfg.classifiers:
+        input, train = CLASSIFIERS[name]
+        if input not in samples:
+            samples[input] = training_samples(input, stack, labels, cfg.adc)
+        models[name] = train(samples[input], cfg.seeds)
     return models
 
 
 def _classify_slice(name: str, model, stack, adc_cfg: AdcConfig):
-    """Classifier ``name``'s labels of one slice: of its ADC map for KO-ADC,
-    of the stack for the others."""
-    image = adc_map(stack, adc_cfg) if name == "KO-ADC" else stack
+    """Classifier ``name``'s labels of one slice, of its CLASSIFIERS input."""
+    image = adc_map(stack, adc_cfg) if CLASSIFIERS[name][0] == "adc" else stack
     return classify(model, image)
 
 

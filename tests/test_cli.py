@@ -8,8 +8,11 @@ from dwspectral import cli
 from dwspectral.adc import save_adc_raw
 from dwspectral.classifiers import SomModel, save_model
 from dwspectral.cli import main
-from dwspectral.core_image import Band, ClassLabel, LabelMap, load_labelmap, save_labelmap
+from dwspectral.core_image import (
+    Band, ClassLabel, LabelMap, load_labelmap, load_stack, save_labelmap,
+)
 from dwspectral.errors import FormatError, NumericalError, PipelineError, ValidationError
+from dwspectral.harness import ExperimentConfig, train_models
 from dwspectral.metrics import confusion, kappa
 from dwspectral.physics import phantom_spec_to_json
 
@@ -564,6 +567,88 @@ class TestNegativeRngKeys:
         argv = ["noise", "--stack", manifest, "--xi", "0.05", "--out", tmp_path / "o"]
         err = assert_one_error_line(argv, capsys)
         assert str(manifest) in err and "slice_index" in err
+
+
+
+@pytest.fixture(scope="module")
+def adc_file(phantom_dir, tmp_path_factory):
+    """The raw ADC map of slice 3."""
+    out = tmp_path_factory.mktemp("adc") / "slice_03"
+    assert main(["adc", "--stack", str(phantom_dir / "slice_03_manifest.json"),
+                 "--out", str(out)]) == 0
+    return out.with_suffix(".adc")
+
+
+@pytest.fixture(scope="module")
+def po_model(model_docs, tmp_path_factory):
+    path = tmp_path_factory.mktemp("po") / "po.json"
+    path.write_text(json.dumps(model_docs["po"]))
+    return path
+
+
+class TestInputFlags:
+    """train and classify read one image, from --stack or --adc: a missing
+    input, or one that would be ignored, ends in one error line and leaves
+    no model, label map or run record."""
+
+    def run(self, argv, out_dir, capsys) -> str:
+        err = assert_one_error_line(argv, capsys)
+        assert list(out_dir.iterdir()) == []
+        return err
+
+    @pytest.mark.parametrize("method", ["po", "mlp", "ko"])
+    def test_train_without_stack(self, phantom_dir, tmp_path, capsys, method):
+        argv = ["train", "--method", method, "--labels", phantom_dir / "truth_03.pgm",
+                "--out", tmp_path / "m.json"]
+        assert self.run(argv, tmp_path, capsys) == f"error: {method} training needs --stack\n"
+
+    @pytest.mark.parametrize("method", ["po", "mlp", "ko"])
+    def test_train_with_adc_not_stack(self, phantom_dir, adc_file, tmp_path, capsys, method):
+        argv = ["train", "--method", method, "--adc", adc_file,
+                "--labels", phantom_dir / "truth_03.pgm", "--out", tmp_path / "m.json"]
+        err = self.run(argv, tmp_path, capsys)
+        assert err == f"error: {method} training needs --stack, not --adc\n"
+
+    def test_ko_adc_training_without_input(self, phantom_dir, tmp_path, capsys):
+        argv = ["train", "--method", "ko-adc", "--labels", phantom_dir / "truth_03.pgm",
+                "--out", tmp_path / "m.json"]
+        err = self.run(argv, tmp_path, capsys)
+        assert err == "error: ko-adc training needs --adc or --stack\n"
+
+    def test_classify_without_input(self, po_model, tmp_path, capsys):
+        argv = ["classify", "--model", po_model, "--out", tmp_path / "p.pgm"]
+        assert self.run(argv, tmp_path, capsys) == "error: classify needs --stack or --adc\n"
+
+    @pytest.mark.parametrize("method", ["po", "mlp", "ko", "ko-adc"])
+    def test_train_with_both_inputs(self, phantom_dir, adc_file, tmp_path, capsys, method):
+        argv = ["train", "--method", method, "--stack", phantom_dir / "slice_03_manifest.json",
+                "--adc", adc_file, "--labels", phantom_dir / "truth_03.pgm",
+                "--out", tmp_path / "m.json"]
+        need = "--adc or --stack, not both" if method == "ko-adc" else "--stack, not --adc"
+        assert self.run(argv, tmp_path, capsys) == f"error: {method} training needs {need}\n"
+
+    def test_classify_with_both_inputs(self, phantom_dir, adc_file, po_model, tmp_path, capsys):
+        argv = ["classify", "--model", po_model, "--stack", phantom_dir / "slice_03_manifest.json",
+                "--adc", adc_file, "--out", tmp_path / "p.pgm"]
+        err = self.run(argv, tmp_path, capsys)
+        assert err == "error: classify needs --stack or --adc, not both\n"
+
+
+class TestTrainMatchesHarness:
+    @pytest.mark.parametrize("method", ["po", "mlp", "ko", "ko-adc"])
+    def test_same_model_file(self, small_spec, phantom_dir, tmp_path, method):
+        """dwspectral train writes the model that train_models trains from
+        the same slice files, so the CLI and the harness train alike."""
+        seed, n = 2, small_spec.slices
+        stacks = [load_stack(phantom_dir / f"slice_{s:02d}_manifest.json") for s in range(n)]
+        truth = [load_labelmap(phantom_dir / f"truth_{s:02d}.pgm") for s in range(n)]
+        cfg = ExperimentConfig(phantom=small_spec, training_slice=3, seeds=(seed,))
+        save_model(train_models(cfg, stacks, truth)[method.upper()][seed], tmp_path / "h.json")
+        argv = ["train", "--method", method, "--seed", seed,
+                "--stack", phantom_dir / "slice_03_manifest.json",
+                "--labels", phantom_dir / "truth_03.pgm", "--out", tmp_path / "c.json"]
+        assert main([str(a) for a in argv]) == 0
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "h.json").read_bytes()
 
 
 class TestExitCodes:

@@ -11,7 +11,7 @@ import pytest
 from dwspectral import harness
 from dwspectral.errors import NumericalError, ValidationError
 from dwspectral.harness import (
-    CLASSIFIER_NAMES,
+    CLASSIFIERS,
     DEFAULT_NOISE_LEVELS,
     DEFAULT_SEEDS,
     SWEEP_CSV_HEADER,
@@ -34,7 +34,7 @@ class TestExperimentConfig:
         cfg = ExperimentConfig()
         assert cfg.noise_levels == DEFAULT_NOISE_LEVELS
         assert cfg.seeds == DEFAULT_SEEDS
-        assert cfg.classifiers == CLASSIFIER_NAMES
+        assert cfg.classifiers == tuple(CLASSIFIERS)
 
     def test_empty_classifier_list_rejected(self, small_spec):
         with pytest.raises(ValidationError, match="at least one classifier"):
