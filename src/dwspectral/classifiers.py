@@ -249,10 +249,12 @@ class _Backprop(NamedTuple):
     ``w`` holds the negated weights, -wh then -wo, in one flat buffer;
     ``nh`` (60, 4) and ``no`` (3, 61) are its views, and ``no_hidden_t`` is
     the transpose of no's first 60 columns. ``step`` is a flat buffer of
-    w's size, with views ``step_h`` and ``step_o``. ``hb`` (61,) holds the
-    hidden layer ``h`` and a last 1. The rest are the step's vectors, their
-    column views, and vectors of ones: a ufunc call with an array operand
-    costs less than one with the scalar 1.0."""
+    w's size, with views ``step_h`` and ``step_o``. ``hy`` (64,) holds the
+    hidden layer ``h``, its bias 1 and the outputs ``y``; ``hb`` is h and
+    the 1. ``om`` holds 1 - hy, with views ``omh`` and ``om_y``, and
+    ``ones`` a vector of ones with views of h's and y's sizes: a ufunc
+    call with an array operand costs less than one with the scalar 1.0.
+    The rest are the step's vectors and their column views."""
 
     w: np.ndarray
     nh: np.ndarray
@@ -261,17 +263,21 @@ class _Backprop(NamedTuple):
     step: np.ndarray
     step_h: np.ndarray
     step_o: np.ndarray
+    hy: np.ndarray
     hb: np.ndarray
     h: np.ndarray
-    omh: np.ndarray
-    d_hid: np.ndarray
     y: np.ndarray
-    err: np.ndarray
-    d_out: np.ndarray
-    d_hid_col: np.ndarray
-    d_out_col: np.ndarray
+    om: np.ndarray
+    omh: np.ndarray
+    om_y: np.ndarray
+    ones: np.ndarray
     ones_h: np.ndarray
     ones_y: np.ndarray
+    err: np.ndarray
+    d_out: np.ndarray
+    d_hid: np.ndarray
+    d_out_col: np.ndarray
+    d_hid_col: np.ndarray
 
 
 def _backprop_buffers(wh: np.ndarray, wo: np.ndarray) -> _Backprop:
@@ -282,17 +288,21 @@ def _backprop_buffers(wh: np.ndarray, wo: np.ndarray) -> _Backprop:
     np.negative(wh, out=nh)
     np.negative(wo, out=no)
     step = np.empty_like(w)
-    hb = np.ones(MLP_HIDDEN + 1)
+    hy = np.ones(MLP_HIDDEN + 1 + N_CLASSES)
+    om = np.empty_like(hy)
+    ones = np.ones_like(hy)
     d_hid, d_out = np.empty(MLP_HIDDEN), np.empty(N_CLASSES)
     return _Backprop(
         w=w, nh=nh, no=no, no_hidden_t=no[:, :MLP_HIDDEN].T,
         step=step,
         step_h=step[:_HIDDEN_SIZE].reshape(nh.shape),
         step_o=step[_HIDDEN_SIZE:].reshape(no.shape),
-        hb=hb, h=hb[:MLP_HIDDEN], omh=np.empty(MLP_HIDDEN), d_hid=d_hid,
-        y=np.empty(N_CLASSES), err=np.empty(N_CLASSES), d_out=d_out,
-        d_hid_col=d_hid[:, None], d_out_col=d_out[:, None],
-        ones_h=np.ones(MLP_HIDDEN), ones_y=np.ones(N_CLASSES),
+        hy=hy, hb=hy[:MLP_HIDDEN + 1], h=hy[:MLP_HIDDEN],
+        y=hy[MLP_HIDDEN + 1:],
+        om=om, omh=om[:MLP_HIDDEN], om_y=om[MLP_HIDDEN + 1:],
+        ones=ones, ones_h=ones[:MLP_HIDDEN], ones_y=ones[MLP_HIDDEN + 1:],
+        err=np.empty(N_CLASSES), d_out=d_out, d_hid=d_hid,
+        d_out_col=d_out[:, None], d_hid_col=d_hid[:, None],
     )
 
 
@@ -311,6 +321,13 @@ def _step_rates(eta: float) -> np.ndarray:
     return rates
 
 
+# The step's numpy functions, each called with its output positional: a
+# keyword ``out`` costs about 50 ns more per call, and a global name one
+# attribute lookup less than ``np.<name>``.
+_add, _dot, _exp, _matmul = np.add, np.dot, np.exp, np.matmul
+_multiply, _reciprocal, _subtract = np.multiply, np.reciprocal, np.subtract
+
+
 def _backprop_step(
     b: _Backprop, xi: np.ndarray, ti: np.ndarray, rates: np.ndarray
 ) -> float:
@@ -324,32 +341,32 @@ def _backprop_step(
     (wh, wo). ``rates`` is _step_rates(eta). Negating is exact, so every
     rounding is that of the same step taken on (wh, wo). Each line is one
     numpy call into a buffer of ``b``: the step's cost is call overhead."""
-    (w, nh, no, no_hidden_t, step, step_h, step_o, hb, h, omh, d_hid,
-     y, err, d_out, d_hid_col, d_out_col, ones_h, ones_y) = b
+    (w, nh, no, no_hidden_t, step, step_h, step_o, hy, hb, h, y, om, omh,
+     om_y, ones, ones_h, ones_y, err, d_out, d_hid, d_out_col, d_hid_col) = b
     # (-wh) @ xi is bitwise -(wh @ xi), so h = 1 / (1 + exp(-(wh @ xi)))
-    np.dot(nh, xi, out=h)
-    np.exp(h, out=h)
-    np.add(h, ones_h, out=h)
-    np.reciprocal(h, out=h)
-    np.dot(no, hb, out=y)
-    np.exp(y, out=y)
-    np.add(y, ones_y, out=y)
-    np.reciprocal(y, out=y)
-    np.subtract(y, ti, out=err)
+    _dot(nh, xi, h)
+    _exp(h, h)
+    _add(h, ones_h, h)
+    _reciprocal(h, h)
+    _dot(no, hb, y)
+    _exp(y, y)
+    _add(y, ones_y, y)
+    _reciprocal(y, y)
+    # 1 - h and 1 - y in one call
+    _subtract(ones, hy, om)
+    _subtract(y, ti, err)
     sq_err = float(err.dot(err))
-    # d_out = (y - t) * y * (1 - y)
-    np.multiply(err, y, out=err)
-    np.subtract(ones_y, y, out=d_out)
-    np.multiply(d_out, err, out=d_out)
+    # d_out = (1 - y) * ((y - t) * y)
+    _multiply(err, y, err)
+    _multiply(om_y, err, d_out)
     # d_hid = -(wo^T d_out) * h * (1 - h), the hidden delta negated
-    np.matmul(no_hidden_t, d_out, out=d_hid)
-    np.multiply(d_hid, h, out=d_hid)
-    np.subtract(ones_h, h, out=omh)
-    np.multiply(d_hid, omh, out=d_hid)
-    np.multiply(d_out_col, hb, out=step_o)
-    np.multiply(d_hid_col, xi, out=step_h)
-    np.multiply(step, rates, out=step)
-    np.add(w, step, out=w)
+    _matmul(no_hidden_t, d_out, d_hid)
+    _multiply(d_hid, h, d_hid)
+    _multiply(d_hid, omh, d_hid)
+    _multiply(d_out_col, hb, step_o)
+    _multiply(d_hid_col, xi, step_h)
+    _multiply(step, rates, step)
+    _add(w, step, w)
     return sq_err
 
 

@@ -333,6 +333,17 @@ def read_json(path, build):
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def check_keys(doc, known, what: str) -> None:
+    """Raise ValidationError naming ``what`` unless ``doc`` is a JSON
+    object whose keys all lie in ``known``: a misspelled key would otherwise
+    leave its field at the default without a word."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown} in {what}")
+
+
 def config_from_json(cls, doc, where):
     """``cls(**doc)``; a non-object document, an unknown key or an ill-typed
     value raises FormatError naming ``where``."""

@@ -24,6 +24,7 @@ from .classifiers import (
 )
 from .core_image import (
     SpectralStack,
+    check_keys,
     config_from_json,
     extract_band_samples,
     extract_samples,
@@ -94,6 +95,11 @@ class ExperimentConfig:
                 f"of {self.phantom.slices} slices"
             )
         whole_number(self.training_slice, "training slice")  # such as 2.5
+        # A string or a dict would iterate as its characters or keys.
+        for name in ("noise_levels", "seeds", "classifiers"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {type(value).__name__}")
         levels = tuple(finite_number(v, "noise level") for v in self.noise_levels)
         if any(not 0.0 <= v <= 0.20 for v in levels):
             raise ValidationError(f"noise levels must lie in [0, 0.20]: {levels}")
@@ -101,7 +107,7 @@ class ExperimentConfig:
         if not seeds:
             raise ValidationError("at least one seed is required")
         names = tuple(self.classifiers)
-        unknown = [c for c in names if c not in CLASSIFIERS]
+        unknown = [c for c in names if not isinstance(c, str) or c not in CLASSIFIERS]
         if unknown:
             raise ValidationError(f"unknown classifiers {unknown}")
         if not names:
@@ -116,15 +122,20 @@ class ExperimentConfig:
         object.__setattr__(self, "classifiers", names)
 
 
+_FIELD_KEYS = ("training_slice", "noise_levels", "seeds", "classifiers")
+_CONFIG_KEYS = _FIELD_KEYS + ("phantom_spec", "acquisition", "adc")
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from JSON; omitted keys take defaults and a
     phantom spec path is resolved relative to the config file."""
     path = Path(path)
 
     def build(doc):
+        check_keys(doc, _CONFIG_KEYS, "config")
         kwargs = {
             key: doc[key]
-            for key in ("training_slice", "noise_levels", "seeds", "classifiers")
+            for key in _FIELD_KEYS
             if doc.get(key) is not None
         }
         if doc.get("phantom_spec"):

@@ -13,6 +13,7 @@ from .core_image import (
     LabelMap,
     SpectralStack,
     b_value_sequence,
+    check_keys,
     finite_number,
     read_json,
     whole_number,
@@ -260,10 +261,14 @@ def default_phantom_spec(
     return PhantomSpec(width, height, slices, tuple(shapes))
 
 
+def _shape_from_json(doc, index: int) -> Shape:
+    check_keys(doc, ("kind", "label", "params"), f"shapes[{index}]")
+    return Shape(doc["kind"], _LABEL_NAMES[doc["label"]], doc["params"])
+
+
 def _spec_from_json(doc) -> PhantomSpec:
-    shapes = tuple(
-        Shape(s["kind"], _LABEL_NAMES[s["label"]], s["params"]) for s in doc["shapes"]
-    )
+    check_keys(doc, ("width", "height", "slices", "shapes", "tissues"), "phantom spec")
+    shapes = tuple(_shape_from_json(s, i) for i, s in enumerate(doc["shapes"]))
     tissues = {
         _LABEL_NAMES[name]: TissueParams(**params)
         for name, params in doc.get("tissues", {}).items()

@@ -520,11 +520,46 @@ class TestMalformedConfigFiles:
             ("classifiers", ["PO", "PO"], "duplicate classifiers"),
             ("noise_levels", ["0.05"], "noise level must be a finite number, got '0.05'"),
             ("noise_levels", [False], "noise level must be a finite number, got False"),
+            ("classifiers", {"PO": 1}, "classifiers must be a list, got dict"),
+            ("classifiers", "PO", "classifiers must be a list, got str"),
+            ("noise_levels", "0.1", "noise_levels must be a list, got str"),
+            ("seeds", 5, "seeds must be a list, got int"),
+            ("classifiers", [["PO"]], "unknown classifiers [['PO']]"),
         ],
     )
     def test_sweep_config_exits_2(self, spec_file, tmp_path, capsys, key, value, message):
         argv = sweep_argv(spec_file, tmp_path, **{key: value})
         assert message in assert_one_error_line(argv, capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "baseline"])
+    def test_config_unknown_key_exits_2(self, spec_file, tmp_path, capsys, command):
+        """A misspelled key would leave its field at the default: here the
+        default 400-cell sweep."""
+        argv = sweep_argv(spec_file, tmp_path, clasifiers=["PO"])
+        argv[0] = command
+        err = assert_one_error_line(argv, capsys)
+        assert str(argv[2]) in err and "unknown keys ['clasifiers'] in config" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(slicez=3), "unknown keys ['slicez'] in phantom spec"),
+            (lambda doc: doc["shapes"][1].update(colour="red"),
+             "unknown keys ['colour'] in shapes[1]"),
+        ],
+        ids=["top-level", "shape"],
+    )
+    def test_phantom_spec_unknown_key_exits_2(self, small_spec, tmp_path, capsys, edit, message):
+        doc = phantom_spec_to_json(small_spec)
+        edit(doc)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert str(spec) in err and message in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["false", None, 0, 1])
     def test_sweep_config_adc_normalize_exits_2(self, spec_file, tmp_path, capsys, value):
