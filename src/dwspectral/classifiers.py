@@ -176,6 +176,15 @@ class MlpModel:
         tau1 = _screen_bound(self, np.ones(1))
         return None if tau1 is None else _LabelTable(self, tau1)
 
+    @cached_property
+    def _screen_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """The float32 weights of _screen_pass, halved hidden weights and
+        folded output weights, kept in the instance like _label_table."""
+        wh, wo = self.hidden_weights, self.output_weights
+        folded = wo / 2.0
+        folded[:, -1] = wo[:, -1] + folded[:, :-1].sum(axis=1)
+        return (wh / 2.0).astype(np.float32), folded.astype(np.float32)
+
 
 def _sigmoid_of_negated(a: np.ndarray) -> np.ndarray:
     """Overwrite ``a``, which holds -x, with 1 / (1 + exp(-x)). A value of
@@ -229,13 +238,10 @@ def _screen_pass(model: MlpModel, cols: int):
     t_j = tanh((wh_j / 2) . x), output k is sum_j (wo_kj / 2) * t_j + b'_k,
     where b'_k = b_k + sum_j wo_kj / 2, j over the 60 hidden units, rides on
     the hidden row of ones.
-    The folded weights are rounded to float32 once, from float64.
+    The folded weights are rounded to float32 from float64, once per model
+    (MlpModel._screen_weights).
     """
-    wh, wo = model.hidden_weights, model.output_weights
-    folded = wo / 2.0
-    folded[:, -1] = wo[:, -1] + folded[:, :-1].sum(axis=1)
-    halved = (wh / 2.0).astype(np.float32)
-    return _layers(halved, folded.astype(np.float32), cols, _tanh_in_place)[0]
+    return _layers(*model._screen_weights, cols, _tanh_in_place)[0]
 
 
 # Training's flat weight buffer: -wh (60, 4), then -wo (3, 61).
@@ -669,67 +675,142 @@ def _mlp_exact(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarra
     return _in_blocks(lambda xs: _decide(model, forward(xs), classes), x, _MLP_BLOCK)
 
 
-# Cells per band of the label table's grid over [0, 1]. A power of two, so
-# 64 x is exact; 64^3 one-byte cells are 256 KiB per model.
+# Cells per band of the label table's grid over [0, 1], and coarse boxes
+# per band of the grid it proves first. Powers of two, so 64 x and every
+# box's centre and half-width are exact; 64^3 one-byte cells are 256 KiB
+# per model.
 _GRID = 64
+_COARSE = 4
+# Boxes per evaluation of the bound, each evaluation taking exactly this
+# many (see _LabelTable.prove). A call that reaches a few new coarse boxes
+# proves few boxes per level, and a chunk of 512 cost it half again as much.
+_PROOF_CHUNK = 128
+# The table's code for a cell no bound proves; 0 marks a cell whose coarse
+# box is not yet proven.
+_UNDECIDED = 255
+# The class pairs (k, l) of the bound's rows, the two rows of each k
+# together.
+_PAIRS = np.array([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]).T
+# The offsets (3, 8) of a box's 8 children in the next finer grid.
+_CHILDREN = np.array(np.unravel_index(np.arange(8), (2, 2, 2)))
 
 
 class _LabelTable:
-    """MLP labels that hold on whole cells of a _GRID^3 grid over the
-    feature cube [0, 1]^3, 0 where a cell is undecided.
+    """MLP labels proven on whole cells of a _GRID^3 grid over the feature
+    cube [0, 1]^3. A cell holds the class the float64 pass picks at every
+    point of it, or _UNDECIDED where no bound proves one; it holds 0 until
+    a call's pixels reach its coarse box (``lookup``).
 
-    Pixel x lies in cell floor(64 x_i) per band i, 64 taken as 63, so two
-    pixels of one cell differ by at most 1/64 in each band. A pixel whose
-    float32 screen output k beats every other output l by more than
-    ``margin[k, l]`` = tau1 + L_kl / 64 (an anchor) writes k into its cell,
-    where tau1 is _screen_bound at m = 1 and
-        L_kl = sum_j |wo_kj - wo_lj| * 1/4 * sum_i |wh_ji|,
-    j over the 60 hidden units and i over the 3 features.
+    Pixel x lies in cell floor(64 x_i) per band i, 64 taken as 63, which is
+    a closed box of half-width 1/128 in each band.
 
-    Proof that the float64 pass picks k, strictly, at every y of the cell;
-    u = 2^-24, d = z_k - z_l for the exact outputs z:
-    - a sigmoid has a slope of at most 1/4, so L_kl bounds the change of d
-      per unit of the largest change of a feature: |d(y) - d(x)| <= L_kl / 64;
-    - on the cube m <= 1, so each screen output is off by at most tau1 / 8,
-      and d(x) > margin[k, l] - tau1 / 4 less the rounding of the float32
-      test, at most 2u * margin[k, l]. With S_j at m = 1 as in
-      _screen_bound, L_kl <= 1/2 max_k sum_j |wo_kj| * S_j <= tau1 / (32u),
-      so that rounding is below tau1 / 512;
-    - at y, then, d(y) > 3/4 * tau1 - tau1 / 512 > tau1 / 2;
-    - the float64 pass is 2^29 times closer than the screen: its d at y is
-      off by at most tau1 / 2^31, so it is positive there.
-    Every label the table gives is therefore the float64 pass's, with no
-    tie to break; in the screen's range no float64 output is non-finite.
+    The bound. Over a box with centre c and half-width r, hidden unit j's
+    pre-activation a_j = wh_j . (x, 1) lies in [lo_j, hi_j] = a_j(c) -+
+    r * R_j, R_j = sum_i |wh_ji| over the 3 features, and the sigmoid is
+    increasing. So for classes k and l, with d = wo_k - wo_l over the 60
+    units and the bias, d+ = max(d, 0) and d- = min(d, 0), every point of
+    the box has
+        z_k - z_l >= B_kl = sum_j d+_j sigmoid(lo_j) + d-_j sigmoid(hi_j) + d_b.
+    A box whose B_kl exceeds tau1, _screen_bound at m = 1, for both other
+    classes l takes class k, and so do its 8 children. Proofs run coarse
+    to fine, _COARSE^3 boxes first, and only a box left unproven is split,
+    down to the cells.
+
+    Rounding. u = 2^-53; for class k, W_k = sum_j |wo_kj| over the units
+    and the bias, and T_k = sum_j |wo_kj| * S_j over the units, S_j = R_j +
+    |b_j| as in _screen_bound. _screen_bound gives tau1 >= 2^29 * 8u *
+    (2 T_k + 64 W_k) for each k, so tau1 >= 2^29 * 8u * (T_k + T_l + 32
+    (W_k + W_l)). In the float64 arithmetic of ``bounds``:
+    - c and r are exact; a_j(c), r * R_j and lo_j, hi_j are off by at most
+      6u * S_j, since |c_i| + r <= 1, and a sigmoid's slope is at most 1/4;
+    - exp, 1 + exp and the reciprocal add at most 7u to a sigmoid, taking
+      exp as off by 4u at most; each sigmoid is off by u * (1.5 S_j + 7);
+    - d_j and d_b are rounded once, which keeps their signs, and the sum of
+      121 terms of total magnitude at most W_k + W_l adds 122u (W_k + W_l).
+    So the computed B_kl is off by at most u * (1.5 (T_k + T_l) + 130 (W_k
+    + W_l)), below tau1 / 2^29. Where it exceeds tau1, z_k - z_l >
+    tau1 * (1 - 2^-29) at every point of the box. The float64 pass is 2^29
+    times closer than the screen, whose outputs are off by tau1 / 8 at most:
+    its z_k - z_l is off by at most tau1 / 2^31, and is positive. Every label
+    the table gives is therefore the float64 pass's, with no tie to break;
+    in the screen's range no float64 output or bound is non-finite.
     """
 
     def __init__(self, model: MlpModel, tau1: float):
         wh, wo = model.hidden_weights, model.output_weights
-        slope = np.abs(wh[:, :-1]).sum(axis=1) / 4.0
-        lipschitz = np.abs(wo[:, None, :-1] - wo[None, :, :-1]) @ slope
+        d = wo[_PAIRS[0]] - wo[_PAIRS[1]]
         self.tau1 = tau1
-        self.margin = (tau1 + lipschitz / _GRID).astype(np.float32)
+        self.hidden, self.hidden_bias = wh[:, :-1], wh[:, -1:]
+        self.reach = np.abs(wh[:, :-1]).sum(axis=1, keepdims=True)
+        self.gap = np.hstack([np.maximum(d[:, :-1], 0.0), np.minimum(d[:, :-1], 0.0)])
+        self.gap_bias = d[:, -1:]
         self.labels = np.zeros(_GRID**3, dtype=np.uint8)
 
     @staticmethod
-    def cells(x: np.ndarray) -> np.ndarray:
-        """The cell of each pixel of feature planes ``x`` (3, n) in [0, 1]."""
+    def cells(x: np.ndarray, grid: int = _GRID) -> np.ndarray:
+        """The cell of each pixel of feature planes ``x`` (3, n) in [0, 1],
+        in a grid of ``grid`` cells per band, numbered in C order."""
         cell = np.zeros(x.shape[1], dtype=np.int32)
         for row in x:  # one band at a time keeps the temporaries small
-            c = row * _GRID
-            np.minimum(c, _GRID - 1, out=c)
-            cell *= _GRID
+            c = row * grid
+            np.minimum(c, grid - 1, out=c)
+            cell *= grid
             cell += c.astype(np.int32)
         return cell
 
-    def fill(self, z: np.ndarray, cells: np.ndarray, classes: np.ndarray) -> None:
-        """Write the anchors among screen outputs ``z`` (3, n) of pixels in
-        ``cells`` into their cells."""
-        m = self.margin
-        anchors = np.zeros(z.shape[1], dtype=np.uint8)
-        for k, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-            np.putmask(anchors, (z[k] - z[a] > m[k, a]) & (z[k] - z[b] > m[k, b]), classes[k])
-        # Every anchor in a cell has the cell's label, and 0 changes none.
-        np.maximum.at(self.labels, cells, anchors)
+    def bounds(self, centres: np.ndarray, half: float) -> np.ndarray:
+        """The bounds B_kl (6, m) over boxes of half-width ``half`` with
+        centres (3, m), one row per pair (k, l) of _PAIRS."""
+        pre = self.hidden @ centres
+        pre += self.hidden_bias
+        spread = half * self.reach
+        s = np.empty((2 * MLP_HIDDEN, centres.shape[1]))
+        np.subtract(spread, pre, out=s[:MLP_HIDDEN])  # -lo
+        np.subtract(-spread, pre, out=s[MLP_HIDDEN:])  # -hi
+        b = self.gap @ _sigmoid_of_negated(s)
+        b += self.gap_bias
+        return b
+
+    def _proven(self, centres: np.ndarray, half: float) -> np.ndarray:
+        """The class code each box proves, 0 where it proves none."""
+        beats = (self.bounds(centres, half) > self.tau1).reshape(N_CLASSES, 2, -1)
+        return (_CLASS_CODES[:, None] * beats.all(axis=1)).max(axis=0)
+
+    def prove(self, boxes: np.ndarray) -> None:
+        """Write every cell of the coarse boxes at integer coordinates
+        ``boxes`` (3, n) of the _COARSE^3 grid."""
+        grid = _COARSE
+        while boxes.size:
+            half = 0.5 / grid
+            n = boxes.shape[1]
+            # Every chunk has _PROOF_CHUNK boxes, the last one filled up
+            # with the cube's centre: a product of other shapes can round a
+            # box's bound otherwise, and its label would then depend on
+            # the boxes proven with it.
+            centres = np.full((3, -(-n // _PROOF_CHUNK) * _PROOF_CHUNK), 0.5)
+            centres[:, :n] = (boxes + 0.5) / grid
+            found = _in_blocks(lambda c: self._proven(c, half), centres, _PROOF_CHUNK)[:n]
+            if grid == _GRID:
+                found[found == 0] = _UNDECIDED
+            side = _GRID // grid
+            done = found != 0
+            i, j, k = boxes[:, done]
+            nested = self.labels.reshape(grid, side, grid, side, grid, side)
+            nested[i, :, j, :, k, :] = found[done, None, None, None]
+            left = boxes[:, ~done]
+            boxes = (2 * left[:, :, None] + _CHILDREN[:, None, :]).reshape(3, -1)
+            grid *= 2
+
+    def lookup(self, x: np.ndarray) -> np.ndarray:
+        """The labels of the cells of feature planes ``x`` (3, n) in [0, 1],
+        once each coarse box that holds one of them is proven."""
+        cells = self.cells(x)
+        labels = self.labels.take(cells)
+        if not labels.all():
+            coarse = np.bincount(self.cells(x[:, labels == 0], _COARSE), minlength=_COARSE**3)
+            self.prove(np.array(np.unravel_index(np.flatnonzero(coarse), (_COARSE,) * 3)))
+            labels = self.labels.take(cells)
+        return labels
 
 
 def _table_for(model: MlpModel, x: np.ndarray) -> _LabelTable | None:
@@ -762,11 +843,11 @@ def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarr
     """The MLP's labels of feature planes ``x``: those of the float64 pass.
 
     From the model's second call on, a pixel whose cell of the label table
-    is decided takes that cell's label (_LabelTable). The float32 screen
-    labels the other pixels where their winner leads by more than
-    _screen_bound's ``tau`` (the table's ``tau1``, which holds on the whole
-    cube, once there is a table), and those that are anchors fill their
-    cells.
+    is proven takes that cell's label (_LabelTable), and the float32 screen
+    labels the others where their winner leads by more than the table's
+    ``tau1``, which holds on the whole cube. On the first call, or with a
+    feature outside [0, 1], the screen labels every pixel whose winner
+    leads by more than _screen_bound's ``tau`` for ``x``.
     Every pixel the screen leaves, a near-tie or a non-finite score, goes
     to the float64 pass, which keeps the tie rule and the NumericalError.
     Out of the screen's range every pixel takes the float64 pass; the label
@@ -779,27 +860,25 @@ def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarr
             return _mlp_exact(model, x, classes)
         forward, decided = _screener(model, tau, classes, x.shape[1])
         labels = _in_blocks(lambda xs: decided(forward(xs)), x, _SCREEN_BLOCK)
+        close = np.flatnonzero(labels == 0)
     else:
-        cells = table.cells(x)
-        labels = table.labels.take(cells)
-        todo = labels.size - np.count_nonzero(labels)
-        if todo:
-            # tau1 bounds the screen's error at every point of the cube.
-            forward, decided = _screener(model, table.tau1, classes, x.shape[1])
-            # The undecided pixels come first in ``order``, and the screen
-            # takes them in blocks of _SCREEN_BLOCK and _MLP_BLOCK pixels,
-            # the last one filled up with decided pixels. So each array has
-            # one of a few sizes: arrays of as many sizes as there are
-            # counts of undecided pixels would scatter over the heap.
-            order = np.argsort(labels, kind="stable")
-            stop = min(-(-todo // _MLP_BLOCK) * _MLP_BLOCK, labels.size)
+        labels = table.lookup(x)
+        todo = np.flatnonzero(labels == _UNDECIDED)
+        if todo.size:
+            # The screen takes the undecided pixels in blocks of
+            # _SCREEN_BLOCK and _MLP_BLOCK pixels, the last one filled up
+            # with pixel 0. So each array has one of a few sizes: arrays of
+            # as many sizes as there are counts of undecided pixels would
+            # scatter over the heap.
+            stop = min(-(-todo.size // _MLP_BLOCK) * _MLP_BLOCK, labels.size)
+            pixels = np.zeros(stop, dtype=np.intp)
+            pixels[:todo.size] = todo
+            forward, decided = _screener(model, table.tau1, classes, stop)
             for start in range(0, stop, _SCREEN_BLOCK):
-                pixels = order[start:min(start + _SCREEN_BLOCK, stop)]
-                z = forward(x.take(pixels, axis=1))
-                table.fill(z, cells.take(pixels), classes)
-                end = min(pixels.size, todo - start)
-                labels[pixels[:end]] = decided(z)[:end]
-    close = np.flatnonzero(labels == 0)
+                block = pixels[start:start + _SCREEN_BLOCK]
+                end = min(block.size, todo.size - start)
+                labels[block[:end]] = decided(forward(x.take(block, axis=1)))[:end]
+        close = todo[labels[todo] == 0]
     if close.size:
         labels[close] = _mlp_exact(model, x[:, close], classes)
     return labels
@@ -814,7 +893,8 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     float32 pass screens the MLP's pixels and the float64 pass decides
     every close call, so the labels are the float64 pass's (_mlp_labels).
     From a model's second call on, a pixel whose cell of the feature cube
-    the screen has proven to hold one class skips the network.
+    interval bounds on the weights prove to hold one class skips the
+    network.
 
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""

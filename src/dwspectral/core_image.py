@@ -360,11 +360,14 @@ def load_stack(manifest_path) -> SpectralStack:
     """Load a SpectralStack from a JSON manifest.
 
     Manifest schema: {"bands": [path...], "b_values": [number...],
-    "slice_index": int}; band paths are resolved relative to the manifest.
+    "slice_index": int}; band paths are resolved relative to the manifest,
+    and any other key is refused: a misspelled slice index would key the
+    noise of slice 0.
     """
     manifest_path = Path(manifest_path)
 
     def build(doc):
+        check_keys(doc, ("bands", "b_values", "slice_index"), "stack manifest")
         slice_index = whole_number(doc.get("slice_index", 0), "slice_index")
         bands = [_read_pgm(manifest_path.parent / rel, FULL_SCALE, ">u2") for rel in doc["bands"]]
         if len({b.shape for b in bands}) > 1:

@@ -89,12 +89,12 @@ class ExperimentConfig:
     classifiers: tuple = tuple(CLASSIFIERS)
 
     def __post_init__(self):
+        whole_number(self.training_slice, "training slice")  # such as 2.5 or None
         if not 0 <= self.training_slice < self.phantom.slices:
             raise ValidationError(
                 f"training slice {self.training_slice} outside volume "
                 f"of {self.phantom.slices} slices"
             )
-        whole_number(self.training_slice, "training slice")  # such as 2.5
         # A string or a dict would iterate as its characters or keys.
         for name in ("noise_levels", "seeds", "classifiers"):
             value = getattr(self, name)
@@ -127,24 +127,24 @@ _CONFIG_KEYS = _FIELD_KEYS + ("phantom_spec", "acquisition", "adc")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from JSON; omitted keys take defaults and a
-    phantom spec path is resolved relative to the config file."""
+    """Read an ExperimentConfig from JSON; omitted keys take defaults, a
+    null is checked like any other value, and a phantom spec path is
+    resolved relative to the config file."""
     path = Path(path)
 
     def build(doc):
         check_keys(doc, _CONFIG_KEYS, "config")
-        kwargs = {
-            key: doc[key]
-            for key in _FIELD_KEYS
-            if doc.get(key) is not None
-        }
-        if doc.get("phantom_spec"):
-            kwargs["phantom"] = load_phantom_spec(path.parent / doc["phantom_spec"])
+        kwargs = {key: doc[key] for key in _FIELD_KEYS if key in doc}
+        if "phantom_spec" in doc:
+            spec = doc["phantom_spec"]
+            if not (isinstance(spec, str) and spec):
+                raise ValidationError(f"phantom_spec must be a file path, got {spec!r}")
+            kwargs["phantom"] = load_phantom_spec(path.parent / spec)
         return ExperimentConfig(
             acquisition=config_from_json(
-                AcquisitionParams, doc.get("acquisition") or {}, f"{path}: acquisition"
+                AcquisitionParams, doc.get("acquisition", {}), f"{path}: acquisition"
             ),
-            adc=config_from_json(AdcConfig, doc.get("adc") or {}, f"{path}: adc"),
+            adc=config_from_json(AdcConfig, doc.get("adc", {}), f"{path}: adc"),
             **kwargs,
         )
 

@@ -126,15 +126,25 @@ def _box(cx, cy, rx, ry):
     return cx - rx, cx + rx, cy - ry, cy + ry
 
 
-# kind -> (mask on the pixel coordinates x, y; extent (xmin, xmax, ymin, ymax)),
-# both of the parameters evaluated at one slice offset.
+# kind -> (its parameters; mask on the pixel coordinates x, y; extent (xmin,
+# xmax, ymin, ymax)), mask and extent of the parameters evaluated at one
+# slice offset.
 _SHAPE_KINDS = {
-    "ellipse": (_ellipse_mask, lambda p: _box(p["cx"], p["cy"], p["rx"], p["ry"])),
+    "ellipse": (
+        ("cx", "cy", "rx", "ry"),
+        _ellipse_mask,
+        lambda p: _box(p["cx"], p["cy"], p["rx"], p["ry"]),
+    ),
     "annulus_arc": (
+        ("cx", "cy", "r_in", "r_out", "theta0", "theta1"),
         _annulus_arc_mask,
         lambda p: _box(p["cx"], p["cy"], p["r_out"], p["r_out"]),
     ),
-    "rect": (_rect_mask, lambda p: (p["x0"], p["x1"], p["y0"], p["y1"])),
+    "rect": (
+        ("x0", "y0", "x1", "y1"),
+        _rect_mask,
+        lambda p: (p["x0"], p["x1"], p["y0"], p["y1"]),
+    ),
 }
 
 
@@ -142,7 +152,7 @@ _SHAPE_KINDS = {
 class Shape:
     """Parametric region mapped to one class; parameters may vary per slice.
 
-    kinds:
+    kinds (_SHAPE_KINDS):
       ellipse      -- cx, cy, rx, ry
       annulus_arc  -- cx, cy, r_in, r_out, theta0, theta1 (degrees)
       rect         -- x0, y0, x1, y1 (inclusive pixel bounds)
@@ -153,10 +163,11 @@ class Shape:
     params: dict
 
     def __post_init__(self):
-        # An unknown kind or a missing or ill-formed parameter fails here,
-        # not when the phantom is rendered.
+        # An unknown kind, or a missing, unknown or ill-formed parameter,
+        # fails here, not when the phantom is rendered.
         if self.kind not in _SHAPE_KINDS:
             raise ValidationError(f"unknown shape kind {self.kind!r}")
+        check_keys(self.params, _SHAPE_KINDS[self.kind][0], f"{self.kind} params")
         origin = np.zeros(1)
         self.mask(origin, origin, 0.0)
 
@@ -166,12 +177,12 @@ class Shape:
     def mask(self, x, y, slice_offset: float) -> np.ndarray:
         """The shape's pixels at ``slice_offset``, on pixel coordinates x and
         y that broadcast together (a row of columns and a column of rows)."""
-        return _SHAPE_KINDS[self.kind][0](self._at(slice_offset), x, y)
+        return _SHAPE_KINDS[self.kind][1](self._at(slice_offset), x, y)
 
     def bounds_ok(self, width: int, height: int, slices: int) -> bool:
         # Every bound is affine in the slice offset, so the first and the last
         # slice are its extremes; the slices between them need no check.
-        extent = _SHAPE_KINDS[self.kind][1]
+        extent = _SHAPE_KINDS[self.kind][2]
         for off in (-(slices // 2), slices - 1 - slices // 2):
             xmin, xmax, ymin, ymax = extent(self._at(off))
             if xmin < 0 or xmax > width - 1 or ymin < 0 or ymax > height - 1:

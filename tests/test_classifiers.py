@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import fields
 from functools import cached_property
@@ -855,6 +856,16 @@ def saturating_model(rng, wo, n=2500):
     return MlpModel(wh, wo), rng.choice([0.125, 0.375, 0.625, 0.875], (3, n))
 
 
+def centred_model(rng, scale):
+    """An MLP with weights uniform in [-scale, scale], but for output biases
+    that make its three outputs equal at the centre of the feature cube, so
+    that class boundaries cross the cube."""
+    wh, wo = rng.uniform(-scale, scale, (60, 4)), rng.uniform(-scale, scale, (3, 61))
+    z = _mlp_pass(wh, wo, 1)[0](np.full((3, 1), 0.5))[:, 0]
+    wo[:, -1] -= z
+    return MlpModel(wh, wo)
+
+
 def tanh_ulp_error(x):
     """The error of float32 np.tanh at float32 ``x``, in float32 ulp of the
     float64 tanh."""
@@ -1080,10 +1091,11 @@ class TestFloat32Screen:
     def test_boundary_cell_stays_undecided(self, monkeypatch):
         # z_0 - z_1 = 2 * sigmoid(64 * (x_0 - c)) - 1 with c the middle of
         # cell 10 of band 0, so the decision boundary between CSF and MATTER
-        # crosses that cell; BACKGROUND is far below both. Pixels on the CSF
-        # side of it lead by 0.05 to 0.25, more than the screen's tau but
-        # less than the margin's L_01 / 64 = 0.5: the cell holds no anchor.
-        # Cell 12 lies wholly on the CSF side and its pixels are anchors.
+        # crosses that cell; BACKGROUND is far below both. Over cell 10,
+        # 64 * (x_0 - c) spans [-0.5, 0.5], and B_01 = 2 * sigmoid(-0.5) - 1
+        # is negative: no bound proves the cell. Over cells 12-15 it spans
+        # [1.5, 5.5], and B_01 = 2 * sigmoid(1.5) - 1 > 0.6 proves CSF there
+        # in the grid of 16 boxes per band.
         c = 10.5 / 64
         wh = np.zeros((60, 4))
         wh[0, 0], wh[0, -1] = 64.0, -64.0 * c
@@ -1097,24 +1109,102 @@ class TestFloat32Screen:
             x[0] = rng.uniform(low / 64, high / 64, 2500)
             return stack_of(FULL_SCALE * x.reshape(3, 50, 50))
 
-        csf_side = pixels(10.6, 11)
-        for _ in range(3):
-            assert np.all(classify(model, csf_side).labels == int(ClassLabel.CSF))
-            assert np.all(classify(model, pixels(12, 13)).labels == int(ClassLabel.CSF))
+        # Both sides of the boundary cell take the float64 pass's labels,
+        # before and after the table is made.
+        sides = {ClassLabel.MATTER: pixels(10, 10.4), ClassLabel.CSF: pixels(10.6, 11)}
+        for _ in range(2):
+            for label, image in sides.items():
+                x = _feature_planes(model, image)
+                assert np.all(float64_labels(model, x) == int(label))
+                assert np.all(classify(model, image).labels == int(label))
         table = model.__dict__["_label_table"]
         cell = (np.array([10, 12]) * 64 + 20) * 64 + 20
-        np.testing.assert_array_equal(table.labels[cell], [0, int(ClassLabel.CSF)])
-        assert np.count_nonzero(table.labels) == 1
-        # The other side of the boundary cell takes the float64 pass's label.
-        matter_side = pixels(10, 10.4)
-        x = _feature_planes(model, matter_side)
-        assert np.all(float64_labels(model, x) == int(ClassLabel.MATTER))
-        assert np.all(classify(model, matter_side).labels == int(ClassLabel.MATTER))
-        # Cell 12 is decided by the table alone.
+        want = [classifiers._UNDECIDED, int(ClassLabel.CSF)]
+        np.testing.assert_array_equal(table.labels[cell], want)
+        # No pixel has visited cell 12, and it is decided by the table alone.
         seen = []
         monkeypatch.setattr(classifiers, "_screen_pass", lambda *a: seen.append(a))
         assert np.all(classify(model, pixels(12, 13)).labels == int(ClassLabel.CSF))
         assert seen == []
+
+    @settings(max_examples=15)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.5, 2.0, 8.0, 32.0]))
+    def test_proven_cells_hold_the_float64_label(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        model = centred_model(rng, scale)
+        table = model._label_table
+        with np.errstate(over="ignore"):
+            table.prove(np.array(np.unravel_index(np.arange(64), (4, 4, 4))))
+        labels = table.labels.reshape(64, 64, 64)
+        assert np.all(labels != 0)
+        proven = labels != classifiers._UNDECIDED
+        # Corner (a, b, c) of cell (i, j, k) is vertex (i + a, j + b, k + c)
+        # of the grid.
+        v = np.arange(65) / 64
+        vertices = np.array(np.meshgrid(v, v, v, indexing="ij")).reshape(3, -1)
+        at_vertex = np.concatenate(
+            [float64_labels(model, vertices[:, i:i + 8192]) for i in range(0, 65**3, 8192)]
+        ).reshape(65, 65, 65)
+        for a, b, c in np.ndindex(2, 2, 2):
+            corner = at_vertex[a:a + 64, b:b + 64, c:c + 64]
+            np.testing.assert_array_equal(corner[proven], labels[proven])
+        x = rng.uniform(0.0, 1.0, (3, 8192))
+        inside = table.labels[classifiers._LabelTable.cells(x)]
+        held = inside != classifiers._UNDECIDED
+        np.testing.assert_array_equal(float64_labels(model, x)[held], inside[held])
+
+    def test_table_does_not_depend_on_call_order(self):
+        # Three images over overlapping parts of the cube, classified in
+        # three orders, and the coarse boxes they reach proven one at a
+        # time in a shuffled order: the four tables are equal.
+        rng = np.random.default_rng(6)
+        model = centred_model(rng, 4.0)
+        wh, wo = model.hidden_weights, model.output_weights
+        images = [
+            stack_of(FULL_SCALE * rng.uniform(low, low + 0.5, (3, 50, 50)))
+            for low in (0.0, 0.25, 0.5)
+        ]
+        tables = []
+        for order in ([0, 0, 1, 2], [2, 1, 0, 2], [1, 2, 1, 0]):
+            model = MlpModel(wh, wo)
+            for i in order:
+                classify(model, images[i])
+            tables.append(model.__dict__["_label_table"].labels)
+        model = MlpModel(wh, wo)
+        cells = np.array(np.unravel_index(np.flatnonzero(tables[0]), (64, 64, 64)))
+        reached = np.unique(cells // 16, axis=1)
+        assert reached.shape[1] == 22  # 3 * 2^3 boxes, two of them twice
+        with np.errstate(over="ignore"):
+            for box in rng.permutation(reached.T):
+                model._label_table.prove(box[:, None])
+        tables.append(model._label_table.labels)
+        assert set(np.unique(tables[0])) == {0, 1, 2, 3, classifiers._UNDECIDED}
+        for table in tables[1:]:
+            np.testing.assert_array_equal(table, tables[0])
+
+    def test_every_coarse_box_proven_at_once(self, monkeypatch):
+        # BACKGROUND's bias leads by 10, and the other output weights sum to
+        # less than 1.3 in magnitude: every coarse box is proven, and no
+        # level is left to refine.
+        rng = np.random.default_rng(8)
+        wo = rng.uniform(-0.01, 0.01, (3, 61))
+        wo[2, -1] = 10.0
+        model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), wo)
+        halves = []
+        bounds = classifiers._LabelTable.bounds
+
+        def spy(table, centres, half):
+            halves.append(half)
+            return bounds(table, centres, half)
+
+        monkeypatch.setattr(classifiers._LabelTable, "bounds", spy)
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
+        for _ in range(2):
+            assert np.all(classify(model, image).labels == int(ClassLabel.BACKGROUND))
+        assert halves == [1 / 8]
+        table = model.__dict__["_label_table"].labels
+        assert np.count_nonzero(table) == 64**3
+        assert np.all(table == int(ClassLabel.BACKGROUND))
 
     def test_one_shot_classify_makes_no_table(self):
         rng = np.random.default_rng(3)
@@ -1137,24 +1227,28 @@ class TestFloat32Screen:
             np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
         assert "_label_table" not in model.__dict__
 
-    def test_margin_follows_its_derivation(self):
+    def test_interval_bound_follows_its_derivation(self):
         # Every hidden unit has feature weights (1, 2, -3) and bias -1, so
-        # sum_i |wh_ji| = 6 and S_j = 7 at m = 1. Output rows are 1, -1 and 0
-        # on every unit: L_01 = 60 * 2 * 6 / 4 = 180 and L_02 = L_12 = 90,
-        # and tau1 = 8u * (60 * (2 * 7 + 4) + 64 * 60). The features reach
-        # only 0.5, so the image's own tau is below tau1.
+        # R_j = 6 and S_j = 7. Output rows are 1, -1 and 0 on every unit,
+        # and row 2 has bias 0.5. Over coarse box (1, 2, 0), of centre
+        # (3/8, 5/8, 1/8) and half-width 1/8, a_j = 3/8 + 5/4 - 3/8 - 1 =
+        # 1/4 and r * R_j = 3/4: lo = -1/2 and hi = 1. With d = wo_k - wo_l,
+        # B_01 = 120 s(lo), B_02 = 60 s(lo) - 0.5, B_10 = -120 s(hi),
+        # B_12 = -60 s(hi) - 0.5, B_20 = -60 s(hi) + 0.5, B_21 = 60 s(lo)
+        # + 0.5. B_01 and B_02 exceed tau1 = 8u * (60 * (2 * 7 + 4) + 64 * 60):
+        # the box is CSF.
         wh = np.tile([1.0, 2.0, -3.0, -1.0], (60, 1))
         wo = np.zeros((3, 61))
-        wo[0, :60], wo[1, :60] = 1.0, -1.0
-        model = MlpModel(wh, wo)
-        image = stack_of(np.full((3, 50, 50), 0.5 * FULL_SCALE))
-        classify(model, image)
-        classify(model, image)
-        tau1 = 8 * 2.0**-24 * (60 * 18 + 64 * 60)
-        assert classifiers._screen_bound(model, _feature_planes(model, image)) < tau1
-        lipschitz = np.array([[0.0, 180.0, 90.0], [180.0, 0.0, 90.0], [90.0, 90.0, 0.0]])
-        want = (tau1 + lipschitz / 64).astype(np.float32)
-        np.testing.assert_array_equal(model.__dict__["_label_table"].margin, want)
+        wo[0, :60], wo[1, :60], wo[2, -1] = 1.0, -1.0, 0.5
+        table = MlpModel(wh, wo)._label_table
+        assert table.tau1 == 8 * 2.0**-24 * (60 * 18 + 64 * 60)
+        lo, hi = 1 / (1 + math.exp(0.5)), 1 / (1 + math.exp(-1.0))
+        want = [120 * lo, 60 * lo - 0.5, -120 * hi, -60 * hi - 0.5, -60 * hi + 0.5, 60 * lo + 0.5]
+        got = table.bounds(np.array([[3 / 8], [5 / 8], [1 / 8]]), 1 / 8)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-14)
+        table.prove(np.array([[1], [2], [0]]))
+        assert np.all(table.labels.reshape(64, 64, 64)[16:32, 32:48, :16] == int(ClassLabel.CSF))
+        assert np.count_nonzero(table.labels) == 16**3
 
     def test_cells_are_floor_of_64x(self):
         edges = [0.0, np.nextafter(1 / 64, 0.0), 1 / 64, 0.5, np.nextafter(1.0, 0.0), 1.0]

@@ -106,6 +106,18 @@ class TestAdcCommand:
         assert str(manifest) in err and message in err
         assert not (tmp_path / "x.adc").exists()
 
+    def test_manifest_unknown_key_exits_2(self, phantom_dir, tmp_path, capsys):
+        """A misspelled slice index would load as slice 0, whose noise the
+        noise command would then draw."""
+        doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())
+        doc["slice_idx"] = doc.pop("slice_index")
+        manifest = phantom_dir / "slice_idx.json"
+        manifest.write_text(json.dumps(doc))
+        argv = ["noise", "--stack", manifest, "--xi", "0.1", "--seed", "1", "--out", tmp_path / "n"]
+        err = assert_one_error_line(argv, capsys)
+        assert str(manifest) in err and "unknown keys ['slice_idx'] in stack manifest" in err
+        assert not (tmp_path / "n").exists()
+
     def test_non_finite_map_exits_2(self, phantom_dir, tmp_path, capsys):
         """C / b overflows to inf, and inf * ln 1 is NaN on the background:
         one error line naming the ADC map, and no numpy warning before it."""
@@ -525,6 +537,16 @@ class TestMalformedConfigFiles:
             ("noise_levels", "0.1", "noise_levels must be a list, got str"),
             ("seeds", 5, "seeds must be a list, got int"),
             ("classifiers", [["PO"]], "unknown classifiers [['PO']]"),
+            ("training_slice", None, "training slice must be a non-negative integer, got None"),
+            ("noise_levels", None, "noise_levels must be a list, got NoneType"),
+            ("seeds", None, "seeds must be a list, got NoneType"),
+            ("classifiers", None, "classifiers must be a list, got NoneType"),
+            ("phantom_spec", None, "phantom_spec must be a file path, got None"),
+            ("phantom_spec", "", "phantom_spec must be a file path, got ''"),
+            ("phantom_spec", [], "phantom_spec must be a file path, got []"),
+            ("phantom_spec", 0, "phantom_spec must be a file path, got 0"),
+            ("acquisition", None, "must be a mapping, not NoneType"),
+            ("adc", [], "must be a mapping, not list"),
         ],
     )
     def test_sweep_config_exits_2(self, spec_file, tmp_path, capsys, key, value, message):
@@ -548,8 +570,10 @@ class TestMalformedConfigFiles:
             (lambda doc: doc.update(slicez=3), "unknown keys ['slicez'] in phantom spec"),
             (lambda doc: doc["shapes"][1].update(colour="red"),
              "unknown keys ['colour'] in shapes[1]"),
+            (lambda doc: doc["shapes"][0]["params"].update(cz=[1, 2]),
+             "unknown keys ['cz'] in ellipse params"),
         ],
-        ids=["top-level", "shape"],
+        ids=["top-level", "shape", "params"],
     )
     def test_phantom_spec_unknown_key_exits_2(self, small_spec, tmp_path, capsys, edit, message):
         doc = phantom_spec_to_json(small_spec)
