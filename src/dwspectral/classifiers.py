@@ -18,6 +18,8 @@ from .core_image import (
     LabelMap,
     SampleSet,
     SpectralStack,
+    check_keys,
+    config_from_json,
     finite_number,
     read_json,
     whole_number,
@@ -90,6 +92,12 @@ class PolyModel:
     def _planar(self, x: np.ndarray) -> np.ndarray:
         """(3, n) class scores of feature planes x (3, n)."""
         return self.weights @ _quadratic_planes(x)
+
+    @cached_property
+    def _label_table(self) -> _LabelTable | None:
+        """The model's label table (_poly_table), made on first use and kept
+        in the instance, outside its fields."""
+        return _poly_table(self)
 
 
 def train_polynomial(samples: SampleSet) -> PolyModel:
@@ -170,11 +178,9 @@ class MlpModel:
 
     @cached_property
     def _label_table(self) -> _LabelTable | None:
-        """The model's label table, made on first use and kept in the
-        instance, outside its fields; None where the float32 screen cannot
-        take every point of the feature cube [0, 1]^3."""
-        tau1 = _screen_bound(self, np.ones(1))
-        return None if tau1 is None else _LabelTable(self, tau1)
+        """The model's label table (_mlp_table), made on first use and kept
+        in the instance, outside its fields."""
+        return _mlp_table(self)
 
     @cached_property
     def _screen_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -458,6 +464,12 @@ class SomModel:
     def feature_dim(self) -> int:
         return self.neurons.shape[1]
 
+    @cached_property
+    def _label_table(self) -> _LabelTable | None:
+        """The model's label table (_som_table), made on first use and kept
+        in the instance, outside its fields."""
+        return _som_table(self)
+
     def winners(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest neuron for each feature row, ties going to
         the lower index; non-finite distances raise NumericalError."""
@@ -555,6 +567,11 @@ _CLASS_CODES = np.array([int(c) for c in ClassLabel], dtype=np.uint8)
 _CLASS_CODES.setflags(write=False)
 
 
+def _neuron_classes(model: SomModel) -> np.ndarray:
+    """The class codes of a labeled SOM's neurons, as classify writes them."""
+    return np.array([int(c) for c in model.class_of_neuron], dtype=np.uint8)
+
+
 def _feature_planes(model: Model, image: SpectralStack | Band) -> np.ndarray:
     """Feature planes (d, n): a stack's ``planes``, built once per stack;
     an ADC map as it is."""
@@ -602,13 +619,20 @@ _SCREEN_BLOCK = 2 * _MLP_BLOCK
 # The float32 MLP screen takes a model whose weights are each 0 or of
 # magnitude in [2^-60, 2^60], on features of magnitude at most 2^60. No
 # float32 product or sum of its forward pass can then overflow, and what
-# underflow loses lies far below the bound of _screen_bound.
+# underflow loses lies far below the bound of _screen_bound. The PO label
+# table takes the same weights, and the KO table neurons up to 2^60.
 _SCREEN_RANGE = (2.0**-60, 2.0**60)
 
 # The largest error of float32 np.tanh, in units in the last place, that
 # _screen_bound assumes. tests/test_classifiers.py measures the error of
 # the numpy in use against it.
 _TANH_ULP = 4
+
+
+def _in_range(magnitudes: np.ndarray) -> bool:
+    """Whether each of ``magnitudes`` is 0 or lies in _SCREEN_RANGE."""
+    low, high = _SCREEN_RANGE
+    return bool(magnitudes.max() <= high and np.all((magnitudes == 0.0) | (magnitudes >= low)))
 
 
 def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
@@ -638,11 +662,9 @@ def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
     is off by at most twice the largest |dz_k|; ``tau`` is 4 times that,
     which also covers rounding the lead and ``tau`` to float32.
     """
-    low, high = _SCREEN_RANGE
     wh, wo = np.abs(model.hidden_weights), np.abs(model.output_weights)
-    w = np.concatenate([wh.ravel(), wo.ravel()])
     m = np.abs(x).max(initial=0.0)
-    if not (m <= high and w.max() <= high and np.all((w == 0.0) | (w >= low))):
+    if not (m <= _SCREEN_RANGE[1] and _in_range(np.concatenate([wh.ravel(), wo.ravel()]))):
         return None
     s = wh[:, :-1].sum(axis=1) * m + wh[:, -1]
     dz = 2.0**-24 * (wo[:, :-1] @ (2.0 * s + _TANH_ULP) + 64.0 * wo.sum(axis=1))
@@ -688,7 +710,7 @@ _PROOF_CHUNK = 128
 # The table's code for a cell no bound proves; 0 marks a cell whose coarse
 # box is not yet proven.
 _UNDECIDED = 255
-# The class pairs (k, l) of the bound's rows, the two rows of each k
+# The row pairs (k, l) of the bound's rows, the two rows of each k
 # together.
 _PAIRS = np.array([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]).T
 # The offsets (3, 8) of a box's 8 children in the next finer grid.
@@ -696,54 +718,31 @@ _CHILDREN = np.array(np.unravel_index(np.arange(8), (2, 2, 2)))
 
 
 class _LabelTable:
-    """MLP labels proven on whole cells of a _GRID^3 grid over the feature
-    cube [0, 1]^3. A cell holds the class the float64 pass picks at every
-    point of it, or _UNDECIDED where no bound proves one; it holds 0 until
-    a call's pixels reach its coarse box (``lookup``).
+    """Labels proven on whole cells of a _GRID^3 grid over the feature
+    cube [0, 1]^3, for a PO, MLP or KO model. A cell holds the class the
+    model's float64 pass picks at every point of it, or _UNDECIDED where no
+    bound proves one; it holds 0 until a call's pixels reach its coarse box
+    (``lookup``).
 
     Pixel x lies in cell floor(64 x_i) per band i, 64 taken as 63, which is
     a closed box of half-width 1/128 in each band.
 
-    The bound. Over a box with centre c and half-width r, hidden unit j's
-    pre-activation a_j = wh_j . (x, 1) lies in [lo_j, hi_j] = a_j(c) -+
-    r * R_j, R_j = sum_i |wh_ji| over the 3 features, and the sigmoid is
-    increasing. So for classes k and l, with d = wo_k - wo_l over the 60
-    units and the bias, d+ = max(d, 0) and d- = min(d, 0), every point of
-    the box has
-        z_k - z_l >= B_kl = sum_j d+_j sigmoid(lo_j) + d-_j sigmoid(hi_j) + d_b.
-    A box whose B_kl exceeds tau1, _screen_bound at m = 1, for both other
-    classes l takes class k, and so do its 8 children. Proofs run coarse
-    to fine, _COARSE^3 boxes first, and only a box left unproven is split,
-    down to the cells.
-
-    Rounding. u = 2^-53; for class k, W_k = sum_j |wo_kj| over the units
-    and the bias, and T_k = sum_j |wo_kj| * S_j over the units, S_j = R_j +
-    |b_j| as in _screen_bound. _screen_bound gives tau1 >= 2^29 * 8u *
-    (2 T_k + 64 W_k) for each k, so tau1 >= 2^29 * 8u * (T_k + T_l + 32
-    (W_k + W_l)). In the float64 arithmetic of ``bounds``:
-    - c and r are exact; a_j(c), r * R_j and lo_j, hi_j are off by at most
-      6u * S_j, since |c_i| + r <= 1, and a sigmoid's slope is at most 1/4;
-    - exp, 1 + exp and the reciprocal add at most 7u to a sigmoid, taking
-      exp as off by 4u at most; each sigmoid is off by u * (1.5 S_j + 7);
-    - d_j and d_b are rounded once, which keeps their signs, and the sum of
-      121 terms of total magnitude at most W_k + W_l adds 122u (W_k + W_l).
-    So the computed B_kl is off by at most u * (1.5 (T_k + T_l) + 130 (W_k
-    + W_l)), below tau1 / 2^29. Where it exceeds tau1, z_k - z_l >
-    tau1 * (1 - 2^-29) at every point of the box. The float64 pass is 2^29
-    times closer than the screen, whose outputs are off by tau1 / 8 at most:
-    its z_k - z_l is off by at most tau1 / 2^31, and is positive. Every label
-    the table gives is therefore the float64 pass's, with no tie to break;
-    in the screen's range no float64 output or bound is non-finite.
+    Each kind gives the table only its ``bounds`` and ``tau`` (_poly_table,
+    _mlp_table, _som_table). The model's float64 pass ranks three rows at
+    each pixel: scores, the largest first, or neuron distances, the
+    smallest first. ``bounds(centres, half)`` (6, m) holds a B_kl for each
+    pair (k, l) of _PAIRS and each box of half-width ``half`` with centres
+    (3, m), such that where the computed B_kl exceeds ``tau``, row k ranks
+    strictly before row l in the float64 pass at every point of the box.
+    A box whose B_kl exceeds ``tau`` for both other rows l takes
+    ``classes[k]``, and so do its 8 children. Proofs run coarse to fine,
+    _COARSE^3 boxes first, and only a box left unproven is split, down to
+    the cells. Every label the table gives is therefore the float64 pass's,
+    with no tie to break.
     """
 
-    def __init__(self, model: MlpModel, tau1: float):
-        wh, wo = model.hidden_weights, model.output_weights
-        d = wo[_PAIRS[0]] - wo[_PAIRS[1]]
-        self.tau1 = tau1
-        self.hidden, self.hidden_bias = wh[:, :-1], wh[:, -1:]
-        self.reach = np.abs(wh[:, :-1]).sum(axis=1, keepdims=True)
-        self.gap = np.hstack([np.maximum(d[:, :-1], 0.0), np.minimum(d[:, :-1], 0.0)])
-        self.gap_bias = d[:, -1:]
+    def __init__(self, bounds, tau: float, classes: np.ndarray = _CLASS_CODES):
+        self.bounds, self.tau, self.classes = bounds, tau, classes
         self.labels = np.zeros(_GRID**3, dtype=np.uint8)
 
     @staticmethod
@@ -758,23 +757,10 @@ class _LabelTable:
             cell += c.astype(np.int32)
         return cell
 
-    def bounds(self, centres: np.ndarray, half: float) -> np.ndarray:
-        """The bounds B_kl (6, m) over boxes of half-width ``half`` with
-        centres (3, m), one row per pair (k, l) of _PAIRS."""
-        pre = self.hidden @ centres
-        pre += self.hidden_bias
-        spread = half * self.reach
-        s = np.empty((2 * MLP_HIDDEN, centres.shape[1]))
-        np.subtract(spread, pre, out=s[:MLP_HIDDEN])  # -lo
-        np.subtract(-spread, pre, out=s[MLP_HIDDEN:])  # -hi
-        b = self.gap @ _sigmoid_of_negated(s)
-        b += self.gap_bias
-        return b
-
     def _proven(self, centres: np.ndarray, half: float) -> np.ndarray:
         """The class code each box proves, 0 where it proves none."""
-        beats = (self.bounds(centres, half) > self.tau1).reshape(N_CLASSES, 2, -1)
-        return (_CLASS_CODES[:, None] * beats.all(axis=1)).max(axis=0)
+        beats = (self.bounds(centres, half) > self.tau).reshape(N_CLASSES, 2, -1)
+        return (self.classes[:, None] * beats.all(axis=1)).max(axis=0)
 
     def prove(self, boxes: np.ndarray) -> None:
         """Write every cell of the coarse boxes at integer coordinates
@@ -801,87 +787,248 @@ class _LabelTable:
             boxes = (2 * left[:, :, None] + _CHILDREN[:, None, :]).reshape(3, -1)
             grid *= 2
 
-    def lookup(self, x: np.ndarray) -> np.ndarray:
-        """The labels of the cells of feature planes ``x`` (3, n) in [0, 1],
-        once each coarse box that holds one of them is proven."""
-        cells = self.cells(x)
+    def lookup(self, cells: np.ndarray) -> np.ndarray:
+        """The labels of ``cells``, once each coarse box that holds one of
+        them is proven."""
         labels = self.labels.take(cells)
         if not labels.all():
-            coarse = np.bincount(self.cells(x[:, labels == 0], _COARSE), minlength=_COARSE**3)
-            self.prove(np.array(np.unravel_index(np.flatnonzero(coarse), (_COARSE,) * 3)))
+            fine = np.unravel_index(cells[labels == 0], (_GRID,) * 3)
+            reached = np.zeros((_COARSE,) * 3, dtype=bool)
+            reached[tuple(f // (_GRID // _COARSE) for f in fine)] = True
+            self.prove(np.array(np.nonzero(reached)))
             labels = self.labels.take(cells)
         return labels
 
 
-def _table_for(model: MlpModel, x: np.ndarray) -> _LabelTable | None:
-    """The model's label table for feature planes ``x``, or None: on the
-    model's first classify call, so that a one-shot caller such as the CLI
-    makes no table, and where a feature lies outside [0, 1]."""
+def _poly_table(model: PolyModel) -> _LabelTable | None:
+    """The PO model's label table, or None where a weight is neither 0 nor
+    of magnitude in _SCREEN_RANGE.
+
+    The bound. Over a box with centre c and half-width r, x_i lies in
+    [lo_i, hi_i] = [c_i - r, c_i + r], and lo_i >= 0 on the cube. So each
+    monomial of _quadratic_planes lies in [L_m, H_m], the monomials of lo
+    and of hi: x_i^2 in [lo_i^2, hi_i^2] and x_i x_j in [lo_i lo_j,
+    hi_i hi_j]. For classes k and l, with d = w_k - w_l over the 10
+    monomials, d+ = max(d, 0) and d- = min(d, 0), every point of the box
+    has
+        s_k - s_l >= B_kl = sum_m d+_m L_m + d-_m H_m.
+
+    Rounding. u = 2^-53 and W_k = sum_m |w_km|; tau = 128u * max_k W_k >=
+    64u (W_k + W_l).
+    - The float64 pass rounds each monomial once, |m| <= 1 on the cube,
+      and takes the 10-term product with w_k in any order, FMA allowed:
+      s_k is off by at most u W_k + 10.01u W_k, so s_k - s_l by 12u (W_k +
+      W_l).
+    - In ``bounds``, lo and hi are multiples of 1/64 in [0, 1], so L and H
+      are exact; d is rounded once, which keeps its signs, and the 20-term
+      product adds at most 20.01u: B_kl is off by at most 22u (W_k + W_l).
+    - In the range, what underflow loses in either is below 2^-1000, while
+      tau >= 2^-106 unless every weight is 0, when every B_kl is 0.
+    So where the computed B_kl exceeds tau, s_k - s_l exceeds 42u (W_k +
+    W_l) - 2^-1000 at every point of the box, more than the float64 pass's
+    error: its s_k is strictly larger than its s_l. The factor of 2 spare
+    in tau covers rounding tau itself. In the range no float64 score or
+    bound over the cube is non-finite: |s_k| <= 10 * 2^60.
+    """
+    w = model.weights
+    if not _in_range(np.abs(w)):
+        return None
+    d = w[_PAIRS[0]] - w[_PAIRS[1]]
+    gap = np.hstack([np.maximum(d, 0.0), np.minimum(d, 0.0)])
+
+    def bounds(centres: np.ndarray, half: float) -> np.ndarray:
+        low, high = _quadratic_planes(centres - half), _quadratic_planes(centres + half)
+        return gap @ np.concatenate([low, high])
+
+    return _LabelTable(bounds, 2.0**-46 * float(np.abs(w).sum(axis=1).max()))
+
+
+def _mlp_table(model: MlpModel) -> _LabelTable | None:
+    """The MLP's label table, or None where the float32 screen cannot take
+    every point of the feature cube; its ``tau`` is tau1, _screen_bound at
+    m = 1.
+
+    The bound. Over a box with centre c and half-width r, hidden unit j's
+    pre-activation a_j = wh_j . (x, 1) lies in [lo_j, hi_j] = a_j(c) -+
+    r * R_j, R_j = sum_i |wh_ji| over the 3 features, and the sigmoid is
+    increasing. So for classes k and l, with d = wo_k - wo_l over the 60
+    units and the bias, d+ = max(d, 0) and d- = min(d, 0), every point of
+    the box has
+        z_k - z_l >= B_kl = sum_j d+_j sigmoid(lo_j) + d-_j sigmoid(hi_j) + d_b.
+
+    Rounding. u = 2^-53; for class k, W_k = sum_j |wo_kj| over the units
+    and the bias, and T_k = sum_j |wo_kj| * S_j over the units, S_j = R_j +
+    |b_j| as in _screen_bound. _screen_bound gives tau1 >= 2^29 * 8u *
+    (2 T_k + 64 W_k) for each k, so tau1 >= 2^29 * 8u * (T_k + T_l + 32
+    (W_k + W_l)). In the float64 arithmetic of ``bounds``:
+    - c and r are exact; a_j(c), r * R_j and lo_j, hi_j are off by at most
+      6u * S_j, since |c_i| + r <= 1, and a sigmoid's slope is at most 1/4;
+    - exp, 1 + exp and the reciprocal add at most 7u to a sigmoid, taking
+      exp as off by 4u at most; each sigmoid is off by u * (1.5 S_j + 7);
+    - d_j and d_b are rounded once, which keeps their signs, and the sum of
+      121 terms of total magnitude at most W_k + W_l adds 122u (W_k + W_l).
+    So the computed B_kl is off by at most u * (1.5 (T_k + T_l) + 130 (W_k
+    + W_l)), below tau1 / 2^29. Where it exceeds tau1, z_k - z_l >
+    tau1 * (1 - 2^-29) at every point of the box. The float64 pass is 2^29
+    times closer than the screen, whose outputs are off by tau1 / 8 at most:
+    its z_k - z_l is off by at most tau1 / 2^31, and is positive. In the
+    screen's range no float64 output or bound is non-finite.
+    """
+    tau1 = _screen_bound(model, np.ones(1))
+    if tau1 is None:
+        return None
+    wh, wo = model.hidden_weights, model.output_weights
+    d = wo[_PAIRS[0]] - wo[_PAIRS[1]]
+    hidden, hidden_bias = wh[:, :-1], wh[:, -1:]
+    reach = np.abs(hidden).sum(axis=1, keepdims=True)
+    gap = np.hstack([np.maximum(d[:, :-1], 0.0), np.minimum(d[:, :-1], 0.0)])
+    gap_bias = d[:, -1:]
+
+    def bounds(centres: np.ndarray, half: float) -> np.ndarray:
+        pre = hidden @ centres
+        pre += hidden_bias
+        spread = half * reach
+        s = np.empty((2 * MLP_HIDDEN, centres.shape[1]))
+        np.subtract(spread, pre, out=s[:MLP_HIDDEN])  # -lo
+        np.subtract(-spread, pre, out=s[MLP_HIDDEN:])  # -hi
+        b = gap @ _sigmoid_of_negated(s)
+        b += gap_bias
+        return b
+
+    return _LabelTable(bounds, tau1)
+
+
+def _som_table(model: SomModel) -> _LabelTable | None:
+    """The KO model's label table, or None for a SOM that is unlabeled, has
+    other than 3 features, or has a neuron coordinate of magnitude above
+    2^60, the top of _SCREEN_RANGE.
+
+    The bound. Row k is neuron k, at distance d_k = |x - w_k|^2, and it
+    takes class_of_neuron[k]; two neurons may share a class. d_l - d_k =
+    a . x + b, with a = 2 (w_k - w_l) and b = |w_l|^2 - |w_k|^2, is linear
+    in x, so over a box with centre c and half-width r its minimum is
+    exactly
+        B_kl = a . c + b - r * sum_i |a_i|.
+
+    Rounding. u = 2^-53 and D_k = sum_i (1 + |w_ki|)^2, which bounds d_k
+    on the cube and is at least 3; tau = 64u * max_k D_k >= 32u (D_k +
+    D_l).
+    - _som_distances rounds x_i - w_ki and its square once each and sums
+      the 3 squares in feature order: d_k is off by at most 6u D_k.
+    - In ``bounds``, a_i is rounded once (doubling is exact), each |w_k|^2
+      sums 3 rounded squares and b is one more subtraction, r is a power
+      of two, the 3-term product a . c is taken in any order, FMA allowed,
+      and two additions follow: with A = sum_i |a_i| + |w_k|^2 + |w_l|^2 <=
+      D_k + D_l, B_kl is off by at most 8u A.
+    - What underflow loses in either is below 2^-1000, and tau >= 192u.
+    So where the computed B_kl exceeds tau, d_l - d_k exceeds 24u (D_k +
+    D_l) - 2^-1000 at every point of the box, more than the float64 pass's
+    error of 6u (D_k + D_l): neuron k is strictly nearer than neuron l
+    there, and no tie is left to break. The factor of 2 spare in tau covers
+    rounding tau itself. With coordinates of at most 2^60 no distance or
+    bound over the cube is non-finite.
+    """
+    w = model.neurons
+    if model.class_of_neuron is None or model.feature_dim != 3:
+        return None
+    if not np.abs(w).max() <= _SCREEN_RANGE[1]:
+        return None
+    slope = 2.0 * (w[_PAIRS[0]] - w[_PAIRS[1]])
+    sq = np.square(w).sum(axis=1)
+    offset = (sq[_PAIRS[1]] - sq[_PAIRS[0]])[:, None]
+    reach = np.abs(slope).sum(axis=1, keepdims=True)
+
+    def bounds(centres: np.ndarray, half: float) -> np.ndarray:
+        b = slope @ centres
+        b += offset - half * reach
+        return b
+
+    tau = 2.0**-47 * float(np.square(1.0 + np.abs(w)).sum(axis=1).max())
+    return _LabelTable(bounds, tau, _neuron_classes(model))
+
+
+def _cube_cells(stack: SpectralStack) -> np.ndarray | None:
+    """The label table's cell (_LabelTable.cells) of each pixel of a stack
+    of 3 bands, read-only, or None where a feature lies outside [0, 1].
+    Built on first use and kept in the stack's instance, outside its
+    fields, as ``planes`` is: every label table reads one build per stack."""
+    state = stack.__dict__
+    if "_cells" not in state:
+        x, cells = stack.planes, None
+        if x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0:
+            cells = _LabelTable.cells(x)
+            cells.setflags(write=False)
+        state["_cells"] = cells
+    return state["_cells"]
+
+
+def _table_for(model: Model, image: SpectralStack | Band):
+    """The model's label table and the cells of ``image``'s pixels, or
+    None: on the model's first classify call, so that a one-shot caller
+    such as the CLI makes no table and builds no cells; for a model of
+    other than 3 features; where a feature lies outside [0, 1]; and where
+    the model makes no table."""
     state = model.__dict__
     if not state.get("_classified"):
         state["_classified"] = True
         return None
-    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
+    if model.feature_dim != 3:
         return None
-    return model._label_table
+    cells = _cube_cells(image)
+    if cells is None:
+        return None
+    table = model._label_table
+    return None if table is None else (table, cells)
 
 
-def _screener(model: MlpModel, tau: float, classes: np.ndarray, n: int):
-    """The float32 screen of ``model`` for up to ``n`` pixels at a time:
-    ``forward`` (_screen_pass), and ``decided(z)``, the labels of the
-    pixels whose winner leads by more than ``tau`` in screen outputs
-    ``z``, 0 for the others."""
-    forward = _screen_pass(model, min(n, _SCREEN_BLOCK))
+def _table_labels(table: _LabelTable, cells: np.ndarray, x: np.ndarray, rest) -> np.ndarray:
+    """The labels of feature planes ``x``: a proven cell's label, and
+    ``rest`` of the pixels whose cell is undecided.
 
-    def decided(z: np.ndarray) -> np.ndarray:
-        return np.where(_clear_lead(z, tau), classes.take(_first_best(z, largest=True)), 0)
+    ``rest`` takes the undecided pixels gathered in a multiple of
+    _MLP_BLOCK pixels, the last block filled up with pixel 0. So each array
+    has one of a few sizes: arrays of as many sizes as there are counts of
+    undecided pixels would scatter over the heap."""
+    labels = table.lookup(cells)
+    todo = np.flatnonzero(labels == _UNDECIDED)
+    if todo.size:
+        stop = min(-(-todo.size // _MLP_BLOCK) * _MLP_BLOCK, labels.size)
+        pixels = np.zeros(stop, dtype=np.intp)
+        pixels[:todo.size] = todo
+        labels[todo] = rest(x.take(pixels, axis=1))[:todo.size]
+    return labels
 
-    return forward, decided
 
-
-def _mlp_labels(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarray:
+def _mlp_labels(
+    model: MlpModel, classes: np.ndarray, tau: float | None, x: np.ndarray
+) -> np.ndarray:
     """The MLP's labels of feature planes ``x``: those of the float64 pass.
 
-    From the model's second call on, a pixel whose cell of the label table
-    is proven takes that cell's label (_LabelTable), and the float32 screen
-    labels the others where their winner leads by more than the table's
-    ``tau1``, which holds on the whole cube. On the first call, or with a
-    feature outside [0, 1], the screen labels every pixel whose winner
-    leads by more than _screen_bound's ``tau`` for ``x``.
-    Every pixel the screen leaves, a near-tie or a non-finite score, goes
-    to the float64 pass, which keeps the tie rule and the NumericalError.
-    Out of the screen's range every pixel takes the float64 pass; the label
-    table is never made there.
+    The float32 screen labels each pixel whose winner leads by more than
+    ``tau`` in its outputs; every pixel it leaves, a near-tie or a
+    non-finite score, goes to the float64 pass, which keeps the tie rule
+    and the NumericalError. With ``tau`` None, out of the screen's range,
+    every pixel takes the float64 pass.
     """
-    table = _table_for(model, x)
-    if table is None:
-        tau = _screen_bound(model, x)
-        if tau is None:
-            return _mlp_exact(model, x, classes)
-        forward, decided = _screener(model, tau, classes, x.shape[1])
-        labels = _in_blocks(lambda xs: decided(forward(xs)), x, _SCREEN_BLOCK)
-        close = np.flatnonzero(labels == 0)
-    else:
-        labels = table.lookup(x)
-        todo = np.flatnonzero(labels == _UNDECIDED)
-        if todo.size:
-            # The screen takes the undecided pixels in blocks of
-            # _SCREEN_BLOCK and _MLP_BLOCK pixels, the last one filled up
-            # with pixel 0. So each array has one of a few sizes: arrays of
-            # as many sizes as there are counts of undecided pixels would
-            # scatter over the heap.
-            stop = min(-(-todo.size // _MLP_BLOCK) * _MLP_BLOCK, labels.size)
-            pixels = np.zeros(stop, dtype=np.intp)
-            pixels[:todo.size] = todo
-            forward, decided = _screener(model, table.tau1, classes, stop)
-            for start in range(0, stop, _SCREEN_BLOCK):
-                block = pixels[start:start + _SCREEN_BLOCK]
-                end = min(block.size, todo.size - start)
-                labels[block[:end]] = decided(forward(x.take(block, axis=1)))[:end]
-        close = todo[labels[todo] == 0]
+    if tau is None:
+        return _mlp_exact(model, x, classes)
+    forward = _screen_pass(model, min(x.shape[1], _SCREEN_BLOCK))
+
+    def decided(xs: np.ndarray) -> np.ndarray:
+        z = forward(xs)
+        return np.where(_clear_lead(z, tau), classes.take(_first_best(z, largest=True)), 0)
+
+    labels = _in_blocks(decided, x, _SCREEN_BLOCK)
+    close = np.flatnonzero(labels == 0)
     if close.size:
         labels[close] = _mlp_exact(model, x[:, close], classes)
     return labels
+
+
+def _exact_labels(model: Model, scores, classes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The labels of feature planes ``x`` from the float64 pass ``scores``
+    of a PO or SOM model."""
+    return _in_blocks(lambda xs: _decide(model, scores(xs), classes), x, _BLOCK)
 
 
 def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
@@ -892,28 +1039,33 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     both round to 1.0 still differ before it, and the larger one wins. A
     float32 pass screens the MLP's pixels and the float64 pass decides
     every close call, so the labels are the float64 pass's (_mlp_labels).
-    From a model's second call on, a pixel whose cell of the feature cube
-    interval bounds on the weights prove to hold one class skips the
-    network.
+    From a model's second call on, a pixel of a PO, MLP or KO model whose
+    cell of the feature cube bounds on the weights prove to hold one class
+    takes that class (_LabelTable); only the others take the model's pass.
+    For the MLP that pass is the screen at the table's ``tau``, which holds
+    on the whole cube; on the first call it is the screen at
+    _screen_bound's ``tau`` for the call's features.
 
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""
     x = _feature_planes(model, image)
     classes = _CLASS_CODES
-    if isinstance(model, PolyModel):
-        scores = model._planar
-    elif isinstance(model, SomModel):
+    if isinstance(model, SomModel):
         if model.class_of_neuron is None:
             raise ValidationError("SOM model must be labeled before classification")
-        classes = np.array([int(c) for c in model.class_of_neuron], dtype=np.uint8)
-        scores = partial(_som_distances, model.neurons)
+        classes = _neuron_classes(model)
     # Overflow is expected where an MLP hidden unit saturates (its sigmoid
     # is then exactly 0); only non-finite scores or distances are errors.
     with np.errstate(over="ignore", invalid="ignore"):
+        found = _table_for(model, image)
         if isinstance(model, MlpModel):
-            labels = _mlp_labels(model, x, classes)
+            tau = _screen_bound(model, x) if found is None else found[0].tau
+            rest = partial(_mlp_labels, model, classes, tau)
+        elif isinstance(model, PolyModel):
+            rest = partial(_exact_labels, model, model._planar, classes)
         else:
-            labels = _in_blocks(lambda xs: _decide(model, scores(xs), classes), x, _BLOCK)
+            rest = partial(_exact_labels, model, partial(_som_distances, model.neurons), classes)
+        labels = rest(x) if found is None else _table_labels(*found, x, rest)
     return LabelMap(labels.reshape(image.height, image.width))
 
 
@@ -949,6 +1101,7 @@ def model_from_json(doc: dict) -> Model:
     """Inverse of model_to_json. Every field is required except
     ``epochs_run``; other keys, such as the scaling flag that older model
     files carry, are ignored."""
+    check_keys(doc, None, "model file")
     kind = doc["kind"]
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -956,7 +1109,7 @@ def model_from_json(doc: dict) -> Model:
     names = [f.name for f in fields(cls) if f.name != "epochs_run" or f.name in doc]
     kwargs = {name: doc[name] for name in names}
     if config_cls is not None:
-        kwargs["config"] = config_cls(**kwargs["config"])
+        kwargs["config"] = config_from_json(config_cls, kwargs["config"], "config")
     return cls(**kwargs)
 
 

@@ -25,6 +25,7 @@ from .classifiers import (
     train_som,
 )
 from .core_image import (
+    config_from_json,
     extract_band_samples,
     extract_samples,
     load_labelmap,
@@ -89,7 +90,9 @@ def cmd_phantom(args) -> Path:
     spec = load_phantom_spec(args.spec) if args.spec else default_phantom_spec()
     acq = AcquisitionParams()
     if args.acq:
-        acq = read_json(args.acq, lambda doc: AcquisitionParams(**doc))
+        acq = read_json(
+            args.acq, lambda doc: config_from_json(AcquisitionParams, doc, "acquisition")
+        )
     stacks, truth = render_phantom(spec, acq)
     out = Path(args.out)
     for s, (stack, lm) in enumerate(zip(stacks, truth)):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
@@ -335,22 +335,25 @@ def read_json(path, build):
 
 def check_keys(doc, known, what: str) -> None:
     """Raise ValidationError naming ``what`` unless ``doc`` is a JSON
-    object whose keys all lie in ``known``: a misspelled key would otherwise
-    leave its field at the default without a word."""
+    object whose keys all lie in ``known``, any key where ``known`` is None:
+    a misspelled key would otherwise leave its field at the default without
+    a word."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(known))
+    unknown = sorted(set(doc) - set(doc if known is None else known))
     if unknown:
         raise ValidationError(f"unknown keys {unknown} in {what}")
 
 
-def config_from_json(cls, doc, where):
-    """``cls(**doc)``; a non-object document, an unknown key or an ill-typed
-    value raises FormatError naming ``where``."""
+def config_from_json(cls, doc, what: str):
+    """``cls(**doc)`` for a dataclass ``cls``; a non-object document, an
+    unknown key or an ill-typed value raises ValidationError naming
+    ``what``."""
+    check_keys(doc, [f.name for f in fields(cls)], what)
     try:
         return cls(**doc)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -142,9 +142,9 @@ def load_experiment_config(path) -> ExperimentConfig:
             kwargs["phantom"] = load_phantom_spec(path.parent / spec)
         return ExperimentConfig(
             acquisition=config_from_json(
-                AcquisitionParams, doc.get("acquisition", {}), f"{path}: acquisition"
+                AcquisitionParams, doc.get("acquisition", {}), "acquisition"
             ),
-            adc=config_from_json(AdcConfig, doc.get("adc", {}), f"{path}: adc"),
+            adc=config_from_json(AdcConfig, doc.get("adc", {}), "adc"),
             **kwargs,
         )
 

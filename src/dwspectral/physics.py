@@ -14,6 +14,7 @@ from .core_image import (
     SpectralStack,
     b_value_sequence,
     check_keys,
+    config_from_json,
     finite_number,
     read_json,
     whole_number,
@@ -280,9 +281,11 @@ def _shape_from_json(doc, index: int) -> Shape:
 def _spec_from_json(doc) -> PhantomSpec:
     check_keys(doc, ("width", "height", "slices", "shapes", "tissues"), "phantom spec")
     shapes = tuple(_shape_from_json(s, i) for i, s in enumerate(doc["shapes"]))
+    tissues = doc.get("tissues", {})
+    check_keys(tissues, _LABEL_NAMES, "tissues")
     tissues = {
-        _LABEL_NAMES[name]: TissueParams(**params)
-        for name, params in doc.get("tissues", {}).items()
+        _LABEL_NAMES[name]: config_from_json(TissueParams, params, f"tissues.{name}")
+        for name, params in tissues.items()
     }
     return PhantomSpec(
         doc["width"], doc["height"], doc["slices"], shapes, tissues or dict(DEFAULT_TISSUES)

@@ -866,6 +866,56 @@ def centred_model(rng, scale):
     return MlpModel(wh, wo)
 
 
+def exact_labels(model, x):
+    """The float64 pass alone over feature planes x, for a PO, MLP or KO
+    model: its class codes."""
+    if isinstance(model, MlpModel):
+        return float64_labels(model, x)
+    if isinstance(model, PolyModel):
+        return _first_best(model._planar(x), largest=True) + 1
+    lut = np.array([int(c) for c in model.class_of_neuron])
+    return lut[_first_best(classifiers._som_distances(model.neurons, x), largest=False)]
+
+
+def crossing_model(kind, rng, scale):
+    """A PO, MLP or KO model whose class boundaries cross the feature cube:
+    PO scores and MLP outputs equal at its centre (weights uniform in
+    [-scale, scale]), or SOM neurons inside it whose classes may repeat."""
+    if kind == "MLP":
+        return centred_model(rng, scale)
+    if kind == "PO":
+        w = rng.uniform(-scale, scale, (3, 10))
+        w[:, 0] -= w @ classifiers._quadratic_planes(np.full((3, 1), 0.5))[:, 0]
+        return PolyModel(w)
+    return SomModel(rng.uniform(0.0, 1.0, (3, 3)), class_of_neuron=tuple(rng.integers(1, 4, 3)))
+
+
+def assert_proven_cells_hold(model, rng):
+    """Prove the whole cube for ``model``; every proven cell must hold the
+    float64 pass's label at its 8 corners and at random points inside it."""
+    table = model._label_table
+    with np.errstate(over="ignore"):
+        table.prove(np.array(np.unravel_index(np.arange(64), (4, 4, 4))))
+    labels = table.labels.reshape(64, 64, 64)
+    assert np.all(labels != 0)
+    proven = labels != classifiers._UNDECIDED
+    # Corner (a, b, c) of cell (i, j, k) is vertex (i + a, j + b, k + c)
+    # of the grid.
+    v = np.arange(65) / 64
+    vertices = np.array(np.meshgrid(v, v, v, indexing="ij")).reshape(3, -1)
+    at_vertex = np.concatenate(
+        [exact_labels(model, vertices[:, i:i + 8192]) for i in range(0, 65**3, 8192)]
+    ).reshape(65, 65, 65)
+    for a, b, c in np.ndindex(2, 2, 2):
+        corner = at_vertex[a:a + 64, b:b + 64, c:c + 64]
+        np.testing.assert_array_equal(corner[proven], labels[proven])
+    x = rng.uniform(0.0, 1.0, (3, 8192))
+    inside = table.labels[classifiers._LabelTable.cells(x)]
+    held = inside != classifiers._UNDECIDED
+    np.testing.assert_array_equal(exact_labels(model, x)[held], inside[held])
+    return labels
+
+
 def tanh_ulp_error(x):
     """The error of float32 np.tanh at float32 ``x``, in float32 ulp of the
     float64 tanh."""
@@ -1077,16 +1127,22 @@ class TestFloat32Screen:
     )
     def test_table_labels_equal_float64_pass(self, seed, scale, levels):
         # Each call's pixels scatter around the same 6 centres, at one noise
-        # level, so later calls meet cells that earlier ones filled.
+        # level, so later calls meet cells that earlier ones proved. A PO,
+        # an MLP and a KO model classify each image.
         rng = np.random.default_rng(seed)
-        model = MlpModel(rng.uniform(-scale, scale, (60, 4)), rng.uniform(-scale, scale, (3, 61)))
+        models = [
+            PolyModel(rng.uniform(-scale, scale, (3, 10))),
+            MlpModel(rng.uniform(-scale, scale, (60, 4)), rng.uniform(-scale, scale, (3, 61))),
+            crossing_model("KO", rng, scale),
+        ]
         centres = rng.uniform(0.0, 1.0, (3, 6))
         for level in levels:
             x = centres[:, rng.integers(0, 6, 2500)] + level * rng.standard_normal((3, 2500))
             image = stack_of(FULL_SCALE * np.clip(x, 0.0, 1.0).reshape(3, 50, 50))
-            got = classify(model, image).labels.ravel()
-            np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
-        assert model.__dict__["_label_table"] is not None
+            for model in models:
+                got = classify(model, image).labels.ravel()
+                np.testing.assert_array_equal(got, exact_labels(model, image.planes))
+        assert all(model.__dict__["_label_table"] is not None for model in models)
 
     def test_boundary_cell_stays_undecided(self, monkeypatch):
         # z_0 - z_1 = 2 * sigmoid(64 * (x_0 - c)) - 1 with c the middle of
@@ -1131,27 +1187,7 @@ class TestFloat32Screen:
     @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.5, 2.0, 8.0, 32.0]))
     def test_proven_cells_hold_the_float64_label(self, seed, scale):
         rng = np.random.default_rng(seed)
-        model = centred_model(rng, scale)
-        table = model._label_table
-        with np.errstate(over="ignore"):
-            table.prove(np.array(np.unravel_index(np.arange(64), (4, 4, 4))))
-        labels = table.labels.reshape(64, 64, 64)
-        assert np.all(labels != 0)
-        proven = labels != classifiers._UNDECIDED
-        # Corner (a, b, c) of cell (i, j, k) is vertex (i + a, j + b, k + c)
-        # of the grid.
-        v = np.arange(65) / 64
-        vertices = np.array(np.meshgrid(v, v, v, indexing="ij")).reshape(3, -1)
-        at_vertex = np.concatenate(
-            [float64_labels(model, vertices[:, i:i + 8192]) for i in range(0, 65**3, 8192)]
-        ).reshape(65, 65, 65)
-        for a, b, c in np.ndindex(2, 2, 2):
-            corner = at_vertex[a:a + 64, b:b + 64, c:c + 64]
-            np.testing.assert_array_equal(corner[proven], labels[proven])
-        x = rng.uniform(0.0, 1.0, (3, 8192))
-        inside = table.labels[classifiers._LabelTable.cells(x)]
-        held = inside != classifiers._UNDECIDED
-        np.testing.assert_array_equal(float64_labels(model, x)[held], inside[held])
+        assert_proven_cells_hold(centred_model(rng, scale), rng)
 
     def test_table_does_not_depend_on_call_order(self):
         # Three images over overlapping parts of the cube, classified in
@@ -1191,13 +1227,13 @@ class TestFloat32Screen:
         wo[2, -1] = 10.0
         model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), wo)
         halves = []
-        bounds = classifiers._LabelTable.bounds
+        proven = classifiers._LabelTable._proven
 
         def spy(table, centres, half):
             halves.append(half)
-            return bounds(table, centres, half)
+            return proven(table, centres, half)
 
-        monkeypatch.setattr(classifiers._LabelTable, "bounds", spy)
+        monkeypatch.setattr(classifiers._LabelTable, "_proven", spy)
         image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
         for _ in range(2):
             assert np.all(classify(model, image).labels == int(ClassLabel.BACKGROUND))
@@ -1208,24 +1244,29 @@ class TestFloat32Screen:
 
     def test_one_shot_classify_makes_no_table(self):
         rng = np.random.default_rng(3)
-        model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), rng.uniform(-1.0, 1.0, (3, 61)))
-        doc = model_to_json(model)
-        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
-        first = classify(model, image).labels
-        assert "_label_table" not in model.__dict__
-        np.testing.assert_array_equal(classify(model, image).labels, first)
-        assert model.__dict__["_label_table"].labels.nbytes == 64**3
-        assert model_to_json(model) == doc
-        assert [f.name for f in fields(model)] == [f.name for f in fields(MlpModel)]
+        for kind in ("PO", "MLP", "KO"):
+            model = crossing_model(kind, rng, 1.0)
+            doc = model_to_json(model)
+            image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
+            first = classify(model, image).labels
+            assert "_label_table" not in model.__dict__
+            assert "_cells" not in image.__dict__
+            np.testing.assert_array_equal(classify(model, image).labels, first)
+            assert model.__dict__["_label_table"].labels.nbytes == 64**3
+            assert image.__dict__["_cells"] is not None
+            assert model_to_json(model) == doc
+            assert [f.name for f in fields(model)] == [f.name for f in fields(type(model))]
 
     def test_no_table_outside_the_cube(self):
         rng = np.random.default_rng(4)
-        model = MlpModel(rng.uniform(-1.0, 1.0, (60, 4)), rng.uniform(-1.0, 1.0, (3, 61)))
-        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.5, (3, 50, 50)))
-        for _ in range(3):
-            got = classify(model, image).labels.ravel()
-            np.testing.assert_array_equal(got, float64_labels(model, _feature_planes(model, image)))
-        assert "_label_table" not in model.__dict__
+        for kind in ("PO", "MLP", "KO"):
+            model = crossing_model(kind, rng, 1.0)
+            image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.5, (3, 50, 50)))
+            for _ in range(3):
+                got = classify(model, image).labels.ravel()
+                np.testing.assert_array_equal(got, exact_labels(model, image.planes))
+            assert "_label_table" not in model.__dict__
+            assert image.__dict__["_cells"] is None
 
     def test_interval_bound_follows_its_derivation(self):
         # Every hidden unit has feature weights (1, 2, -3) and bias -1, so
@@ -1241,7 +1282,7 @@ class TestFloat32Screen:
         wo = np.zeros((3, 61))
         wo[0, :60], wo[1, :60], wo[2, -1] = 1.0, -1.0, 0.5
         table = MlpModel(wh, wo)._label_table
-        assert table.tau1 == 8 * 2.0**-24 * (60 * 18 + 64 * 60)
+        assert table.tau == 8 * 2.0**-24 * (60 * 18 + 64 * 60)
         lo, hi = 1 / (1 + math.exp(0.5)), 1 / (1 + math.exp(-1.0))
         want = [120 * lo, 60 * lo - 0.5, -120 * hi, -60 * hi - 0.5, -60 * hi + 0.5, 60 * lo + 0.5]
         got = table.bounds(np.array([[3 / 8], [5 / 8], [1 / 8]]), 1 / 8)
@@ -1257,6 +1298,144 @@ class TestFloat32Screen:
         assert c[0].tolist() == [0, 0, 1, 32, 63, 63]
         want = (c[0] * 64 + c[1]) * 64 + c[2]
         np.testing.assert_array_equal(classifiers._LabelTable.cells(x), want)
+
+
+class TestLabelTables:
+    """The one label table (classifiers._LabelTable) for PO and KO models,
+    beside the MLP's (TestFloat32Screen)."""
+
+    @settings(max_examples=15)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["PO", "KO"]),
+        scale=st.sampled_from([0.5, 2.0, 8.0, 32.0]),
+    )
+    def test_proven_cells_hold_the_float64_label(self, seed, kind, scale):
+        rng = np.random.default_rng(seed)
+        assert_proven_cells_hold(crossing_model(kind, rng, scale), rng)
+
+    def test_po_bound_follows_its_derivation(self):
+        # s_0 = x1^2, s_1 = x2 x3 and s_2 = 0.5 - x1 x3. Over coarse box
+        # (1, 2, 0), lo = (1/4, 1/2, 0) and hi = (1/2, 3/4, 1/4), so with
+        # d = w_k - w_l: B_01 = lo1^2 - hi2 hi3 = 1/16 - 3/16, B_02 = lo1^2 +
+        # lo1 lo3 - 0.5, B_10 = lo2 lo3 - hi1^2, B_12 = lo2 lo3 + lo1 lo3 -
+        # 0.5, B_20 = 0.5 - hi1 hi3 - hi1^2 = 1/8, B_21 = 0.5 - hi1 hi3 - hi2
+        # hi3 = 3/16. Every term is exact. B_20 and B_21 exceed tau = 2^-46 *
+        # 1.5: the box is BACKGROUND.
+        w = np.zeros((3, 10))
+        w[0, 4], w[1, 9], w[2, 0], w[2, 8] = 1.0, 1.0, 0.5, -1.0
+        table = PolyModel(w)._label_table
+        assert table.tau == 2.0**-46 * 1.5
+        want = [-1 / 8, 1 / 16 - 0.5, -1 / 4, -0.5, 1 / 8, 3 / 16]
+        got = table.bounds(np.array([[3 / 8], [5 / 8], [1 / 8]]), 1 / 8)
+        assert got[:, 0].tolist() == want
+        table.prove(np.array([[1], [2], [0]]))
+        cube = table.labels.reshape(64, 64, 64)
+        assert np.all(cube[16:32, 32:48, :16] == int(ClassLabel.BACKGROUND))
+        assert np.count_nonzero(table.labels) == 16**3
+
+    def test_ko_bound_follows_its_derivation(self):
+        # Neurons (0, 0, 0), (1, 0, 0) and (0, 1, 0). Over coarse box
+        # (0, 3, 0), of centre c = (1/8, 7/8, 1/8) and half-width 1/8,
+        # B_kl = a . c + b - sum |a_i| / 8 with a = 2 (w_k - w_l) and b =
+        # |w_l|^2 - |w_k|^2: B_01 = -1/4 + 1 - 1/4, B_02 = -7/4 + 1 - 1/4,
+        # B_10 = 1/4 - 1 - 1/4, B_12 = 1/4 - 7/4 - 1/2, B_20 = 7/4 - 1 - 1/4,
+        # B_21 = -1/4 + 7/4 - 1/2. D = (3, 6, 6), so tau = 2^-47 * 6. B_20
+        # and B_21 exceed it: the box is neuron 2's, whose class is MATTER.
+        neurons = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        table = SomModel(neurons, class_of_neuron=(3, 1, 2))._label_table
+        assert table.tau == 2.0**-47 * 6
+        got = table.bounds(np.array([[1 / 8], [7 / 8], [1 / 8]]), 1 / 8)
+        assert got[:, 0].tolist() == [0.5, -1.0, -1.0, -2.0, 0.5, 1.0]
+        table.prove(np.array([[0], [3], [0]]))
+        cube = table.labels.reshape(64, 64, 64)
+        assert np.all(cube[:16, 48:, :16] == int(ClassLabel.MATTER))
+        assert np.count_nonzero(table.labels) == 16**3
+
+    def test_two_neurons_of_one_class(self):
+        # Neurons 0 and 2 are both CSF. The cells nearest either one are
+        # proven CSF; the cells the boundary between them crosses are not,
+        # but their pixels still take CSF from the float64 pass.
+        neurons = np.array([[0.2, 0.2, 0.2], [0.5, 0.8, 0.5], [0.8, 0.2, 0.8]])
+        model = SomModel(neurons, class_of_neuron=(1, 3, 1))
+        labels = assert_proven_cells_hold(model, np.random.default_rng(9))
+        centre = (np.array(np.meshgrid(*[np.arange(64)] * 3, indexing="ij")) + 0.5) / 64
+        nearest = _first_best(
+            classifiers._som_distances(neurons, centre.reshape(3, -1)), largest=False
+        ).reshape(64, 64, 64)
+        assert np.all(labels[nearest == 1] != int(ClassLabel.CSF))
+        for j in (0, 2):
+            assert np.count_nonzero(labels[nearest == j] == int(ClassLabel.CSF)) > 10_000
+        rng = np.random.default_rng(10)
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
+        for _ in range(2):
+            got = classify(model, image).labels.ravel()
+            np.testing.assert_array_equal(got, reference_som_labels(model, pixel_features(image)))
+
+    def test_coincident_neurons_prove_no_cell_between_them(self):
+        # Neurons 0 and 1 coincide: their bound against each other is 0,
+        # so no cell nearest them is proven, and their pixels take neuron
+        # 0's class, the lower index, through the float64 pass.
+        neurons = np.array([[0.3, 0.3, 0.3], [0.3, 0.3, 0.3], [0.8, 0.8, 0.8]])
+        model = SomModel(neurons, class_of_neuron=(2, 1, 3))
+        labels = assert_proven_cells_hold(model, np.random.default_rng(11))
+        assert set(np.unique(labels)) == {int(ClassLabel.BACKGROUND), classifiers._UNDECIDED}
+        rng = np.random.default_rng(12)
+        image = stack_of(FULL_SCALE * rng.uniform(0.1, 0.4, (3, 50, 50)))
+        for _ in range(2):
+            assert np.all(classify(model, image).labels == int(ClassLabel.MATTER))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            PolyModel(np.full((3, 10), 1e308)),
+            SomModel(np.full((3, 3), 1e200), class_of_neuron=(1, 2, 3)),
+        ],
+        ids=["PO", "KO"],
+    )
+    def test_out_of_range_model_makes_no_table(self, model):
+        rng = np.random.default_rng(13)
+        image = stack_of(FULL_SCALE * rng.uniform(0.5, 1.0, (3, 50, 50)))
+        for _ in range(3):
+            with pytest.raises(NumericalError, match="non-finite"):
+                classify(model, image)
+        assert model.__dict__["_label_table"] is None
+
+    @pytest.mark.parametrize("weight", [2.0**61, 2.0**-61], ids=["above", "below"])
+    def test_po_weights_out_of_range_make_no_table(self, weight):
+        w = np.zeros((3, 10))
+        w[2, 0], w[1, 5] = 1.0, weight
+        assert PolyModel(w)._label_table is None
+
+    def test_ko_neuron_above_range_makes_no_table(self):
+        neurons = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0**61, 0.0, 0.0]])
+        assert SomModel(neurons.copy(), class_of_neuron=(1, 2, 3))._label_table is None
+        neurons[2, 0] = 2.0**-1074  # no bottom to the KO range
+        assert SomModel(neurons, class_of_neuron=(1, 2, 3))._label_table is not None
+
+    def test_stack_cells_are_built_once_and_shared(self, noisy_slice, monkeypatch):
+        cfg, models, stack = noisy_slice
+        fresh = SpectralStack(stack.data, stack.b_values)
+        built = []
+        cells = classifiers._LabelTable.cells
+
+        def counted(x, grid=64):
+            built.append(grid)
+            return cells(x, grid)
+
+        monkeypatch.setattr(classifiers._LabelTable, "cells", staticmethod(counted))
+        trained = [models[name][1] for name in ("PO", "MLP", "KO")]
+        for model in trained:
+            model.__dict__.pop("_classified", None)
+            classify(model, stack)  # each model's first call
+        for model in trained:
+            np.testing.assert_array_equal(
+                classify(model, fresh).labels.ravel(), exact_labels(model, fresh.planes)
+            )
+        assert built == [64]
+        shared = fresh.__dict__["_cells"]
+        np.testing.assert_array_equal(shared, cells(fresh.planes))
+        assert not shared.flags.writeable
 
 
 class TestKoAdc:

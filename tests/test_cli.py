@@ -343,6 +343,24 @@ class TestMalformedModelFiles:
         rule = "positive integer" if key.startswith("max_") else "finite number"
         assert str(model) in err and f"must be a {rule}, got {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "model file must be a JSON object, got list"),
+            (lambda doc: "mlp", "model file must be a JSON object, got str"),
+            (lambda doc: {**doc, "config": None}, "config must be a JSON object, got NoneType"),
+            (lambda doc: {**doc, "config": [1]}, "config must be a JSON object, got list"),
+        ],
+        ids=["list", "string", "config-null", "config-list"],
+    )
+    def test_not_an_object_exits_2(
+        self, phantom_dir, model_docs, tmp_path, capsys, edit, message
+    ):
+        model, argv = classify_argv(phantom_dir, edit(model_docs["mlp"]), tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {model}: {message}\n"
+        assert not model.with_suffix(".pgm").exists()
+
     @pytest.mark.parametrize("value", ["banana", -7, 1.5, True, None, [1]])
     def test_epochs_run_exits_2(self, phantom_dir, model_docs, tmp_path, capsys, value):
         doc = {**model_docs["mlp"], "epochs_run": value}
@@ -545,13 +563,43 @@ class TestMalformedConfigFiles:
             ("phantom_spec", "", "phantom_spec must be a file path, got ''"),
             ("phantom_spec", [], "phantom_spec must be a file path, got []"),
             ("phantom_spec", 0, "phantom_spec must be a file path, got 0"),
-            ("acquisition", None, "must be a mapping, not NoneType"),
-            ("adc", [], "must be a mapping, not list"),
         ],
     )
     def test_sweep_config_exits_2(self, spec_file, tmp_path, capsys, key, value, message):
         argv = sweep_argv(spec_file, tmp_path, **{key: value})
         assert message in assert_one_error_line(argv, capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [(key, value) for key in ("acquisition", "adc") for value in (None, [], [1], "x", 0)],
+        ids=[
+            f"{key}-{name}"
+            for key in ("acquisition", "adc")
+            for name in ("null", "empty-list", "list", "string", "number")
+        ],
+    )
+    def test_config_block_not_an_object_exits_2(self, spec_file, tmp_path, capsys, key, value):
+        argv = sweep_argv(spec_file, tmp_path, **{key: value})
+        err = assert_one_error_line(argv, capsys)
+        want = f"{key} must be a JSON object, got {type(value).__name__}"
+        assert err == f"error: {argv[2]}: {want}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [None, [1]], ids=["null", "list"])
+    def test_acq_and_tissue_not_an_object_exits_2(self, small_spec, tmp_path, capsys, value):
+        acq = tmp_path / "acq.json"
+        acq.write_text(json.dumps(value))
+        argv = ["phantom", "--acq", acq, "--out", tmp_path / "o"]
+        want = f"acquisition must be a JSON object, got {type(value).__name__}"
+        assert assert_one_error_line(argv, capsys) == f"error: {acq}: {want}\n"
+        doc = phantom_spec_to_json(small_spec)
+        doc["tissues"]["CSF"] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        want = f"tissues.CSF must be a JSON object, got {type(value).__name__}"
+        assert assert_one_error_line(argv, capsys) == f"error: {spec}: {want}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "baseline"])
