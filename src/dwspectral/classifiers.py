@@ -8,7 +8,6 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,12 +92,6 @@ class PolyModel:
         """(3, n) class scores of feature planes x (3, n)."""
         return self.weights @ _quadratic_planes(x)
 
-    @cached_property
-    def _label_table(self) -> _LabelTable | None:
-        """The model's label table (_poly_table), made on first use and kept
-        in the instance, outside its fields."""
-        return _poly_table(self)
-
 
 def train_polynomial(samples: SampleSet) -> PolyModel:
     """Ridge-regularized least-squares fit of one-hot targets against the
@@ -177,15 +170,10 @@ class MlpModel:
         return self.hidden_weights.shape[1] - 1
 
     @cached_property
-    def _label_table(self) -> _LabelTable | None:
-        """The model's label table (_mlp_table), made on first use and kept
-        in the instance, outside its fields."""
-        return _mlp_table(self)
-
-    @cached_property
     def _screen_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """The float32 weights of _screen_pass, halved hidden weights and
-        folded output weights, kept in the instance like _label_table."""
+        folded output weights, made on first use and kept in the instance,
+        outside its fields."""
         wh, wo = self.hidden_weights, self.output_weights
         folded = wo / 2.0
         folded[:, -1] = wo[:, -1] + folded[:, :-1].sum(axis=1)
@@ -255,131 +243,89 @@ _HIDDEN_SIZE = MLP_HIDDEN * 4
 _WEIGHT_SIZE = _HIDDEN_SIZE + N_CLASSES * (MLP_HIDDEN + 1)
 
 
-class _Backprop(NamedTuple):
-    """The buffers of online backpropagation, all made once per training.
-
-    ``w`` holds the negated weights, -wh then -wo, in one flat buffer;
-    ``nh`` (60, 4) and ``no`` (3, 61) are its views, and ``no_hidden_t`` is
-    the transpose of no's first 60 columns. ``step`` is a flat buffer of
-    w's size, with views ``step_h`` and ``step_o``. ``hy`` (64,) holds the
-    hidden layer ``h``, its bias 1 and the outputs ``y``; ``hb`` is h and
-    the 1. ``om`` holds 1 - hy, with views ``omh`` and ``om_y``, and
-    ``ones`` a vector of ones with views of h's and y's sizes: a ufunc
-    call with an array operand costs less than one with the scalar 1.0.
-    The rest are the step's vectors and their column views."""
-
-    w: np.ndarray
-    nh: np.ndarray
-    no: np.ndarray
-    no_hidden_t: np.ndarray
-    step: np.ndarray
-    step_h: np.ndarray
-    step_o: np.ndarray
-    hy: np.ndarray
-    hb: np.ndarray
-    h: np.ndarray
-    y: np.ndarray
-    om: np.ndarray
-    omh: np.ndarray
-    om_y: np.ndarray
-    ones: np.ndarray
-    ones_h: np.ndarray
-    ones_y: np.ndarray
-    err: np.ndarray
-    d_out: np.ndarray
-    d_hid: np.ndarray
-    d_out_col: np.ndarray
-    d_hid_col: np.ndarray
-
-
-def _backprop_buffers(wh: np.ndarray, wo: np.ndarray) -> _Backprop:
-    """Buffers for training from weights wh (60, 4) and wo (3, 61)."""
-    w = np.empty(_WEIGHT_SIZE)
-    nh = w[:_HIDDEN_SIZE].reshape(MLP_HIDDEN, 4)
-    no = w[_HIDDEN_SIZE:].reshape(N_CLASSES, MLP_HIDDEN + 1)
-    np.negative(wh, out=nh)
-    np.negative(wo, out=no)
-    step = np.empty_like(w)
-    hy = np.ones(MLP_HIDDEN + 1 + N_CLASSES)
-    om = np.empty_like(hy)
-    ones = np.ones_like(hy)
-    d_hid, d_out = np.empty(MLP_HIDDEN), np.empty(N_CLASSES)
-    return _Backprop(
-        w=w, nh=nh, no=no, no_hidden_t=no[:, :MLP_HIDDEN].T,
-        step=step,
-        step_h=step[:_HIDDEN_SIZE].reshape(nh.shape),
-        step_o=step[_HIDDEN_SIZE:].reshape(no.shape),
-        hy=hy, hb=hy[:MLP_HIDDEN + 1], h=hy[:MLP_HIDDEN],
-        y=hy[MLP_HIDDEN + 1:],
-        om=om, omh=om[:MLP_HIDDEN], om_y=om[MLP_HIDDEN + 1:],
-        ones=ones, ones_h=ones[:MLP_HIDDEN], ones_y=ones[MLP_HIDDEN + 1:],
-        err=np.empty(N_CLASSES), d_out=d_out, d_hid=d_hid,
-        d_out_col=d_out[:, None], d_hid_col=d_hid[:, None],
-    )
-
-
-def _backprop_weights(b: _Backprop) -> tuple[np.ndarray, np.ndarray]:
-    """(wh, wo), new arrays, from the negated weights in ``b``."""
-    # 0 - w, not -w: a weight that cancels to +0 is +0 unnegated too
-    return 0.0 - b.nh, 0.0 - b.no
+def _layer_views(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden (60, 4) and output (3, 61) views of a flat buffer laid
+    out as training's weights."""
+    hidden = flat[:_HIDDEN_SIZE].reshape(MLP_HIDDEN, 4)
+    return hidden, flat[_HIDDEN_SIZE:].reshape(N_CLASSES, MLP_HIDDEN + 1)
 
 
 def _step_rates(eta: float) -> np.ndarray:
-    """The rates _backprop_step scales its step by: -eta for the hidden
-    weights, whose delta it computes with its sign flipped, and eta for the
-    output weights."""
+    """The rates a backpropagation step scales its delta by: -eta for the
+    hidden weights, whose delta it computes with its sign flipped, and eta
+    for the output weights."""
     rates = np.full(_WEIGHT_SIZE, eta)
     rates[:_HIDDEN_SIZE] = -eta
     return rates
 
 
-# The step's numpy functions, each called with its output positional: a
-# keyword ``out`` costs about 50 ns more per call, and a global name one
-# attribute lookup less than ``np.<name>``.
-_add, _dot, _exp, _matmul = np.add, np.dot, np.exp, np.matmul
-_multiply, _reciprocal, _subtract = np.multiply, np.reciprocal, np.subtract
+def _backprop(wh: np.ndarray, wo: np.ndarray):
+    """Online backpropagation from weights wh (60, 4) and wo (3, 61), with
+    every buffer made once, here, as _layers makes the forward passes'.
 
+    Returns ``step``, the flat buffer ``w`` of the negated weights, -wh then
+    -wo, and the flat buffer ``delta`` of w's size that ``step`` writes.
+    ``step(xi, ti, rates)`` takes one step on sample ``xi`` (its features
+    and a last 1) with targets ``ti`` and returns the squared error
+    |y - t|^2 of its forward pass. It writes eta times the gradient of the
+    sample's loss 0.5 * |y - t|^2 with respect to (wh, wo), flattened, into
+    ``delta`` and adds it to ``w``, which subtracts it from (wh, wo).
+    ``rates`` is _step_rates(eta). Negating is exact, so every rounding is
+    that of the same step taken on (wh, wo).
+    """
+    w = np.empty(_WEIGHT_SIZE)
+    nh, no = _layer_views(w)
+    np.negative(wh, out=nh)
+    np.negative(wo, out=no)
+    no_hidden_t = no[:, :MLP_HIDDEN].T
+    delta = np.empty_like(w)
+    delta_h, delta_o = _layer_views(delta)
+    # hy holds the hidden layer h, its bias 1 and the outputs y; om holds
+    # 1 - hy. A ufunc call with an array operand costs less than one with
+    # the scalar 1.0, hence the ones.
+    hy = np.ones(MLP_HIDDEN + 1 + N_CLASSES)
+    hb, h, y = hy[:MLP_HIDDEN + 1], hy[:MLP_HIDDEN], hy[MLP_HIDDEN + 1:]
+    om, ones = np.empty_like(hy), np.ones_like(hy)
+    omh, om_y = om[:MLP_HIDDEN], om[MLP_HIDDEN + 1:]
+    ones_h, ones_y = ones[:MLP_HIDDEN], ones[MLP_HIDDEN + 1:]
+    err, d_out, d_hid = np.empty(N_CLASSES), np.empty(N_CLASSES), np.empty(MLP_HIDDEN)
+    d_out_col, d_hid_col = d_out[:, None], d_hid[:, None]
+    # The step's numpy functions, each a closure variable, one attribute
+    # lookup less than ``np.<name>``, and each called with its output
+    # positional: a keyword ``out`` costs about 50 ns more per call.
+    add, dot, exp, matmul = np.add, np.dot, np.exp, np.matmul
+    multiply, reciprocal, subtract = np.multiply, np.reciprocal, np.subtract
 
-def _backprop_step(
-    b: _Backprop, xi: np.ndarray, ti: np.ndarray, rates: np.ndarray
-) -> float:
-    """One online backpropagation step on sample ``xi`` (its features and a
-    last 1) with targets ``ti``; returns the squared error |y - t|^2 of the
-    step's forward pass.
+    def step(xi: np.ndarray, ti: np.ndarray, rates: np.ndarray) -> float:
+        # Each line is one numpy call into a buffer: the step's cost is
+        # call overhead. (-wh) @ xi is bitwise -(wh @ xi), so
+        # h = 1 / (1 + exp(-(wh @ xi))).
+        dot(nh, xi, h)
+        exp(h, h)
+        add(h, ones_h, h)
+        reciprocal(h, h)
+        dot(no, hb, y)
+        exp(y, y)
+        add(y, ones_y, y)
+        reciprocal(y, y)
+        # 1 - h and 1 - y in one call
+        subtract(ones, hy, om)
+        subtract(y, ti, err)
+        sq_err = float(err.dot(err))
+        # d_out = (1 - y) * ((y - t) * y)
+        multiply(err, y, err)
+        multiply(om_y, err, d_out)
+        # d_hid = -(wo^T d_out) * h * (1 - h), the hidden delta negated
+        matmul(no_hidden_t, d_out, d_hid)
+        multiply(d_hid, h, d_hid)
+        multiply(d_hid, omh, d_hid)
+        multiply(d_out_col, hb, delta_o)
+        multiply(d_hid_col, xi, delta_h)
+        multiply(delta, rates, delta)
+        add(w, delta, w)
+        return sq_err
 
-    The step writes eta times the gradient of the sample's loss
-    0.5 * |y - t|^2 with respect to (wh, wo), flattened, into ``b.step``
-    and adds it to the negated weights ``b.w``, which subtracts it from
-    (wh, wo). ``rates`` is _step_rates(eta). Negating is exact, so every
-    rounding is that of the same step taken on (wh, wo). Each line is one
-    numpy call into a buffer of ``b``: the step's cost is call overhead."""
-    (w, nh, no, no_hidden_t, step, step_h, step_o, hy, hb, h, y, om, omh,
-     om_y, ones, ones_h, ones_y, err, d_out, d_hid, d_out_col, d_hid_col) = b
-    # (-wh) @ xi is bitwise -(wh @ xi), so h = 1 / (1 + exp(-(wh @ xi)))
-    _dot(nh, xi, h)
-    _exp(h, h)
-    _add(h, ones_h, h)
-    _reciprocal(h, h)
-    _dot(no, hb, y)
-    _exp(y, y)
-    _add(y, ones_y, y)
-    _reciprocal(y, y)
-    # 1 - h and 1 - y in one call
-    _subtract(ones, hy, om)
-    _subtract(y, ti, err)
-    sq_err = float(err.dot(err))
-    # d_out = (1 - y) * ((y - t) * y)
-    _multiply(err, y, err)
-    _multiply(om_y, err, d_out)
-    # d_hid = -(wo^T d_out) * h * (1 - h), the hidden delta negated
-    _matmul(no_hidden_t, d_out, d_hid)
-    _multiply(d_hid, h, d_hid)
-    _multiply(d_hid, omh, d_hid)
-    _multiply(d_out_col, hb, step_o)
-    _multiply(d_hid_col, xi, step_h)
-    _multiply(step, rates, step)
-    _add(w, step, w)
-    return sq_err
+    return step, w, delta
 
 
 def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
@@ -396,7 +342,7 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
     targets = _one_hot(samples.labels, low=0.1, high=0.9)
 
     rng = np.random.default_rng(cfg.seed)
-    b = _backprop_buffers(
+    step, w, _ = _backprop(
         rng.uniform(-0.5, 0.5, size=(MLP_HIDDEN, 4)),
         rng.uniform(-0.5, 0.5, size=(N_CLASSES, MLP_HIDDEN + 1)),
     )
@@ -412,14 +358,15 @@ def train_mlp(samples: SampleSet, cfg: MlpConfig) -> MlpModel:
         order = rng.permutation(n)
         sq_err = 0.0
         for xi, ti in zip(xb[order], targets[order]):
-            sq_err += _backprop_step(b, xi, ti, rates)
+            sq_err += step(xi, ti, rates)
         mse = sq_err / (n * N_CLASSES)
         if not np.isfinite(mse):
             raise NumericalError(f"MLP diverged at epoch {epoch}")
         if mse <= cfg.target_error:
             epochs_run = epoch + 1
             break
-    return MlpModel(*_backprop_weights(b), config=cfg, epochs_run=epochs_run)
+    # 0 - w, not -w: a weight that cancels to +0 is +0 unnegated too
+    return MlpModel(*_layer_views(0.0 - w), config=cfg, epochs_run=epochs_run)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +410,6 @@ class SomModel:
     @property
     def feature_dim(self) -> int:
         return self.neurons.shape[1]
-
-    @cached_property
-    def _label_table(self) -> _LabelTable | None:
-        """The model's label table (_som_table), made on first use and kept
-        in the instance, outside its fields."""
-        return _som_table(self)
 
     def winners(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest neuron for each feature row, ties going to
@@ -746,14 +687,14 @@ class _LabelTable:
         self.labels = np.zeros(_GRID**3, dtype=np.uint8)
 
     @staticmethod
-    def cells(x: np.ndarray, grid: int = _GRID) -> np.ndarray:
+    def cells(x: np.ndarray) -> np.ndarray:
         """The cell of each pixel of feature planes ``x`` (3, n) in [0, 1],
-        in a grid of ``grid`` cells per band, numbered in C order."""
+        numbered in C order."""
         cell = np.zeros(x.shape[1], dtype=np.int32)
         for row in x:  # one band at a time keeps the temporaries small
-            c = row * grid
-            np.minimum(c, grid - 1, out=c)
-            cell *= grid
+            c = row * _GRID
+            np.minimum(c, _GRID - 1, out=c)
+            cell *= _GRID
             cell += c.astype(np.int32)
         return cell
 
@@ -947,6 +888,9 @@ def _som_table(model: SomModel) -> _LabelTable | None:
     return _LabelTable(bounds, tau, _neuron_classes(model))
 
 
+_TABLES = {PolyModel: _poly_table, MlpModel: _mlp_table, SomModel: _som_table}
+
+
 def _cube_cells(stack: SpectralStack) -> np.ndarray | None:
     """The label table's cell (_LabelTable.cells) of each pixel of a stack
     of 3 bands, read-only, or None where a feature lies outside [0, 1].
@@ -967,7 +911,9 @@ def _table_for(model: Model, image: SpectralStack | Band):
     None: on the model's first classify call, so that a one-shot caller
     such as the CLI makes no table and builds no cells; for a model of
     other than 3 features; where a feature lies outside [0, 1]; and where
-    the model makes no table."""
+    the model makes no table. The table is made by the model's builder in
+    _TABLES when first needed and kept in the instance, outside its
+    fields, as ``_label_table``."""
     state = model.__dict__
     if not state.get("_classified"):
         state["_classified"] = True
@@ -977,7 +923,9 @@ def _table_for(model: Model, image: SpectralStack | Band):
     cells = _cube_cells(image)
     if cells is None:
         return None
-    table = model._label_table
+    if "_label_table" not in state:
+        state["_label_table"] = _TABLES[type(model)](model)
+    table = state["_label_table"]
     return None if table is None else (table, cells)
 
 
@@ -1099,15 +1047,18 @@ def model_to_json(model: Model) -> dict:
 
 def model_from_json(doc: dict) -> Model:
     """Inverse of model_to_json. Every field is required except
-    ``epochs_run``; other keys, such as the scaling flag that older model
-    files carry, are ignored."""
-    check_keys(doc, None, "model file")
+    ``epochs_run``. The one other key allowed is ``normalize``, the scaling
+    flag that model files written before scaling was fixed by input kind
+    carry; it is ignored. Any other key raises ValidationError."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model file must be a JSON object, got {type(doc).__name__}")
     kind = doc["kind"]
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     cls, config_cls = MODEL_KINDS[kind]
-    names = [f.name for f in fields(cls) if f.name != "epochs_run" or f.name in doc]
-    kwargs = {name: doc[name] for name in names}
+    names = [f.name for f in fields(cls)]
+    check_keys(doc, ["kind", *names, "normalize"], "model file")
+    kwargs = {name: doc[name] for name in names if name != "epochs_run" or name in doc}
     if config_cls is not None:
         kwargs["config"] = config_from_json(config_cls, kwargs["config"], "config")
     return cls(**kwargs)

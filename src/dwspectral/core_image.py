@@ -89,6 +89,7 @@ class Band:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _intensities(self.data, 2, "band"))
+        object.__setattr__(self, "slice_index", whole_number(self.slice_index, "slice_index"))
 
     @property
     def width(self) -> int:
@@ -118,6 +119,7 @@ class SpectralStack:
             raise ValidationError(f"{len(data)} bands but {len(b_values)} b-values")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "b_values", b_values)
+        object.__setattr__(self, "slice_index", whole_number(self.slice_index, "slice_index"))
 
     @property
     def width(self) -> int:
@@ -335,12 +337,11 @@ def read_json(path, build):
 
 def check_keys(doc, known, what: str) -> None:
     """Raise ValidationError naming ``what`` unless ``doc`` is a JSON
-    object whose keys all lie in ``known``, any key where ``known`` is None:
-    a misspelled key would otherwise leave its field at the default without
-    a word."""
+    object whose keys all lie in ``known``: a misspelled key would otherwise
+    leave its field at the default without a word."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(doc if known is None else known))
+    unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ValidationError(f"unknown keys {unknown} in {what}")
 
@@ -371,11 +372,12 @@ def load_stack(manifest_path) -> SpectralStack:
 
     def build(doc):
         check_keys(doc, ("bands", "b_values", "slice_index"), "stack manifest")
-        slice_index = whole_number(doc.get("slice_index", 0), "slice_index")
         bands = [_read_pgm(manifest_path.parent / rel, FULL_SCALE, ">u2") for rel in doc["bands"]]
         if len({b.shape for b in bands}) > 1:
             raise ValidationError("all bands in a stack must share dimensions")
-        return SpectralStack(np.array(bands, np.float64), tuple(doc["b_values"]), slice_index)
+        return SpectralStack(
+            np.array(bands, np.float64), tuple(doc["b_values"]), doc.get("slice_index", 0)
+        )
 
     return read_json(manifest_path, build)
 

@@ -281,15 +281,14 @@ def _shape_from_json(doc, index: int) -> Shape:
 def _spec_from_json(doc) -> PhantomSpec:
     check_keys(doc, ("width", "height", "slices", "shapes", "tissues"), "phantom spec")
     shapes = tuple(_shape_from_json(s, i) for i, s in enumerate(doc["shapes"]))
-    tissues = doc.get("tissues", {})
-    check_keys(tissues, _LABEL_NAMES, "tissues")
-    tissues = {
-        _LABEL_NAMES[name]: config_from_json(TissueParams, params, f"tissues.{name}")
-        for name, params in tissues.items()
-    }
-    return PhantomSpec(
-        doc["width"], doc["height"], doc["slices"], shapes, tissues or dict(DEFAULT_TISSUES)
-    )
+    table = {}  # an omitted table is PhantomSpec's default; an empty one is empty
+    if "tissues" in doc:
+        check_keys(doc["tissues"], _LABEL_NAMES, "tissues")
+        table["tissue_table"] = {
+            _LABEL_NAMES[name]: config_from_json(TissueParams, params, f"tissues.{name}")
+            for name, params in doc["tissues"].items()
+        }
+    return PhantomSpec(doc["width"], doc["height"], doc["slices"], shapes, **table)
 
 
 def load_phantom_spec(path) -> PhantomSpec:

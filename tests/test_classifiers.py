@@ -19,11 +19,10 @@ from dwspectral.classifiers import (
     PolyModel,
     SomConfig,
     SomModel,
-    _backprop_buffers,
-    _backprop_step,
-    _backprop_weights,
+    _backprop,
     _feature_planes,
     _first_best,
+    _layer_views,
     _mlp_pass,
     _sigmoid_of_negated,
     _step_rates,
@@ -140,18 +139,26 @@ def reference_train_mlp(samples, cfg):
     return wh, wo, cfg.max_epochs
 
 
-def backprop_step_errors(b, xi, ti, eta, coords, step=1e-5):
-    """Take one _backprop_step on sample (xi, ti), in place on the buffers
-    ``b``, as train_mlp does. Returns its squared error; whether the negated
-    weights moved by exactly the step it wrote into ``b.step``; and, at each
-    of ``coords`` (0 for wh or 1 for wo, and a flat index), the relative
-    error between that step divided by ``eta`` and the central finite
-    difference of the sample's loss at the weights (wh, wo) before the step."""
-    before = _backprop_weights(b)
-    w0 = b.w.copy()
-    sq_err = _backprop_step(b, xi, ti, _step_rates(eta))
-    applied = np.array_equal(b.w, w0 + b.step)
-    steps = (b.step_h, b.step_o)
+def backprop_weights(w):
+    """(wh, wo), new arrays, from training's flat buffer ``w`` of negated
+    weights, as train_mlp unnegates them."""
+    return _layer_views(0.0 - w)
+
+
+def backprop_step_errors(backprop, xi, ti, eta, coords, step=1e-5):
+    """Take one step of ``backprop``, the (step, w, delta) of _backprop, on
+    sample (xi, ti), in place on its buffers, as train_mlp does. Returns its
+    squared error; whether the negated weights ``w`` moved by exactly the
+    ``delta`` it wrote; and, at each of ``coords`` (0 for wh or 1 for wo,
+    and a flat index), the relative error between that delta divided by
+    ``eta`` and the central finite difference of the sample's loss at the
+    weights (wh, wo) before the step."""
+    take, w, delta = backprop
+    before = backprop_weights(w)
+    w0 = w.copy()
+    sq_err = take(xi, ti, _step_rates(eta))
+    applied = np.array_equal(w, w0 + delta)
+    steps = _layer_views(delta)
     errors = []
     for k, flat in coords:
         idx = np.unravel_index(flat, before[k].shape)
@@ -348,24 +355,22 @@ class TestMlp:
         """Each online step is eta times the gradient of its sample's loss:
         20 samples in turn, 20 coordinates of each layer."""
         rng = np.random.default_rng(42)
-        b = _backprop_buffers(
-            rng.uniform(-0.5, 0.5, (60, 4)), rng.uniform(-0.5, 0.5, (3, 61))
-        )
+        b = _backprop(rng.uniform(-0.5, 0.5, (60, 4)), rng.uniform(-0.5, 0.5, (3, 61)))
         xb = np.hstack([rng.random((20, 3)), np.ones((20, 1))])
         t = np.full((20, 3), 0.1)
         t[np.arange(20), rng.integers(0, 3, 20)] = 0.9
-        coords = [(0, i) for i in rng.choice(b.nh.size, size=20, replace=False)]
-        coords += [(1, i) for i in rng.choice(b.no.size, size=20, replace=False)]
+        coords = [(0, i) for i in rng.choice(60 * 4, size=20, replace=False)]
+        coords += [(1, i) for i in rng.choice(3 * 61, size=20, replace=False)]
         for xi, ti in zip(xb, t):
-            loss = reference_sample_loss(*_backprop_weights(b), xi, ti)
+            loss = reference_sample_loss(*backprop_weights(b[1]), xi, ti)
             sq_err, applied, errors = backprop_step_errors(b, xi, ti, 0.2, coords)
             assert applied
             assert sq_err == pytest.approx(2 * loss, rel=1e-12)
             assert max(errors) <= 1e-4
 
     def test_training_applies_the_checked_step(self, monkeypatch):
-        """train_mlp's weights are those of _backprop_step replayed by hand:
-        the initial weights, then one permutation per epoch, from one
+        """train_mlp's weights are those of _backprop's step replayed by
+        hand: the initial weights, then one permutation per epoch, from one
         default_rng(seed)."""
         samples = blob_samples(
             [((0.2, 0.3, 0.4), ClassLabel.CSF), ((0.7, 0.6, 0.5), ClassLabel.MATTER)],
@@ -373,19 +378,23 @@ class TestMlp:
             spread=0.05,
         )
         cfg = MlpConfig(target_error=1e-9, max_epochs=2, seed=5)
-        step = classifiers._backprop_step
         calls = []
 
-        def counted(*args):
-            calls.append(1)
-            return step(*args)
+        def counted_backprop(wh, wo):
+            step, w, delta = _backprop(wh, wo)
 
-        monkeypatch.setattr(classifiers, "_backprop_step", counted)
+            def counted(*args):
+                calls.append(1)
+                return step(*args)
+
+            return counted, w, delta
+
+        monkeypatch.setattr(classifiers, "_backprop", counted_backprop)
         model = train_mlp(samples, cfg)
         assert model.epochs_run == 2 and len(calls) == 2 * len(samples)
 
         rng = np.random.default_rng(cfg.seed)
-        b = _backprop_buffers(
+        step, w, _ = _backprop(
             rng.uniform(-0.5, 0.5, size=(60, 4)), rng.uniform(-0.5, 0.5, size=(3, 61))
         )
         xb = np.hstack([samples.features, np.ones((len(samples), 1))])
@@ -393,8 +402,8 @@ class TestMlp:
         for epoch in range(cfg.max_epochs):
             rates = _step_rates(cfg.eta0 * (1.0 - epoch / cfg.max_epochs))
             for idx in rng.permutation(len(samples)):
-                step(b, xb[idx], targets[idx], rates)
-        wh, wo = _backprop_weights(b)
+                step(xb[idx], targets[idx], rates)
+        wh, wo = backprop_weights(w)
         assert model.hidden_weights.tobytes() == wh.tobytes()
         assert model.output_weights.tobytes() == wo.tobytes()
 
@@ -893,7 +902,7 @@ def crossing_model(kind, rng, scale):
 def assert_proven_cells_hold(model, rng):
     """Prove the whole cube for ``model``; every proven cell must hold the
     float64 pass's label at its 8 corners and at random points inside it."""
-    table = model._label_table
+    table = classifiers._TABLES[type(model)](model)
     with np.errstate(over="ignore"):
         table.prove(np.array(np.unravel_index(np.arange(64), (4, 4, 4))))
     labels = table.labels.reshape(64, 64, 64)
@@ -1206,14 +1215,14 @@ class TestFloat32Screen:
             for i in order:
                 classify(model, images[i])
             tables.append(model.__dict__["_label_table"].labels)
-        model = MlpModel(wh, wo)
         cells = np.array(np.unravel_index(np.flatnonzero(tables[0]), (64, 64, 64)))
         reached = np.unique(cells // 16, axis=1)
         assert reached.shape[1] == 22  # 3 * 2^3 boxes, two of them twice
+        table = classifiers._mlp_table(MlpModel(wh, wo))
         with np.errstate(over="ignore"):
             for box in rng.permutation(reached.T):
-                model._label_table.prove(box[:, None])
-        tables.append(model._label_table.labels)
+                table.prove(box[:, None])
+        tables.append(table.labels)
         assert set(np.unique(tables[0])) == {0, 1, 2, 3, classifiers._UNDECIDED}
         for table in tables[1:]:
             np.testing.assert_array_equal(table, tables[0])
@@ -1281,7 +1290,7 @@ class TestFloat32Screen:
         wh = np.tile([1.0, 2.0, -3.0, -1.0], (60, 1))
         wo = np.zeros((3, 61))
         wo[0, :60], wo[1, :60], wo[2, -1] = 1.0, -1.0, 0.5
-        table = MlpModel(wh, wo)._label_table
+        table = classifiers._mlp_table(MlpModel(wh, wo))
         assert table.tau == 8 * 2.0**-24 * (60 * 18 + 64 * 60)
         lo, hi = 1 / (1 + math.exp(0.5)), 1 / (1 + math.exp(-1.0))
         want = [120 * lo, 60 * lo - 0.5, -120 * hi, -60 * hi - 0.5, -60 * hi + 0.5, 60 * lo + 0.5]
@@ -1324,7 +1333,7 @@ class TestLabelTables:
         # 1.5: the box is BACKGROUND.
         w = np.zeros((3, 10))
         w[0, 4], w[1, 9], w[2, 0], w[2, 8] = 1.0, 1.0, 0.5, -1.0
-        table = PolyModel(w)._label_table
+        table = classifiers._poly_table(PolyModel(w))
         assert table.tau == 2.0**-46 * 1.5
         want = [-1 / 8, 1 / 16 - 0.5, -1 / 4, -0.5, 1 / 8, 3 / 16]
         got = table.bounds(np.array([[3 / 8], [5 / 8], [1 / 8]]), 1 / 8)
@@ -1343,7 +1352,7 @@ class TestLabelTables:
         # B_21 = -1/4 + 7/4 - 1/2. D = (3, 6, 6), so tau = 2^-47 * 6. B_20
         # and B_21 exceed it: the box is neuron 2's, whose class is MATTER.
         neurons = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        table = SomModel(neurons, class_of_neuron=(3, 1, 2))._label_table
+        table = classifiers._som_table(SomModel(neurons, class_of_neuron=(3, 1, 2)))
         assert table.tau == 2.0**-47 * 6
         got = table.bounds(np.array([[1 / 8], [7 / 8], [1 / 8]]), 1 / 8)
         assert got[:, 0].tolist() == [0.5, -1.0, -1.0, -2.0, 0.5, 1.0]
@@ -1405,13 +1414,14 @@ class TestLabelTables:
     def test_po_weights_out_of_range_make_no_table(self, weight):
         w = np.zeros((3, 10))
         w[2, 0], w[1, 5] = 1.0, weight
-        assert PolyModel(w)._label_table is None
+        assert classifiers._poly_table(PolyModel(w)) is None
 
     def test_ko_neuron_above_range_makes_no_table(self):
         neurons = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0**61, 0.0, 0.0]])
-        assert SomModel(neurons.copy(), class_of_neuron=(1, 2, 3))._label_table is None
+        som_table = classifiers._som_table
+        assert som_table(SomModel(neurons.copy(), class_of_neuron=(1, 2, 3))) is None
         neurons[2, 0] = 2.0**-1074  # no bottom to the KO range
-        assert SomModel(neurons, class_of_neuron=(1, 2, 3))._label_table is not None
+        assert som_table(SomModel(neurons, class_of_neuron=(1, 2, 3))) is not None
 
     def test_stack_cells_are_built_once_and_shared(self, noisy_slice, monkeypatch):
         cfg, models, stack = noisy_slice
@@ -1419,9 +1429,9 @@ class TestLabelTables:
         built = []
         cells = classifiers._LabelTable.cells
 
-        def counted(x, grid=64):
-            built.append(grid)
-            return cells(x, grid)
+        def counted(x):
+            built.append(x.shape)
+            return cells(x)
 
         monkeypatch.setattr(classifiers._LabelTable, "cells", staticmethod(counted))
         trained = [models[name][1] for name in ("PO", "MLP", "KO")]
@@ -1432,7 +1442,7 @@ class TestLabelTables:
             np.testing.assert_array_equal(
                 classify(model, fresh).labels.ravel(), exact_labels(model, fresh.planes)
             )
-        assert built == [64]
+        assert built == [fresh.planes.shape]
         shared = fresh.__dict__["_cells"]
         np.testing.assert_array_equal(shared, cells(fresh.planes))
         assert not shared.flags.writeable

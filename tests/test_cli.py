@@ -361,6 +361,19 @@ class TestMalformedModelFiles:
         assert err == f"error: {model}: {message}\n"
         assert not model.with_suffix(".pgm").exists()
 
+    @pytest.mark.parametrize(
+        "method, key",
+        [("po", "bogus"), ("mlp", "normalise"), ("ko", "weights"), ("po", "epochs_run")],
+    )
+    def test_unknown_key_exits_2(self, phantom_dir, model_docs, tmp_path, capsys, method, key):
+        """A key of another kind counts as unknown too: a PO file has no
+        ``epochs_run`` and a SOM file no ``weights``."""
+        doc = {**model_docs[method], key: 1}
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {model}: unknown keys [{key!r}] in model file\n"
+        assert not model.with_suffix(".pgm").exists()
+
     @pytest.mark.parametrize("value", ["banana", -7, 1.5, True, None, [1]])
     def test_epochs_run_exits_2(self, phantom_dir, model_docs, tmp_path, capsys, value):
         doc = {**model_docs["mlp"], "epochs_run": value}
@@ -633,6 +646,23 @@ class TestMalformedConfigFiles:
         assert str(spec) in err and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "keep, missing", [((), "CSF"), (("CSF",), "MATTER")], ids=["empty", "csf-only"]
+    )
+    def test_phantom_spec_incomplete_tissue_table_exits_2(
+        self, small_spec, tmp_path, capsys, keep, missing
+    ):
+        """An empty tissue table is a table, not an omitted one: it has no
+        entry for the first tissue the phantom paints."""
+        doc = phantom_spec_to_json(small_spec)
+        doc["tissues"] = {name: doc["tissues"][name] for name in keep}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: tissue table has no entry for {missing}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["false", None, 0, 1])
     def test_sweep_config_adc_normalize_exits_2(self, spec_file, tmp_path, capsys, value):
         argv = sweep_argv(spec_file, tmp_path, adc={"normalize_by_terms": value})
@@ -673,7 +703,8 @@ class TestNegativeRngKeys:
         manifest.write_text(json.dumps(doc))
         argv = ["noise", "--stack", manifest, "--xi", "0.05", "--out", tmp_path / "o"]
         err = assert_one_error_line(argv, capsys)
-        assert str(manifest) in err and "slice_index" in err
+        want = f"slice_index must be a non-negative integer, got {index!r}"
+        assert err == f"error: {manifest}: {want}\n"
 
 
 

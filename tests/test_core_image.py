@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestStack:
         assert not stack.data.flags.writeable and stack.data.flags.c_contiguous
         assert [b.data.tolist() for b in stack.bands] == data.tolist()
         assert all(b.slice_index == 7 and np.shares_memory(b.data, stack.data) for b in stack.bands)
+
+    @pytest.mark.parametrize("index", [-1, 2.5, "x", True, None])
+    def test_slice_index_checked_where_made(self, index):
+        # It keys the noise generators, which take only non-negative
+        # integers: a bad one fails here, not in add_noise_to_stack.
+        message = f"slice_index must be a non-negative integer, got {index!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SpectralStack(np.ones((2, 2, 2)), (0.0, 500.0), slice_index=index)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            Band(np.ones((2, 2)), slice_index=index)
+
+    def test_slice_index_kept_as_int(self):
+        stack = SpectralStack(np.ones((2, 2, 2)), (0.0, 500.0), slice_index=np.int64(4))
+        assert type(stack.slice_index) is int and type(stack.bands[0].slice_index) is int
 
 
 class TestDimensions:
