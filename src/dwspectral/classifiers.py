@@ -69,6 +69,36 @@ def _one_hot(labels: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndar
     return t
 
 
+# The labels of the three score rows of a PO or MLP model, as classify
+# writes them.
+_CLASS_CODES = np.array([int(c) for c in ClassLabel], dtype=np.uint8)
+_CLASS_CODES.setflags(write=False)
+
+# Pixels per block in classify. A block's temporaries stay in cache: 65 rows
+# per pixel for the MLP, at most 13 for PO or a SOM, whose larger blocks
+# spread numpy's cost per call.
+_MLP_BLOCK = 1024
+_BLOCK = 8192
+
+
+def _set_weights(model: Model, name: str, rows: int, cols: int | None) -> None:
+    """Set ``model``'s field ``name`` to its value as a read-only float64
+    array, cast without a copy, of ``rows`` rows of ``cols`` (where not
+    None) finite numbers, or raise ValidationError. Nested lists, as JSON
+    gives them, may hold what numpy reads as another number: true, "0.5"
+    or 2^53 + 1."""
+    value, what = getattr(model, name), f"{model.kind} {name}"
+    w = np.asarray(value, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != rows or cols not in (None, w.shape[1]):
+        raise ValidationError(f"{what} must be {rows}x{cols or 'd'}, got shape {w.shape}")
+    types = set() if isinstance(value, np.ndarray) else {type(v) for row in value for v in row}
+    exact = int not in types or w.ravel().tolist() == [v for row in value for v in row]
+    if not (exact and types.isdisjoint({bool, str}) and np.isfinite(w).all()):
+        raise ValidationError(f"{what} must be finite float64 numbers")
+    w.setflags(write=False)
+    object.__setattr__(model, name, w)
+
+
 # ---------------------------------------------------------------------------
 # Degree-2 polynomial network (hyperquadric discriminants)
 
@@ -77,20 +107,19 @@ class PolyModel:
     """3x10 weight matrix mapping quadratic features to class scores."""
 
     weights: np.ndarray
+    kind = "po"
     feature_dim = 3  # expand_quadratic takes exactly 3 features
+    classes = _CLASS_CODES
+    nearest_wins = False
+    block = _BLOCK
+    screen = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (N_CLASSES, 10):
-            raise ValidationError(f"polynomial weights must be 3x10, got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("polynomial weights must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        _set_weights(self, "weights", N_CLASSES, 10)
 
-    def _planar(self, x: np.ndarray) -> np.ndarray:
-        """(3, n) class scores of feature planes x (3, n)."""
-        return self.weights @ _quadratic_planes(x)
+    def exact_pass(self, cols: int):
+        """The float64 pass: class scores (3, n) of feature planes (3, n)."""
+        return lambda x: self.weights @ _quadratic_planes(x)
 
 
 def train_polynomial(samples: SampleSet) -> PolyModel:
@@ -149,31 +178,38 @@ class MlpModel:
     output_weights: np.ndarray
     epochs_run: int = 0
     config: MlpConfig = field(default_factory=MlpConfig)
+    kind = "mlp"
+    feature_dim = 3
+    classes = _CLASS_CODES
+    nearest_wins = False
+    block = _MLP_BLOCK
 
     def __post_init__(self):
-        wh = np.asarray(self.hidden_weights, dtype=np.float64)
-        wo = np.asarray(self.output_weights, dtype=np.float64)
-        if wh.shape != (MLP_HIDDEN, 4):
-            raise ValidationError(f"hidden weights must be 60x4, got {wh.shape}")
-        if wo.shape != (N_CLASSES, MLP_HIDDEN + 1):
-            raise ValidationError(f"output weights must be 3x61, got {wo.shape}")
-        if not (np.all(np.isfinite(wh)) and np.all(np.isfinite(wo))):
-            raise ValidationError("MLP weights must be finite")
+        _set_weights(self, "hidden_weights", MLP_HIDDEN, 4)
+        _set_weights(self, "output_weights", N_CLASSES, MLP_HIDDEN + 1)
         whole_number(self.epochs_run, "epochs_run")
-        wh.setflags(write=False)
-        wo.setflags(write=False)
-        object.__setattr__(self, "hidden_weights", wh)
-        object.__setattr__(self, "output_weights", wo)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.hidden_weights.shape[1] - 1
+    def exact_pass(self, cols: int):
+        """The float64 pass (_mlp_pass) for up to ``cols`` pixels."""
+        return _mlp_pass(self.hidden_weights, self.output_weights, cols)[0]
+
+    def screen(self, cols: int):
+        """The float32 screen's forward pass for feature planes (3, n) of
+        up to ``cols`` pixels: ``forward(x)`` returns the MLP's output
+        pre-activations (3, n) up to the error that _screen_bound bounds.
+
+        sigmoid(a) = 1/2 + tanh(a/2) / 2, so with hidden unit j in tanh
+        form, t_j = tanh((wh_j / 2) . x), output k is sum_j (wo_kj / 2) *
+        t_j + b'_k, where b'_k = b_k + sum_j wo_kj / 2, j over the 60 hidden
+        units, rides on the hidden row of ones.
+        """
+        return _layers(*self._screen_weights, cols, lambda a: np.tanh(a, out=a))[0]
 
     @cached_property
     def _screen_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float32 weights of _screen_pass, halved hidden weights and
-        folded output weights, made on first use and kept in the instance,
-        outside its fields."""
+        """The float32 weights of ``screen``, halved hidden weights and
+        folded output weights rounded from float64, made on first use and
+        kept in the instance, outside its fields."""
         wh, wo = self.hidden_weights, self.output_weights
         folded = wo / 2.0
         folded[:, -1] = wo[:, -1] + folded[:, :-1].sum(axis=1)
@@ -217,25 +253,6 @@ def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
     output pre-activations."""
     # (-wh) @ xb is bitwise -(wh @ xb)
     return _layers(-wh, wo, cols, _sigmoid_of_negated)
-
-
-def _tanh_in_place(a: np.ndarray) -> np.ndarray:
-    return np.tanh(a, out=a)
-
-
-def _screen_pass(model: MlpModel, cols: int):
-    """The float32 screen's forward pass for feature planes (3, n) of up to
-    ``cols`` pixels: ``forward(x)`` returns the MLP's output
-    pre-activations (3, n) up to the error that _screen_bound bounds.
-
-    sigmoid(a) = 1/2 + tanh(a/2) / 2, so with hidden unit j in tanh form,
-    t_j = tanh((wh_j / 2) . x), output k is sum_j (wo_kj / 2) * t_j + b'_k,
-    where b'_k = b_k + sum_j wo_kj / 2, j over the 60 hidden units, rides on
-    the hidden row of ones.
-    The folded weights are rounded to float32 from float64, once per model
-    (MlpModel._screen_weights).
-    """
-    return _layers(*model._screen_weights, cols, _tanh_in_place)[0]
 
 
 # Training's flat weight buffer: -wh (60, 4), then -wo (3, 61).
@@ -392,24 +409,34 @@ class SomModel:
     neurons: np.ndarray
     class_of_neuron: tuple | None = None
     config: SomConfig = field(default_factory=SomConfig)
+    kind = "som"
+    nearest_wins = True
+    block = _BLOCK
+    screen = None
 
     def __post_init__(self):
-        w = np.asarray(self.neurons, dtype=np.float64)
-        if w.ndim != 2 or w.shape[0] != SOM_NEURONS:
-            raise ValidationError(f"SOM needs exactly 3 neurons, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("SOM neurons must be finite")
+        _set_weights(self, "neurons", SOM_NEURONS, None)
         if self.class_of_neuron is not None:
-            labels = tuple(ClassLabel(c) for c in self.class_of_neuron)
+            codes = (whole_number(c, "class code", positive=True) for c in self.class_of_neuron)
+            labels = tuple(map(ClassLabel, codes))
             if len(labels) != SOM_NEURONS:
                 raise ValidationError("class_of_neuron must cover all 3 neurons")
             object.__setattr__(self, "class_of_neuron", labels)
-        w.setflags(write=False)
-        object.__setattr__(self, "neurons", w)
 
     @property
     def feature_dim(self) -> int:
         return self.neurons.shape[1]
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The neurons' class codes, kept in the instance on first use."""
+        if self.class_of_neuron is None:
+            raise ValidationError("SOM model must be labeled before classification")
+        return np.array(self.class_of_neuron, dtype=np.uint8)
+
+    def exact_pass(self, cols: int):
+        """The float64 pass: neuron distances (3, n) of feature planes (d, n)."""
+        return partial(_som_distances, self.neurons)
 
     def winners(self, features: np.ndarray) -> np.ndarray:
         """Index of the nearest neuron for each feature row, ties going to
@@ -500,17 +527,11 @@ def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
 # ---------------------------------------------------------------------------
 # Shared classification entry point
 
+# Each model class carries what classify needs of its kind: ``kind``, its
+# name in a model file; ``classes``, the codes of the three rows that its
+# float64 pass ``exact_pass(cols)`` ranks, ``block`` pixels at a time, the
+# nearest first where ``nearest_wins``; and the MLP's float32 ``screen``.
 Model = PolyModel | MlpModel | SomModel
-
-# The labels of the three score rows of a PO or MLP model, as classify
-# writes them.
-_CLASS_CODES = np.array([int(c) for c in ClassLabel], dtype=np.uint8)
-_CLASS_CODES.setflags(write=False)
-
-
-def _neuron_classes(model: SomModel) -> np.ndarray:
-    """The class codes of a labeled SOM's neurons, as classify writes them."""
-    return np.array([int(c) for c in model.class_of_neuron], dtype=np.uint8)
 
 
 def _feature_planes(model: Model, image: SpectralStack | Band) -> np.ndarray:
@@ -542,18 +563,12 @@ def _first_best(rows: np.ndarray, largest: bool) -> np.ndarray:
 def _decide(model: Model, s: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """``classes[k]`` for the best row ``s[k]`` at each pixel: the highest
     PO or MLP score, or the nearest SOM neuron when ``s`` holds distances."""
-    som = isinstance(model, SomModel)
     if not np.isfinite(s).all():
-        what = "distances" if som else "scores"
-        raise NumericalError(f"{_model_kind(model)} model gave non-finite {what}")
-    return classes.take(_first_best(s, largest=not som))
+        what = "distances" if model.nearest_wins else "scores"
+        raise NumericalError(f"{model.kind} model gave non-finite {what}")
+    return classes.take(_first_best(s, largest=not model.nearest_wins))
 
 
-# Pixels per block in classify. A block's temporaries stay in cache: 65 rows
-# per pixel for the MLP, at most 13 for PO or a SOM, whose larger blocks
-# spread numpy's cost per call.
-_MLP_BLOCK = 1024
-_BLOCK = 8192
 # float32 rows hold twice the pixels of float64 rows in the same bytes.
 _SCREEN_BLOCK = 2 * _MLP_BLOCK
 
@@ -577,7 +592,7 @@ def _in_range(magnitudes: np.ndarray) -> bool:
 
 
 def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
-    """The lead ``tau`` above which the float32 screen (_screen_pass) of
+    """The lead ``tau`` above which the float32 screen (MlpModel.screen) of
     ``model`` on feature planes ``x`` picks the class the float64 pass
     picks, or None where the screen is out of its range or ``tau`` exceeds
     1.
@@ -631,11 +646,11 @@ def _in_blocks(decide, x: np.ndarray, block: int) -> np.ndarray:
     return labels
 
 
-def _mlp_exact(model: MlpModel, x: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The MLP's labels of feature planes ``x`` from the float64 pass."""
-    wh, wo = model.hidden_weights, model.output_weights
-    forward = _mlp_pass(wh, wo, min(x.shape[1], _MLP_BLOCK))[0]
-    return _in_blocks(lambda xs: _decide(model, forward(xs), classes), x, _MLP_BLOCK)
+def _exact_labels(model: Model, x: np.ndarray) -> np.ndarray:
+    """The labels of feature planes ``x`` from the model's float64 pass."""
+    classes, block = model.classes, model.block
+    forward = model.exact_pass(min(x.shape[1], block))
+    return _in_blocks(lambda xs: _decide(model, forward(xs), classes), x, block)
 
 
 # Cells per band of the label table's grid over [0, 1], and coarse boxes
@@ -668,21 +683,21 @@ class _LabelTable:
     Pixel x lies in cell floor(64 x_i) per band i, 64 taken as 63, which is
     a closed box of half-width 1/128 in each band.
 
-    Each kind gives the table only its ``bounds`` and ``tau`` (_poly_table,
-    _mlp_table, _som_table). The model's float64 pass ranks three rows at
-    each pixel: scores, the largest first, or neuron distances, the
-    smallest first. ``bounds(centres, half)`` (6, m) holds a B_kl for each
-    pair (k, l) of _PAIRS and each box of half-width ``half`` with centres
-    (3, m), such that where the computed B_kl exceeds ``tau``, row k ranks
-    strictly before row l in the float64 pass at every point of the box.
-    A box whose B_kl exceeds ``tau`` for both other rows l takes
+    Each kind gives the table its ``bounds``, ``tau`` and ``classes``
+    (_poly_table, _mlp_table, _som_table). The model's float64 pass ranks
+    three rows at each pixel: scores, the largest first, or neuron
+    distances, the smallest first. ``bounds(centres, half)`` (6, m) holds a
+    B_kl for each pair (k, l) of _PAIRS and each box of half-width ``half``
+    with centres (3, m), such that where the computed B_kl exceeds ``tau``,
+    row k ranks strictly before row l in the float64 pass at every point of
+    the box. A box whose B_kl exceeds ``tau`` for both other rows l takes
     ``classes[k]``, and so do its 8 children. Proofs run coarse to fine,
     _COARSE^3 boxes first, and only a box left unproven is split, down to
     the cells. Every label the table gives is therefore the float64 pass's,
     with no tie to break.
     """
 
-    def __init__(self, bounds, tau: float, classes: np.ndarray = _CLASS_CODES):
+    def __init__(self, bounds, tau: float, classes: np.ndarray):
         self.bounds, self.tau, self.classes = bounds, tau, classes
         self.labels = np.zeros(_GRID**3, dtype=np.uint8)
 
@@ -781,7 +796,7 @@ def _poly_table(model: PolyModel) -> _LabelTable | None:
         low, high = _quadratic_planes(centres - half), _quadratic_planes(centres + half)
         return gap @ np.concatenate([low, high])
 
-    return _LabelTable(bounds, 2.0**-46 * float(np.abs(w).sum(axis=1).max()))
+    return _LabelTable(bounds, 2.0**-46 * float(np.abs(w).sum(axis=1).max()), model.classes)
 
 
 def _mlp_table(model: MlpModel) -> _LabelTable | None:
@@ -836,13 +851,12 @@ def _mlp_table(model: MlpModel) -> _LabelTable | None:
         b += gap_bias
         return b
 
-    return _LabelTable(bounds, tau1)
+    return _LabelTable(bounds, tau1, model.classes)
 
 
 def _som_table(model: SomModel) -> _LabelTable | None:
-    """The KO model's label table, or None for a SOM that is unlabeled, has
-    other than 3 features, or has a neuron coordinate of magnitude above
-    2^60, the top of _SCREEN_RANGE.
+    """The label table of a labeled KO model of 3 features, or None where
+    a neuron coordinate's magnitude exceeds 2^60, the top of _SCREEN_RANGE.
 
     The bound. Row k is neuron k, at distance d_k = |x - w_k|^2, and it
     takes class_of_neuron[k]; two neurons may share a class. d_l - d_k =
@@ -870,8 +884,6 @@ def _som_table(model: SomModel) -> _LabelTable | None:
     bound over the cube is non-finite.
     """
     w = model.neurons
-    if model.class_of_neuron is None or model.feature_dim != 3:
-        return None
     if not np.abs(w).max() <= _SCREEN_RANGE[1]:
         return None
     slope = 2.0 * (w[_PAIRS[0]] - w[_PAIRS[1]])
@@ -885,7 +897,7 @@ def _som_table(model: SomModel) -> _LabelTable | None:
         return b
 
     tau = 2.0**-47 * float(np.square(1.0 + np.abs(w)).sum(axis=1).max())
-    return _LabelTable(bounds, tau, _neuron_classes(model))
+    return _LabelTable(bounds, tau, model.classes)
 
 
 _TABLES = {PolyModel: _poly_table, MlpModel: _mlp_table, SomModel: _som_table}
@@ -947,36 +959,25 @@ def _table_labels(table: _LabelTable, cells: np.ndarray, x: np.ndarray, rest) ->
     return labels
 
 
-def _mlp_labels(
-    model: MlpModel, classes: np.ndarray, tau: float | None, x: np.ndarray
-) -> np.ndarray:
+def _screened_labels(model: MlpModel, tau: float, x: np.ndarray) -> np.ndarray:
     """The MLP's labels of feature planes ``x``: those of the float64 pass.
 
     The float32 screen labels each pixel whose winner leads by more than
     ``tau`` in its outputs; every pixel it leaves, a near-tie or a
     non-finite score, goes to the float64 pass, which keeps the tie rule
-    and the NumericalError. With ``tau`` None, out of the screen's range,
-    every pixel takes the float64 pass.
+    and the NumericalError.
     """
-    if tau is None:
-        return _mlp_exact(model, x, classes)
-    forward = _screen_pass(model, min(x.shape[1], _SCREEN_BLOCK))
+    forward = model.screen(min(x.shape[1], _SCREEN_BLOCK))
 
     def decided(xs: np.ndarray) -> np.ndarray:
         z = forward(xs)
-        return np.where(_clear_lead(z, tau), classes.take(_first_best(z, largest=True)), 0)
+        return np.where(_clear_lead(z, tau), model.classes.take(_first_best(z, largest=True)), 0)
 
     labels = _in_blocks(decided, x, _SCREEN_BLOCK)
     close = np.flatnonzero(labels == 0)
     if close.size:
-        labels[close] = _mlp_exact(model, x[:, close], classes)
+        labels[close] = _exact_labels(model, x[:, close])
     return labels
-
-
-def _exact_labels(model: Model, scores, classes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The labels of feature planes ``x`` from the float64 pass ``scores``
-    of a PO or SOM model."""
-    return _in_blocks(lambda xs: _decide(model, scores(xs), classes), x, _BLOCK)
 
 
 def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
@@ -986,7 +987,8 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     output pre-activations: the sigmoid is monotone, but two outputs that
     both round to 1.0 still differ before it, and the larger one wins. A
     float32 pass screens the MLP's pixels and the float64 pass decides
-    every close call, so the labels are the float64 pass's (_mlp_labels).
+    every close call, so the labels are the float64 pass's
+    (_screened_labels).
     From a model's second call on, a pixel of a PO, MLP or KO model whose
     cell of the feature cube bounds on the weights prove to hold one class
     takes that class (_LabelTable); only the others take the model's pass.
@@ -997,22 +999,15 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""
     x = _feature_planes(model, image)
-    classes = _CLASS_CODES
-    if isinstance(model, SomModel):
-        if model.class_of_neuron is None:
-            raise ValidationError("SOM model must be labeled before classification")
-        classes = _neuron_classes(model)
     # Overflow is expected where an MLP hidden unit saturates (its sigmoid
     # is then exactly 0); only non-finite scores or distances are errors.
     with np.errstate(over="ignore", invalid="ignore"):
         found = _table_for(model, image)
-        if isinstance(model, MlpModel):
+        rest = partial(_exact_labels, model)
+        if model.screen is not None:
             tau = _screen_bound(model, x) if found is None else found[0].tau
-            rest = partial(_mlp_labels, model, classes, tau)
-        elif isinstance(model, PolyModel):
-            rest = partial(_exact_labels, model, model._planar, classes)
-        else:
-            rest = partial(_exact_labels, model, partial(_som_distances, model.neurons), classes)
+            if tau is not None:
+                rest = partial(_screened_labels, model, tau)
         labels = rest(x) if found is None else _table_labels(*found, x, rest)
     return LabelMap(labels.reshape(image.height, image.width))
 
@@ -1022,11 +1017,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
 
 # A model file holds the kind, then every field of the model's dataclass in
 # declaration order; a nested config is written as its own fields.
-MODEL_KINDS = {
-    "po": (PolyModel, None),
-    "mlp": (MlpModel, MlpConfig),
-    "som": (SomModel, SomConfig),
-}
+MODEL_KINDS = {cls.kind: cls for cls in (PolyModel, MlpModel, SomModel)}
 
 
 def _plain(value):
@@ -1035,14 +1026,8 @@ def _plain(value):
     return asdict(value) if is_dataclass(value) else value
 
 
-def _model_kind(model: Model) -> str:
-    return next(k for k, (cls, _) in MODEL_KINDS.items() if isinstance(model, cls))
-
-
 def model_to_json(model: Model) -> dict:
-    doc = {"kind": _model_kind(model)}
-    doc.update((f.name, _plain(getattr(model, f.name))) for f in fields(model))
-    return doc
+    return {"kind": model.kind} | {f.name: _plain(getattr(model, f.name)) for f in fields(model)}
 
 
 def model_from_json(doc: dict) -> Model:
@@ -1055,12 +1040,12 @@ def model_from_json(doc: dict) -> Model:
     kind = doc["kind"]
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    cls, config_cls = MODEL_KINDS[kind]
-    names = [f.name for f in fields(cls)]
-    check_keys(doc, ["kind", *names, "normalize"], "model file")
-    kwargs = {name: doc[name] for name in names if name != "epochs_run" or name in doc}
-    if config_cls is not None:
-        kwargs["config"] = config_from_json(config_cls, kwargs["config"], "config")
+    cls = MODEL_KINDS[kind]
+    factories = {f.name: f.default_factory for f in fields(cls)}
+    check_keys(doc, ["kind", *factories, "normalize"], "model file")
+    kwargs = {name: doc[name] for name in factories if name != "epochs_run" or name in doc}
+    if "config" in kwargs:  # read as the class that makes its default
+        kwargs["config"] = config_from_json(factories["config"], kwargs["config"], "config")
     return cls(**kwargs)
 
 

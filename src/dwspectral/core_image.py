@@ -23,7 +23,11 @@ def whole_number(value, what: str, positive: bool = False) -> int:
     slice indices key the noise generators, which accept only non-negative
     integers; sizes and iteration counts must be positive."""
     kind, least = ("positive", 1) if positive else ("non-negative", 0)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+    # An int is known by its type: isinstance against numbers.Integral, an
+    # ABC, costs three times as much, and a model's class codes pass here.
+    integral = type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    if not integral or value < least:
         raise ValidationError(f"{what} must be a {kind} integer, got {value!r}")
     return int(value)
 

@@ -211,6 +211,11 @@ class PhantomSpec:
                     f"{shape.kind} shape ({shape.label.name}) leaves image "
                     "bounds on some slice"
                 )
+        # Every class the phantom may paint: the frame's BACKGROUND and each
+        # shape's label, whether or not some slice shows it.
+        for label in sorted({ClassLabel.BACKGROUND, *(shape.label for shape in self.shapes)}):
+            if label not in self.tissue_table:
+                raise ValidationError(f"tissue table has no entry for {label.name}")
 
     def rasterize(self, slice_index: int) -> LabelMap:
         """Labels for one slice; CSF shapes override MATTER override BACKGROUND."""
@@ -280,6 +285,8 @@ def _shape_from_json(doc, index: int) -> Shape:
 
 def _spec_from_json(doc) -> PhantomSpec:
     check_keys(doc, ("width", "height", "slices", "shapes", "tissues"), "phantom spec")
+    if not isinstance(doc["shapes"], list):
+        raise ValidationError(f"shapes must be a JSON array, got {type(doc['shapes']).__name__}")
     shapes = tuple(_shape_from_json(s, i) for i, s in enumerate(doc["shapes"]))
     table = {}  # an omitted table is PhantomSpec's default; an empty one is empty
     if "tissues" in doc:
@@ -331,11 +338,6 @@ def render_phantom(
     used = set()
     for lm in truth:
         used.update(int(v) for v in np.unique(lm.labels))
-    for code in sorted(used):
-        if ClassLabel(code) not in spec.tissue_table:
-            raise ValidationError(
-                f"tissue table has no entry for {ClassLabel(code).name}"
-            )
 
     # Intensities are class-constant fields: band i of a slice is row i of
     # this table, indexed by the slice's truth labels.

@@ -658,8 +658,9 @@ class TestClassify:
         stacks, truth = small_volume
         samples = extract_samples(stacks[3], truth[3])
         model = train_som(samples, SomConfig(seed=1))
-        with pytest.raises(ValidationError, match="must be labeled"):
-            classify(model, stacks[0])
+        for _ in range(2):  # the second call would make a label table
+            with pytest.raises(ValidationError, match="must be labeled"):
+                classify(model, stacks[0])
 
 
 def broadcast_winners(neurons, features):
@@ -788,7 +789,8 @@ class TestLayoutIdentities:
         model = models["PO"][1]
         x = _feature_planes(model, stack)
         want = expand_quadratic(pixel_features(stack)) @ model.weights.T
-        assert model._planar(x).tobytes() == np.ascontiguousarray(want.T).tobytes()
+        got = model.exact_pass(x.shape[1])(x)
+        assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
     def test_mlp_hidden_layer(self, noisy_slice):
         cfg, models, stack = noisy_slice
@@ -835,22 +837,23 @@ def float64_labels(model, x):
 def float32_gap(model, x):
     """The largest |z32 - z64| over x of the float32 screen that classify
     runs and the float64 pass."""
-    z32 = classifiers._screen_pass(model, x.shape[1])
+    z32 = model.screen(x.shape[1])
     z64 = _mlp_pass(model.hidden_weights, model.output_weights, x.shape[1])[0]
     with np.errstate(over="ignore"):
         return float(np.abs(z32(x).astype(np.float64) - z64(x)).max())
 
 
 def counting_fallback(monkeypatch):
-    """Count the pixels that classify sends to the float64 pass."""
+    """Count the pixels that classify sends to the MLP's float64 pass."""
     seen = []
-    exact = classifiers._mlp_exact
+    exact = classifiers._exact_labels
 
-    def spy(model, x, classes):
-        seen.append(x.shape[1])
-        return exact(model, x, classes)
+    def spy(model, x):
+        if isinstance(model, MlpModel):
+            seen.append(x.shape[1])
+        return exact(model, x)
 
-    monkeypatch.setattr(classifiers, "_mlp_exact", spy)
+    monkeypatch.setattr(classifiers, "_exact_labels", spy)
     return seen
 
 
@@ -881,7 +884,7 @@ def exact_labels(model, x):
     if isinstance(model, MlpModel):
         return float64_labels(model, x)
     if isinstance(model, PolyModel):
-        return _first_best(model._planar(x), largest=True) + 1
+        return _first_best(model.exact_pass(x.shape[1])(x), largest=True) + 1
     lut = np.array([int(c) for c in model.class_of_neuron])
     return lut[_first_best(classifiers._som_distances(model.neurons, x), largest=False)]
 
@@ -1045,7 +1048,7 @@ class TestFloat32Screen:
         image = stack_of(FULL_SCALE * x.reshape(3, 50, 50))
         x = _feature_planes(model, image)
         assert classifiers._screen_bound(model, x) is not None
-        z = classifiers._screen_pass(model, x.shape[1])(x)
+        z = model.screen(x.shape[1])(x)
         assert np.any(z[1] != z[2])
         seen = counting_fallback(monkeypatch)
         with warnings.catch_warnings():
@@ -1188,7 +1191,7 @@ class TestFloat32Screen:
         np.testing.assert_array_equal(table.labels[cell], want)
         # No pixel has visited cell 12, and it is decided by the table alone.
         seen = []
-        monkeypatch.setattr(classifiers, "_screen_pass", lambda *a: seen.append(a))
+        monkeypatch.setattr(MlpModel, "screen", lambda *a: seen.append(a))
         assert np.all(classify(model, pixels(12, 13)).labels == int(ClassLabel.CSF))
         assert seen == []
 

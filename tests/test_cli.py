@@ -374,6 +374,40 @@ class TestMalformedModelFiles:
         assert err == f"error: {model}: unknown keys [{key!r}] in model file\n"
         assert not model.with_suffix(".pgm").exists()
 
+    @pytest.mark.parametrize(
+        "method, key, what",
+        [
+            ("po", "weights", "po weights"),
+            ("mlp", "hidden_weights", "mlp hidden_weights"),
+            ("mlp", "output_weights", "mlp output_weights"),
+            ("ko", "neurons", "som neurons"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0.0", True, 2**53 + 1], ids=["string", "bool", "2^53+1"])
+    def test_weight_not_a_number_exits_2(
+        self, phantom_dir, model_docs, tmp_path, capsys, method, key, what, value
+    ):
+        """numpy would read "0.0" as 0.0, true as 1.0 and 2^53 + 1 as 2^53."""
+        doc = json.loads(json.dumps(model_docs[method]))
+        doc[key][1][-1] = value
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {model}: {what} must be finite float64 numbers\n"
+        assert not model.with_suffix(".pgm").exists()
+
+    @pytest.mark.parametrize("value", [True, 2.0])
+    def test_class_code_not_an_integer_exits_2(
+        self, phantom_dir, model_docs, tmp_path, capsys, value
+    ):
+        """A SOM's class codes are whole numbers: not true, read as CSF, nor
+        2.0, read as MATTER."""
+        doc = json.loads(json.dumps(model_docs["ko"]))
+        doc["class_of_neuron"][0] = value
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {model}: class code must be a positive integer, got {value!r}\n"
+        assert not model.with_suffix(".pgm").exists()
+
     @pytest.mark.parametrize("value", ["banana", -7, 1.5, True, None, [1]])
     def test_epochs_run_exits_2(self, phantom_dir, model_docs, tmp_path, capsys, value):
         doc = {**model_docs["mlp"], "epochs_run": value}
@@ -425,6 +459,12 @@ def three_element_parameter(doc):
 
 def list_document(doc):
     return [1, 2]
+
+
+def shapes_not_a_list(doc):
+    """An empty object, which would read as no shapes."""
+    doc["shapes"] = {}
+    return doc
 
 
 def sweep_argv(spec_file, tmp_path, **edits):
@@ -532,6 +572,7 @@ class TestMalformedConfigFiles:
             unknown_shape_kind,
             three_element_parameter,
             list_document,
+            shapes_not_a_list,
         ],
     )
     def test_phantom_spec_exits_2(self, small_spec, tmp_path, capsys, edit):
@@ -652,15 +693,16 @@ class TestMalformedConfigFiles:
     def test_phantom_spec_incomplete_tissue_table_exits_2(
         self, small_spec, tmp_path, capsys, keep, missing
     ):
-        """An empty tissue table is a table, not an omitted one: it has no
-        entry for the first tissue the phantom paints."""
+        """An empty tissue table is a table, not an omitted one. The error
+        names the spec file and the lowest class the spec names that the
+        table lacks."""
         doc = phantom_spec_to_json(small_spec)
         doc["tissues"] = {name: doc["tissues"][name] for name in keep}
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
         err = assert_one_error_line(argv, capsys)
-        assert err == f"error: tissue table has no entry for {missing}\n"
+        assert err == f"error: {spec}: tissue table has no entry for {missing}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["false", None, 0, 1])

@@ -140,11 +140,10 @@ class TestPhantom:
         for lm in truth:
             assert set(np.unique(lm.labels)) == {1, 2, 3}
 
-    def test_missing_tissue_entry_rejected(self, acq):
+    def test_missing_tissue_entry_rejected(self):
         shape = Shape("rect", ClassLabel.CSF, {"x0": 0, "y0": 0, "x1": 3, "y1": 3})
-        spec = PhantomSpec(4, 4, 1, (shape,), tissue_table={ClassLabel.MATTER: MATTER})
         with pytest.raises(ValidationError, match="no entry for CSF"):
-            render_phantom(spec, acq)
+            PhantomSpec(4, 4, 1, (shape,), tissue_table={ClassLabel.MATTER: MATTER})
 
     def test_out_of_bounds_shape_rejected(self):
         shape = Shape("ellipse", ClassLabel.CSF, {"cx": 2, "cy": 2, "rx": 10, "ry": 2})

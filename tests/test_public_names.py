@@ -1,7 +1,9 @@
 """Every function, class and method of the package, public or private, is
 used by the package itself, so that no API or helper exists for the tests
 alone. Only a read of a name counts as a use: importing it, as a re-export
-does, does not. Dunder methods are called by Python itself."""
+does, does not. Dunder methods are called by Python itself. And
+classifiers.py reads each model's kind from the model, never from its
+class."""
 
 import ast
 from collections import Counter
@@ -67,3 +69,19 @@ def test_every_public_name_is_used_in_src():
 
 def test_every_private_name_is_used_in_src():
     assert [name for name in unreferenced(SRC) if private(name)] == []
+
+
+MODEL_CLASSES = {"PolyModel", "MlpModel", "SomModel"}
+
+
+def test_classifiers_makes_no_type_dispatch_on_models():
+    """Each model class carries its kind's facts; classifiers.py reads
+    them instead of asking which class it holds."""
+    tree = ast.parse((SRC / "classifiers.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = node.args[1]
+            names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+            found += [(node.lineno, n.id) for n in names if getattr(n, "id", None) in MODEL_CLASSES]
+    assert found == []
