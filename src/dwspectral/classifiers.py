@@ -91,6 +91,8 @@ def _set_weights(model: Model, name: str, rows: int, cols: int | None) -> None:
     w = np.asarray(value, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != rows or cols not in (None, w.shape[1]):
         raise ValidationError(f"{what} must be {rows}x{cols or 'd'}, got shape {w.shape}")
+    if not w.shape[1]:
+        raise ValidationError(f"{what} must hold at least one feature, got shape {w.shape}")
     types = set() if isinstance(value, np.ndarray) else {type(v) for row in value for v in row}
     exact = int not in types or w.ravel().tolist() == [v for row in value for v in row]
     if not (exact and types.isdisjoint({bool, str}) and np.isfinite(w).all()):
@@ -417,8 +419,7 @@ class SomModel:
     def __post_init__(self):
         _set_weights(self, "neurons", SOM_NEURONS, None)
         if self.class_of_neuron is not None:
-            codes = (whole_number(c, "class code", positive=True) for c in self.class_of_neuron)
-            labels = tuple(map(ClassLabel, codes))
+            labels = tuple(map(_class_label, self.class_of_neuron))
             if len(labels) != SOM_NEURONS:
                 raise ValidationError("class_of_neuron must cover all 3 neurons")
             object.__setattr__(self, "class_of_neuron", labels)
@@ -445,6 +446,14 @@ class SomModel:
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = _som_distances(self.neurons, x)
         return _decide(self, d2, np.arange(SOM_NEURONS))
+
+
+def _class_label(code) -> ClassLabel:
+    """A neuron's class code, a whole number, as its ClassLabel."""
+    value = whole_number(code, "class code", positive=True)
+    if value > N_CLASSES:
+        raise ValidationError(f"class code must be 1, 2 or 3, got {code!r}")
+    return ClassLabel(value)
 
 
 def _som_distances(neurons: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -573,10 +582,10 @@ def _decide(model: Model, s: np.ndarray, classes: np.ndarray) -> np.ndarray:
 _SCREEN_BLOCK = 2 * _MLP_BLOCK
 
 # The float32 MLP screen takes a model whose weights are each 0 or of
-# magnitude in [2^-60, 2^60], on features of magnitude at most 2^60. No
-# float32 product or sum of its forward pass can then overflow, and what
-# underflow loses lies far below the bound of _screen_bound. The PO label
-# table takes the same weights, and the KO table neurons up to 2^60.
+# magnitude in [2^-60, 2^60]. On features in [0, 1] no float32 product or
+# sum of its forward pass can then overflow, and what underflow loses lies
+# far below the bound of _screen_bound. The PO label table takes the same
+# weights, and the KO table neurons up to 2^60.
 _SCREEN_RANGE = (2.0**-60, 2.0**60)
 
 # The largest error of float32 np.tanh, in units in the last place, that
@@ -591,17 +600,15 @@ def _in_range(magnitudes: np.ndarray) -> bool:
     return bool(magnitudes.max() <= high and np.all((magnitudes == 0.0) | (magnitudes >= low)))
 
 
-def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
+def _screen_bound(model: MlpModel) -> float | None:
     """The lead ``tau`` above which the float32 screen (MlpModel.screen) of
-    ``model`` on feature planes ``x`` picks the class the float64 pass
-    picks, or None where the screen is out of its range or ``tau`` exceeds
-    1.
+    ``model`` on features in [0, 1] picks the class the float64 pass picks,
+    or None where the screen is out of its range or ``tau`` exceeds 1.
 
-    Forward error of the screen, u = 2^-24 and m = max |x|; halving a
-    weight is exact:
+    Forward error of the screen, u = 2^-24; halving a weight is exact:
     - hidden unit j: the 4-term dot product (wh_j / 2) . x in any order,
       with its rounded weights and features, is off by at most 3u * S_j,
-      where S_j = sum_i |wh_ji| * m + |b_j|;
+      where S_j = sum_i |wh_ji| + |b_j|, the row sum of |wh|;
     - tanh has a slope of at most 1, and |t_j| < 1 has an ulp of at most
       u, so a tanh off by _TANH_ULP = 4 ulp leaves t_j off by at most
       3u * S_j + 4u; output k weighs it by |wo_kj| / 2, which gives
@@ -619,11 +626,9 @@ def _screen_bound(model: MlpModel, x: np.ndarray) -> float | None:
     which also covers rounding the lead and ``tau`` to float32.
     """
     wh, wo = np.abs(model.hidden_weights), np.abs(model.output_weights)
-    m = np.abs(x).max(initial=0.0)
-    if not (m <= _SCREEN_RANGE[1] and _in_range(np.concatenate([wh.ravel(), wo.ravel()]))):
+    if not (_in_range(wh) and _in_range(wo)):
         return None
-    s = wh[:, :-1].sum(axis=1) * m + wh[:, -1]
-    dz = 2.0**-24 * (wo[:, :-1] @ (2.0 * s + _TANH_ULP) + 64.0 * wo.sum(axis=1))
+    dz = 2.0**-24 * (wo[:, :-1] @ (2.0 * wh.sum(axis=1) + _TANH_ULP) + 64.0 * wo.sum(axis=1))
     tau = 8.0 * float(dz.max())
     return tau if tau <= 1.0 else None
 
@@ -800,9 +805,8 @@ def _poly_table(model: PolyModel) -> _LabelTable | None:
 
 
 def _mlp_table(model: MlpModel) -> _LabelTable | None:
-    """The MLP's label table, or None where the float32 screen cannot take
-    every point of the feature cube; its ``tau`` is tau1, _screen_bound at
-    m = 1.
+    """The MLP's label table, or None where _screen_bound gives none; its
+    ``tau`` is tau1, _screen_bound's.
 
     The bound. Over a box with centre c and half-width r, hidden unit j's
     pre-activation a_j = wh_j . (x, 1) lies in [lo_j, hi_j] = a_j(c) -+
@@ -830,7 +834,7 @@ def _mlp_table(model: MlpModel) -> _LabelTable | None:
     its z_k - z_l is off by at most tau1 / 2^31, and is positive. In the
     screen's range no float64 output or bound is non-finite.
     """
-    tau1 = _screen_bound(model, np.ones(1))
+    tau1 = _screen_bound(model)
     if tau1 is None:
         return None
     wh, wo = model.hidden_weights, model.output_weights
@@ -903,17 +907,15 @@ def _som_table(model: SomModel) -> _LabelTable | None:
 _TABLES = {PolyModel: _poly_table, MlpModel: _mlp_table, SomModel: _som_table}
 
 
-def _cube_cells(stack: SpectralStack) -> np.ndarray | None:
+def _cube_cells(stack: SpectralStack) -> np.ndarray:
     """The label table's cell (_LabelTable.cells) of each pixel of a stack
-    of 3 bands, read-only, or None where a feature lies outside [0, 1].
-    Built on first use and kept in the stack's instance, outside its
-    fields, as ``planes`` is: every label table reads one build per stack."""
+    of 3 bands, read-only. Built on first use and kept in the stack's
+    instance, outside its fields, as ``planes`` is: every label table reads
+    one build per stack."""
     state = stack.__dict__
     if "_cells" not in state:
-        x, cells = stack.planes, None
-        if x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0:
-            cells = _LabelTable.cells(x)
-            cells.setflags(write=False)
+        cells = _LabelTable.cells(stack.planes)
+        cells.setflags(write=False)
         state["_cells"] = cells
     return state["_cells"]
 
@@ -922,23 +924,19 @@ def _table_for(model: Model, image: SpectralStack | Band):
     """The model's label table and the cells of ``image``'s pixels, or
     None: on the model's first classify call, so that a one-shot caller
     such as the CLI makes no table and builds no cells; for a model of
-    other than 3 features; where a feature lies outside [0, 1]; and where
-    the model makes no table. The table is made by the model's builder in
-    _TABLES when first needed and kept in the instance, outside its
-    fields, as ``_label_table``."""
+    other than 3 features; and where the model makes no table. The table is
+    made by the model's builder in _TABLES when first needed and kept in
+    the instance, outside its fields, as ``_label_table``."""
     state = model.__dict__
     if not state.get("_classified"):
         state["_classified"] = True
         return None
     if model.feature_dim != 3:
         return None
-    cells = _cube_cells(image)
-    if cells is None:
-        return None
     if "_label_table" not in state:
         state["_label_table"] = _TABLES[type(model)](model)
     table = state["_label_table"]
-    return None if table is None else (table, cells)
+    return None if table is None else (table, _cube_cells(image))
 
 
 def _table_labels(table: _LabelTable, cells: np.ndarray, x: np.ndarray, rest) -> np.ndarray:
@@ -992,9 +990,8 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     From a model's second call on, a pixel of a PO, MLP or KO model whose
     cell of the feature cube bounds on the weights prove to hold one class
     takes that class (_LabelTable); only the others take the model's pass.
-    For the MLP that pass is the screen at the table's ``tau``, which holds
-    on the whole cube; on the first call it is the screen at
-    _screen_bound's ``tau`` for the call's features.
+    For the MLP that pass is the float32 screen at _screen_bound's ``tau``,
+    which the table keeps.
 
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""
@@ -1005,7 +1002,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
         found = _table_for(model, image)
         rest = partial(_exact_labels, model)
         if model.screen is not None:
-            tau = _screen_bound(model, x) if found is None else found[0].tau
+            tau = _screen_bound(model) if found is None else found[0].tau
             if tau is not None:
                 rest = partial(_screened_labels, model, tau)
         labels = rest(x) if found is None else _table_labels(*found, x, rest)
@@ -1038,7 +1035,7 @@ def model_from_json(doc: dict) -> Model:
     if not isinstance(doc, dict):
         raise ValidationError(f"model file must be a JSON object, got {type(doc).__name__}")
     kind = doc["kind"]
-    if kind not in MODEL_KINDS:
+    if not (isinstance(kind, str) and kind in MODEL_KINDS):
         raise ValueError(f"unknown model kind {kind!r}")
     cls = MODEL_KINDS[kind]
     factories = {f.name: f.default_factory for f in fields(cls)}

@@ -63,19 +63,21 @@ class ClassLabel(IntEnum):
 _CODE_RANGE = (int(min(ClassLabel)), int(max(ClassLabel)))
 
 
-def _intensities(data, ndim: int, what: str) -> np.ndarray:
+def _intensities(data, ndim: int, what: str, ceiling=np.finfo(np.float64).max) -> np.ndarray:
     """``data`` as a read-only, C-contiguous float64 array of ``ndim``
-    dimensions; any other ``ndim``, or a negative or non-finite intensity,
-    raises ValidationError naming ``what``."""
+    dimensions; any other ``ndim``, or a negative, non-finite or
+    above-``ceiling`` intensity, raises ValidationError naming ``what``."""
     arr = np.asarray(data, dtype=np.float64, order="C")
     if arr.ndim != ndim:
         raise ValidationError(f"{what} data must be {ndim}-D, got {arr.ndim}-D")
-    # Two reductions and no temporary: a NaN fails both comparisons, so
-    # the message is worked out only once a check has failed.
-    if arr.size and not (0 <= arr.min() and arr.max() < np.inf):
+    # Two reductions and no temporary: a NaN fails both comparisons, and an
+    # infinity exceeds any ceiling, so the message is worked out only once
+    # a check has failed.
+    if arr.size and not (0 <= arr.min() and arr.max() <= ceiling):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{what} contains non-finite intensities")
-        raise ValidationError(f"{what} contains negative intensities")
+        fault = "negative intensities" if arr.min() < 0 else f"intensities above {ceiling}"
+        raise ValidationError(f"{what} contains {fault}")
     arr.setflags(write=False)
     return arr
 
@@ -107,8 +109,9 @@ class Band:
 @dataclass(frozen=True)
 class SpectralStack:
     """One slice's bands as a single (n_bands, height, width) float64 array,
-    read-only and row-major, plus their diffusion exponents (b-values,
-    s/mm^2)."""
+    read-only and row-major, of intensities in [0, FULL_SCALE], plus their
+    diffusion exponents (b-values, s/mm^2). An intensity above the 16-bit
+    full scale is refused, so every feature lies in [0, 1]."""
 
     data: np.ndarray
     b_values: tuple[float, ...]
@@ -116,7 +119,7 @@ class SpectralStack:
 
     def __post_init__(self):
         b_values = b_value_sequence(self.b_values)
-        data = _intensities(self.data, 3, "stack")
+        data = _intensities(self.data, 3, "stack", FULL_SCALE)
         if len(data) < 2:
             raise ValidationError("a spectral stack needs at least 2 bands")
         if len(data) != len(b_values):
@@ -376,11 +379,16 @@ def load_stack(manifest_path) -> SpectralStack:
 
     def build(doc):
         check_keys(doc, ("bands", "b_values", "slice_index"), "stack manifest")
-        bands = [_read_pgm(manifest_path.parent / rel, FULL_SCALE, ">u2") for rel in doc["bands"]]
+        paths, b_values = doc["bands"], doc["b_values"]
+        if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
+            raise ValidationError(f"bands must be a JSON array of paths, got {paths!r}")
+        if not isinstance(b_values, list):
+            raise ValidationError(f"b_values must be a JSON array, got {b_values!r}")
+        bands = [_read_pgm(manifest_path.parent / rel, FULL_SCALE, ">u2") for rel in paths]
         if len({b.shape for b in bands}) > 1:
             raise ValidationError("all bands in a stack must share dimensions")
         return SpectralStack(
-            np.array(bands, np.float64), tuple(doc["b_values"]), doc.get("slice_index", 0)
+            np.array(bands, np.float64), tuple(b_values), doc.get("slice_index", 0)
         )
 
     return read_json(manifest_path, build)

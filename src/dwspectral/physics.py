@@ -166,7 +166,7 @@ class Shape:
     def __post_init__(self):
         # An unknown kind, or a missing, unknown or ill-formed parameter,
         # fails here, not when the phantom is rendered.
-        if self.kind not in _SHAPE_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _SHAPE_KINDS):
             raise ValidationError(f"unknown shape kind {self.kind!r}")
         check_keys(self.params, _SHAPE_KINDS[self.kind][0], f"{self.kind} params")
         origin = np.zeros(1)
@@ -280,7 +280,10 @@ def default_phantom_spec(
 
 def _shape_from_json(doc, index: int) -> Shape:
     check_keys(doc, ("kind", "label", "params"), f"shapes[{index}]")
-    return Shape(doc["kind"], _LABEL_NAMES[doc["label"]], doc["params"])
+    label = doc["label"]
+    if not (isinstance(label, str) and label in _LABEL_NAMES):
+        raise ValidationError(f"unknown class label {label!r}")
+    return Shape(doc["kind"], _LABEL_NAMES[label], doc["params"])
 
 
 def _spec_from_json(doc) -> PhantomSpec:

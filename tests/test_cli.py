@@ -118,6 +118,33 @@ class TestAdcCommand:
         assert str(manifest) in err and "unknown keys ['slice_idx'] in stack manifest" in err
         assert not (tmp_path / "n").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("bands", "abc", "bands must be a JSON array of paths, got 'abc'"),
+            ("bands", {"a": 1, "b": 2, "c": 3},
+             "bands must be a JSON array of paths, got {'a': 1, 'b': 2, 'c': 3}"),
+            ("bands", [1, 2, 3], "bands must be a JSON array of paths, got [1, 2, 3]"),
+            ("b_values", None, "b_values must be a JSON array, got None"),
+        ],
+        ids=["bands-string", "bands-object", "bands-numbers", "b_values-null"],
+    )
+    def test_manifest_not_an_array_exits_2(
+        self, phantom_dir, tmp_path, capsys, key, value, message
+    ):
+        """A string or an object would be read as paths one character or one
+        key at a time: here the bands a, b and c."""
+        doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())
+        for name in [*doc["bands"], "a", "b", "c"]:
+            (tmp_path / name).write_bytes((phantom_dir / "slice_03_0.pgm").read_bytes())
+        doc[key] = value
+        manifest = tmp_path / "not_an_array.json"
+        manifest.write_text(json.dumps(doc))
+        argv = ["adc", "--stack", manifest, "--out", tmp_path / "x"]
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {manifest}: {message}\n"
+        assert not (tmp_path / "x.adc").exists()
+
     def test_non_finite_map_exits_2(self, phantom_dir, tmp_path, capsys):
         """C / b overflows to inf, and inf * ln 1 is NaN on the background:
         one error line naming the ADC map, and no numpy warning before it."""
@@ -408,6 +435,29 @@ class TestMalformedModelFiles:
         assert err == f"error: {model}: class code must be a positive integer, got {value!r}\n"
         assert not model.with_suffix(".pgm").exists()
 
+    @pytest.mark.parametrize(
+        "method, edit, message",
+        [
+            ("mlp", lambda doc: doc.update(kind=[1]), "unknown model kind [1]"),
+            ("ko", lambda doc: doc["class_of_neuron"].__setitem__(1, 4),
+             "class code must be 1, 2 or 3, got 4"),
+            ("ko", lambda doc: doc.update(neurons=[[], [], []]),
+             "som neurons must hold at least one feature, got shape (3, 0)"),
+        ],
+        ids=["kind-list", "class-code-4", "no-features"],
+    )
+    def test_named_refusal_exits_2(
+        self, phantom_dir, model_docs, tmp_path, capsys, method, edit, message
+    ):
+        """Each refusal names what is wrong, not CPython's own text, and a
+        SOM of no features is refused where it is loaded, not at classify."""
+        doc = json.loads(json.dumps(model_docs[method]))
+        edit(doc)
+        model, argv = classify_argv(phantom_dir, doc, tmp_path)
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {model}: {message}\n"
+        assert not model.with_suffix(".pgm").exists()
+
     @pytest.mark.parametrize("value", ["banana", -7, 1.5, True, None, [1]])
     def test_epochs_run_exits_2(self, phantom_dir, model_docs, tmp_path, capsys, value):
         doc = {**model_docs["mlp"], "epochs_run": value}
@@ -685,6 +735,28 @@ class TestMalformedConfigFiles:
         argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
         err = assert_one_error_line(argv, capsys)
         assert str(spec) in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("kind", [1], "unknown shape kind [1]"),
+            ("label", [1], "unknown class label [1]"),
+            ("label", None, "unknown class label None"),
+            ("label", "FAT", "unknown class label 'FAT'"),
+        ],
+        ids=["kind-list", "label-list", "label-null", "label-unknown"],
+    )
+    def test_phantom_spec_shape_name_exits_2(
+        self, small_spec, tmp_path, capsys, key, value, message
+    ):
+        doc = phantom_spec_to_json(small_spec)
+        doc["shapes"][1][key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        assert err == f"error: {spec}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

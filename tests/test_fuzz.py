@@ -101,6 +101,18 @@ def mutated(doc, value, steps):
     return doc
 
 
+def object_paths(doc, steps=()):
+    """The keys and indices that lead from ``doc`` to each JSON object in
+    it, the root included."""
+    if isinstance(doc, dict):
+        yield steps
+        children = doc.items()
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for step, child in children:
+        yield from object_paths(child, (*steps, step))
+
+
 def only_validation_errors(load, path):
     """``load(path)``, or None where it raises ValidationError or OSError."""
     try:
@@ -240,6 +252,24 @@ class TestJsonLoaders:
         if loaded is not None and kind in JSON_WRITERS:
             written = json.loads(json.dumps(JSON_WRITERS[kind](loaded)))
             assert_holds(json.loads(path.read_text()), written)
+
+    @pytest.mark.parametrize("kind", sorted(JSON_LOADERS))
+    @settings(max_examples=10)
+    @given(key=st.text(max_size=8).map(lambda text: "?" + text))
+    def test_unknown_key_at_any_depth(self, workdir, valid_docs, kind, key):
+        """A key added to any object of a valid document is refused, and the
+        error names it. No key a loader knows starts with "?"."""
+        for steps in object_paths(valid_docs[kind]):
+            doc = json.loads(json.dumps(valid_docs[kind]))
+            node = doc
+            for step in steps:
+                node = node[step]
+            node[key] = 1
+            path = workdir / "in.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValidationError) as caught:
+                JSON_LOADERS[kind](path)
+            assert repr(key) in str(caught.value), steps
 
     @pytest.mark.parametrize("kind", sorted(JSON_LOADERS))
     def test_valid_documents_load(self, workdir, valid_docs, kind):
