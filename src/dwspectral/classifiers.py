@@ -418,11 +418,12 @@ class SomModel:
 
     def __post_init__(self):
         _set_weights(self, "neurons", SOM_NEURONS, None)
-        if self.class_of_neuron is not None:
-            labels = tuple(map(_class_label, self.class_of_neuron))
-            if len(labels) != SOM_NEURONS:
-                raise ValidationError("class_of_neuron must cover all 3 neurons")
-            object.__setattr__(self, "class_of_neuron", labels)
+        codes = self.class_of_neuron
+        if codes is not None:
+            # A string or an object would iterate as characters or keys.
+            if not (isinstance(codes, (list, tuple)) and len(codes) == SOM_NEURONS):
+                raise ValidationError(f"class_of_neuron must be a list of 3 codes, got {codes!r}")
+            object.__setattr__(self, "class_of_neuron", tuple(map(_class_label, codes)))
 
     @property
     def feature_dim(self) -> int:
@@ -1015,6 +1016,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
 # A model file holds the kind, then every field of the model's dataclass in
 # declaration order; a nested config is written as its own fields.
 MODEL_KINDS = {cls.kind: cls for cls in (PolyModel, MlpModel, SomModel)}
+_MODEL_KEYS = {"kind", "normalize", *(f.name for cls in MODEL_KINDS.values() for f in fields(cls))}
 
 
 def _plain(value):
@@ -1028,22 +1030,16 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(doc: dict) -> Model:
-    """Inverse of model_to_json. Every field is required except
-    ``epochs_run``. The one other key allowed is ``normalize``, the scaling
-    flag that model files written before scaling was fixed by input kind
-    carry; it is ignored. Any other key raises ValidationError."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model file must be a JSON object, got {type(doc).__name__}")
+    """Inverse of model_to_json: the kind, then its class's fields, of which
+    those with a default may be omitted. ``normalize``, the scaling flag of
+    model files written before scaling was fixed by input kind, is ignored;
+    any other key raises ValidationError."""
+    check_keys(doc, ("kind",), "model file", _MODEL_KEYS)
     kind = doc["kind"]
     if not (isinstance(kind, str) and kind in MODEL_KINDS):
-        raise ValueError(f"unknown model kind {kind!r}")
-    cls = MODEL_KINDS[kind]
-    factories = {f.name: f.default_factory for f in fields(cls)}
-    check_keys(doc, ["kind", *factories, "normalize"], "model file")
-    kwargs = {name: doc[name] for name in factories if name != "epochs_run" or name in doc}
-    if "config" in kwargs:  # read as the class that makes its default
-        kwargs["config"] = config_from_json(factories["config"], kwargs["config"], "config")
-    return cls(**kwargs)
+        raise ValidationError(f"unknown model kind {kind!r}")
+    rest = {k: v for k, v in doc.items() if k not in ("kind", "normalize")}
+    return config_from_json(MODEL_KINDS[kind], rest, "model file")
 
 
 def save_model(model: Model, path) -> None:
@@ -1052,5 +1048,5 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """Read a model JSON file; a malformed document, or one with a missing
-    or ill-typed key, raises FormatError naming the file."""
+    or ill-typed key, raises ValidationError naming the file."""
     return read_json(path, model_from_json)

@@ -8,8 +8,11 @@ import argparse
 import functools
 import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 # Imports every name of perfbench/layers.py CLI_CALLS, called here or not: the tracer wraps them.
@@ -63,9 +66,30 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+@functools.cache
+def _build_info() -> dict:
+    """The Python and numpy that run the command, read once per process.
+    The BLAS comes from ``np.show_config(mode="dicts")``, which numpy has
+    from 1.26 on, and the SIMD dispatch targets enabled on this CPU from
+    numpy's private ``_multiarray_umath``; either is null where it cannot
+    be read."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # numpy < 1.26 has no ``mode``
+        blas = None
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    except (ImportError, AttributeError, TypeError):
+        simd = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas, "simd_dispatch": simd}
+
+
 def _write_run_record(args, target: Path) -> None:
     inputs = [getattr(args, f) for f in INPUT_FLAGS if getattr(args, f, None)]
-    record = {
+    record = _build_info() | {
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", None),

@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import IntEnum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,10 @@ def finite_number(value, what: str) -> float:
 
 def b_value_sequence(values) -> tuple[float, ...]:
     """Diffusion exponents (s/mm^2) as floats: finite numbers, strictly
-    increasing from the 0 of the T2-weighted image."""
+    increasing from the 0 of the T2-weighted image, given as a list or a
+    tuple: a string or an object would iterate as characters or keys."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"b_values must be a JSON array, got {values!r}")
     b = tuple(finite_number(v, "b-value") for v in values)
     if not b or b[0] != 0.0:
         raise ValidationError(f"first b-value must be 0 (T2-weighted image), got {b}")
@@ -87,7 +90,10 @@ class Band:
     """A single 2-D scalar image for one diffusion exponent and one slice.
 
     ``data`` is a float64 array of shape (height, width), row-major,
-    holding non-negative finite intensities.
+    holding non-negative finite intensities. A C-contiguous float64 array
+    it is given is kept without a copy and made read-only, so the checks
+    made on it keep holding; any other array is copied, and the caller's
+    stays writable.
     """
 
     data: np.ndarray
@@ -111,7 +117,9 @@ class SpectralStack:
     """One slice's bands as a single (n_bands, height, width) float64 array,
     read-only and row-major, of intensities in [0, FULL_SCALE], plus their
     diffusion exponents (b-values, s/mm^2). An intensity above the 16-bit
-    full scale is refused, so every feature lies in [0, 1]."""
+    full scale is refused, so every feature lies in [0, 1]. Like a Band's,
+    a C-contiguous float64 array it is given is kept without a copy and
+    made read-only; any other is copied, and the caller's stays writable."""
 
     data: np.ndarray
     b_values: tuple[float, ...]
@@ -175,7 +183,9 @@ def _class_codes(values: np.ndarray, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class LabelMap:
     """Per-pixel class assignment; ``labels`` is a uint8 array (height,
-    width) of ClassLabel codes."""
+    width) of ClassLabel codes. A uint8 array it is given is kept without a
+    copy and made read-only, so its checked codes hold; any other array is
+    copied, and the caller's stays writable."""
 
     labels: np.ndarray
 
@@ -322,7 +332,7 @@ def save_labelmap(labelmap: LabelMap, path) -> None:
 def read_json(path, build):
     """``build`` applied to the JSON document in ``path``. Invalid or too
     deeply nested JSON, or a document of the wrong shape for ``build`` (a
-    KeyError, TypeError, ValueError, OverflowError or AttributeError), raises
+    TypeError, ValueError, OverflowError or AttributeError), raises
     FormatError naming the file; any other ValidationError gains the file
     name."""
     path = Path(path)
@@ -336,30 +346,44 @@ def read_json(path, build):
         raise  # already names its file: a band, a nested spec or a config block
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing or unknown key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def check_keys(doc, known, what: str) -> None:
-    """Raise ValidationError naming ``what`` unless ``doc`` is a JSON
-    object whose keys all lie in ``known``: a misspelled key would otherwise
-    leave its field at the default without a word."""
+def check_keys(doc, required, what: str, optional=()) -> None:
+    """Raise ValidationError naming ``what`` unless ``doc`` is a JSON object
+    holding every key of ``required`` and no other key but ``optional``'s: a
+    misspelled key would otherwise leave its field at its default unseen."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(known))
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValidationError(f"missing keys {missing} in {what}")
+    unknown = doc.keys() - {*required, *optional}
     if unknown:
-        raise ValidationError(f"unknown keys {unknown} in {what}")
+        raise ValidationError(f"unknown keys {sorted(unknown)} in {what}")
 
 
-def config_from_json(cls, doc, what: str):
-    """``cls(**doc)`` for a dataclass ``cls``; a non-object document, an
-    unknown key or an ill-typed value raises ValidationError naming
-    ``what``."""
-    check_keys(doc, [f.name for f in fields(cls)], what)
+@cache
+def _schema(cls, given: tuple) -> tuple:
+    """For the fields of ``cls`` not in ``given``: the required names, all
+    names, and (name, class) where a dataclass makes the default."""
+    read = [f for f in fields(cls) if f.name not in given]
+    required = tuple(f.name for f in read if f.default is f.default_factory is MISSING)
+    nested = tuple((f.name, f.default_factory) for f in read if is_dataclass(f.default_factory))
+    return required, tuple(f.name for f in read), nested
+
+
+def config_from_json(cls, doc, what: str, **given):
+    """Dataclass ``cls`` from the fields in JSON object ``doc`` and those
+    ``given``. A field with a default may be omitted; one whose default a
+    dataclass makes is read as that dataclass, named by the field. A
+    missing or unknown key or an ill-typed value raises ValidationError."""
+    required, names, nested = _schema(cls, tuple(given))
+    check_keys(doc, required, what, names)
+    given |= {name: config_from_json(sub, doc[name], name) for name, sub in nested if name in doc}
     try:
-        return cls(**doc)
+        return cls(**(doc | given))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what}: {exc}") from exc
 
@@ -371,24 +395,22 @@ def load_stack(manifest_path) -> SpectralStack:
     """Load a SpectralStack from a JSON manifest.
 
     Manifest schema: {"bands": [path...], "b_values": [number...],
-    "slice_index": int}; band paths are resolved relative to the manifest,
-    and any other key is refused: a misspelled slice index would key the
-    noise of slice 0.
+    "slice_index": int}, of which ``slice_index`` may be omitted for 0;
+    band paths are resolved relative to the manifest, and any other key is
+    refused: a misspelled slice index would key the noise of slice 0.
     """
     manifest_path = Path(manifest_path)
 
     def build(doc):
-        check_keys(doc, ("bands", "b_values", "slice_index"), "stack manifest")
-        paths, b_values = doc["bands"], doc["b_values"]
+        check_keys(doc, ("bands", "b_values"), "stack manifest", ("slice_index",))
+        paths = doc["bands"]
         if not (isinstance(paths, list) and all(isinstance(p, str) for p in paths)):
             raise ValidationError(f"bands must be a JSON array of paths, got {paths!r}")
-        if not isinstance(b_values, list):
-            raise ValidationError(f"b_values must be a JSON array, got {b_values!r}")
         bands = [_read_pgm(manifest_path.parent / rel, FULL_SCALE, ">u2") for rel in paths]
         if len({b.shape for b in bands}) > 1:
             raise ValidationError("all bands in a stack must share dimensions")
         return SpectralStack(
-            np.array(bands, np.float64), tuple(b_values), doc.get("slice_index", 0)
+            np.array(bands, np.float64), doc["b_values"], doc.get("slice_index", 0)
         )
 
     return read_json(manifest_path, build)

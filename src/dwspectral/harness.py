@@ -24,7 +24,6 @@ from .classifiers import (
 )
 from .core_image import (
     SpectralStack,
-    check_keys,
     config_from_json,
     extract_band_samples,
     extract_samples,
@@ -122,31 +121,21 @@ class ExperimentConfig:
         object.__setattr__(self, "classifiers", names)
 
 
-_FIELD_KEYS = ("training_slice", "noise_levels", "seeds", "classifiers")
-_CONFIG_KEYS = _FIELD_KEYS + ("phantom_spec", "acquisition", "adc")
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     """Read an ExperimentConfig from JSON; omitted keys take defaults, a
-    null is checked like any other value, and a phantom spec path is
-    resolved relative to the config file."""
+    null is checked like any other value, and the phantom is the spec file
+    that ``phantom_spec`` names, resolved relative to the config file."""
     path = Path(path)
 
     def build(doc):
-        check_keys(doc, _CONFIG_KEYS, "config")
-        kwargs = {key: doc[key] for key in _FIELD_KEYS if key in doc}
-        if "phantom_spec" in doc:
-            spec = doc["phantom_spec"]
+        if isinstance(doc, dict) and "phantom_spec" in doc:
+            spec = doc.pop("phantom_spec")
             if not (isinstance(spec, str) and spec):
                 raise ValidationError(f"phantom_spec must be a file path, got {spec!r}")
-            kwargs["phantom"] = load_phantom_spec(path.parent / spec)
-        return ExperimentConfig(
-            acquisition=config_from_json(
-                AcquisitionParams, doc.get("acquisition", {}), "acquisition"
-            ),
-            adc=config_from_json(AdcConfig, doc.get("adc", {}), "adc"),
-            **kwargs,
-        )
+            phantom = load_phantom_spec(path.parent / spec)
+        else:
+            phantom = default_phantom_spec()
+        return config_from_json(ExperimentConfig, doc, "config", phantom=phantom)
 
     return read_json(path, build)
 

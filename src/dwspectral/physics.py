@@ -93,6 +93,8 @@ def _eval_param(value, s: float, name: str) -> float:
     """A shape parameter is a finite number or [base, per-slice slope]."""
     what = f"shape parameter {name}"
     if isinstance(value, (list, tuple)):
+        if len(value) != 2:
+            raise ValidationError(f"{what} must be a number or [base, slope], got {value!r}")
         base, slope = value
         return finite_number(base, what) + finite_number(slope, what) * s
     return finite_number(value, what)
@@ -287,13 +289,13 @@ def _shape_from_json(doc, index: int) -> Shape:
 
 
 def _spec_from_json(doc) -> PhantomSpec:
-    check_keys(doc, ("width", "height", "slices", "shapes", "tissues"), "phantom spec")
+    check_keys(doc, ("width", "height", "slices", "shapes"), "phantom spec", ("tissues",))
     if not isinstance(doc["shapes"], list):
         raise ValidationError(f"shapes must be a JSON array, got {type(doc['shapes']).__name__}")
     shapes = tuple(_shape_from_json(s, i) for i, s in enumerate(doc["shapes"]))
     table = {}  # an omitted table is PhantomSpec's default; an empty one is empty
     if "tissues" in doc:
-        check_keys(doc["tissues"], _LABEL_NAMES, "tissues")
+        check_keys(doc["tissues"], (), "tissues", _LABEL_NAMES)
         table["tissue_table"] = {
             _LABEL_NAMES[name]: config_from_json(TissueParams, params, f"tissues.{name}")
             for name, params in doc["tissues"].items()

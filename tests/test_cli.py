@@ -1,4 +1,5 @@
 import json
+import platform
 import struct
 
 import numpy as np
@@ -289,6 +290,15 @@ class TestSweepCommand:
         doc = json.loads((out / "run.json").read_text())
         assert doc["seed"] == 0
         assert list(doc["input_digests"]) == [str(stack)]
+        # The build that ran it: the BLAS and the SIMD targets are null only
+        # where this numpy cannot report them.
+        assert doc["python"] == platform.python_version()
+        assert doc["numpy"] == np.__version__
+        blas, simd = doc["blas"], doc["simd_dispatch"]
+        assert blas is None or (set(blas) == {"name", "version"} and all(blas.values()))
+        assert simd is None or all(isinstance(target, str) for target in simd)
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert blas is not None and simd is not None
 
 
 def assert_one_error_line(argv, capsys) -> str:
@@ -327,7 +337,7 @@ def classify_argv(phantom_dir, doc, out_dir, name="model"):
 class TestMalformedModelFiles:
     @pytest.mark.parametrize(
         "method, key",
-        [("po", "weights"), ("mlp", "output_weights"), ("ko", "neurons")],
+        [("po", "weights"), ("mlp", "output_weights"), ("ko", "neurons"), ("po", "kind")],
     )
     def test_missing_key_exits_2(
         self, phantom_dir, model_docs, tmp_path, capsys, method, key
@@ -335,7 +345,7 @@ class TestMalformedModelFiles:
         doc = {k: v for k, v in model_docs[method].items() if k != key}
         model, argv = classify_argv(phantom_dir, doc, tmp_path)
         err = assert_one_error_line(argv, capsys)
-        assert str(model) in err and key in err
+        assert err == f"error: {model}: missing keys [{key!r}] in model file\n"
 
     def test_unknown_config_field_exits_2(
         self, phantom_dir, model_docs, tmp_path, capsys
@@ -443,8 +453,14 @@ class TestMalformedModelFiles:
              "class code must be 1, 2 or 3, got 4"),
             ("ko", lambda doc: doc.update(neurons=[[], [], []]),
              "som neurons must hold at least one feature, got shape (3, 0)"),
+            *(
+                ("ko", lambda doc, codes=codes: doc.update(class_of_neuron=codes),
+                 f"class_of_neuron must be a list of 3 codes, got {codes!r}")
+                for codes in (5, "123", {"a": 1}, [1, 2])
+            ),
         ],
-        ids=["kind-list", "class-code-4", "no-features"],
+        ids=["kind-list", "class-code-4", "no-features",
+             "codes-number", "codes-string", "codes-object", "codes-two"],
     )
     def test_named_refusal_exits_2(
         self, phantom_dir, model_docs, tmp_path, capsys, method, edit, message
@@ -604,6 +620,53 @@ class TestMalformedConfigFiles:
         argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
         err = assert_one_error_line(argv, capsys)
         assert "shape parameter cx must be a finite number" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [[1], [1, 2, 3], []])
+    def test_phantom_spec_shape_parameter_not_a_pair_exits_2(
+        self, small_spec, tmp_path, capsys, value
+    ):
+        doc = phantom_spec_to_json(small_spec)
+        doc["shapes"][0]["params"]["rx"] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        err = assert_one_error_line(argv, capsys)
+        want = f"shape parameter rx must be a number or [base, slope], got {value!r}"
+        assert err == f"error: {spec}: {want}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [None, 5, "abc", {"a": 1}])
+    def test_b_values_not_an_array_exits_2(self, spec_file, tmp_path, capsys, value):
+        """A string or an object would be read as b-values one character or
+        one key at a time; an --acq file and a config's acquisition alike."""
+        want = f"b_values must be a JSON array, got {value!r}"
+        acq = tmp_path / "acq.json"
+        acq.write_text(json.dumps({"b_values": value}))
+        argv = ["phantom", "--acq", acq, "--out", tmp_path / "o"]
+        assert assert_one_error_line(argv, capsys) == f"error: {acq}: {want}\n"
+        argv = sweep_argv(spec_file, tmp_path, acquisition={"b_values": value})
+        assert assert_one_error_line(argv, capsys) == f"error: {argv[2]}: {want}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.pop("width"), "missing keys ['width'] in phantom spec"),
+            (lambda doc: doc["shapes"][1].pop("label"), "missing keys ['label'] in shapes[1]"),
+            (lambda doc: doc["shapes"][0]["params"].pop("cx"),
+             "missing keys ['cx'] in ellipse params"),
+            (lambda doc: doc["tissues"]["CSF"].pop("rho"), "missing keys ['rho'] in tissues.CSF"),
+        ],
+        ids=["top-level", "shape", "params", "tissue"],
+    )
+    def test_phantom_spec_missing_key_exits_2(self, small_spec, tmp_path, capsys, edit, message):
+        doc = phantom_spec_to_json(small_spec)
+        edit(doc)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = ["phantom", "--spec", spec, "--out", tmp_path / "o"]
+        assert assert_one_error_line(argv, capsys) == f"error: {spec}: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_baseline_config_unknown_acquisition_key_exits_2(self, tmp_path, capsys):

@@ -274,6 +274,35 @@ class TestAnyLayout:
         assert adc_map_raw(stack).tobytes() == adc_map_raw(ref).tobytes()
 
 
+# Each container with an array it keeps as given and one it must copy: of
+# another dtype, or for the float64 ones, not C-contiguous.
+OWNED_ARRAYS = {
+    "band": (Band, lambda: np.zeros((2, 3)), lambda: np.zeros((3, 2)).T),
+    "stack": (lambda a: SpectralStack(a, (0, 500, 1000)),
+              lambda: np.zeros((3, 2, 2)), lambda: np.zeros((3, 2, 2), np.float32)),
+    "labelmap": (LabelMap, lambda: np.ones((2, 2), np.uint8), lambda: np.ones((2, 2), np.int64)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OWNED_ARRAYS))
+def test_kept_array_is_frozen_and_copied_array_stays_writable(kind):
+    """A container keeps an array it can hold as it is, without a copy, and
+    makes it read-only, so the checks it made keep holding; any other array
+    is copied, and the caller's stays writable."""
+    make, kept, copied = OWNED_ARRAYS[kind]
+    field = "labels" if kind == "labelmap" else "data"
+    a = kept()
+    held = getattr(make(a), field)
+    assert held is a and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 2
+    b = copied()
+    held = getattr(make(b), field)
+    assert not np.shares_memory(held, b) and not held.flags.writeable
+    b[...] = 2
+    assert (b == 2).all() and not (held == 2).any()
+
+
 class TestManifest:
     def _write_bands(self, tmp_path, shapes):
         paths = []
@@ -311,8 +340,9 @@ class TestManifest:
     def test_missing_key_rejected(self, tmp_path):
         manifest = tmp_path / "stack.json"
         manifest.write_text(json.dumps({"bands": []}))
-        with pytest.raises(FormatError, match="b_values"):
+        with pytest.raises(ValidationError) as caught:
             load_stack(manifest)
+        assert str(caught.value) == f"{manifest}: missing keys ['b_values'] in stack manifest"
 
 
 class TestLabelMapIO:

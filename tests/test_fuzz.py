@@ -30,7 +30,12 @@ from dwspectral.core_image import (
 )
 from dwspectral.errors import ValidationError
 from dwspectral.harness import load_experiment_config
-from dwspectral.physics import AcquisitionParams, load_phantom_spec, phantom_spec_to_json
+from dwspectral.physics import (
+    AcquisitionParams,
+    PhantomSpec,
+    load_phantom_spec,
+    phantom_spec_to_json,
+)
 
 from conftest import stack_of
 
@@ -192,6 +197,53 @@ JSON_WRITERS = {
     "spec": phantom_spec_to_json,
 }
 
+SHAPE_PARAMS = {"cx", "cy", "rx", "ry", "r_in", "r_out", "theta0", "theta1", "x0", "y0", "x1", "y1"}
+# The keys that each object of a valid document must hold, by the steps that
+# lead to it from the root; "*" stands for any index or key. A shape's params
+# object holds only its kind's parameters, all of them required. Every other
+# key of a valid document may be omitted.
+REQUIRED_KEYS = {
+    "stack": {(): {"bands", "b_values"}},
+    "po": {(): {"kind", "weights"}},
+    "mlp": {(): {"kind", "hidden_weights", "output_weights"}, ("config",): set()},
+    "som": {(): {"kind", "neurons"}, ("config",): set()},
+    "spec": {
+        (): {"width", "height", "slices", "shapes"},
+        ("shapes", "*"): {"kind", "label", "params"},
+        ("shapes", "*", "params"): SHAPE_PARAMS,
+        ("tissues",): set(),
+        ("tissues", "*"): {"rho", "t2", "diffusion"},
+    },
+    "config": {(): set(), ("acquisition",): set(), ("adc",): set()},
+}
+
+
+def required_keys(kind, steps):
+    """The keys that the object at ``steps`` of a ``kind`` document must hold."""
+    for pattern, keys in REQUIRED_KEYS[kind].items():
+        if len(pattern) == len(steps) and all(p in ("*", s) for p, s in zip(pattern, steps)):
+            return keys
+    raise AssertionError(f"no keys declared for the {kind} object at {steps}")
+
+
+def at(doc, steps):
+    for step in steps:
+        doc = doc[step]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def default_docs(small_spec):
+    """Each document that has a writer, as written from an object made of
+    its required values alone: every other key holds its default."""
+    spec = PhantomSpec(small_spec.width, small_spec.height, small_spec.slices, small_spec.shapes)
+    return {
+        "po": model_to_json(PolyModel(np.zeros((3, 10)))),
+        "mlp": model_to_json(MlpModel(np.zeros((60, 4)), np.zeros((3, 61)))),
+        "som": model_to_json(SomModel(np.zeros((3, 3)))),
+        "spec": phantom_spec_to_json(spec),
+    }
+
 
 class TestBinaryLoaders:
     @settings(max_examples=150)
@@ -270,6 +322,33 @@ class TestJsonLoaders:
             with pytest.raises(ValidationError) as caught:
                 JSON_LOADERS[kind](path)
             assert repr(key) in str(caught.value), steps
+
+    @pytest.mark.parametrize("kind", sorted(JSON_LOADERS))
+    def test_missing_key_at_any_depth(self, workdir, valid_docs, default_docs, kind):
+        """A required key deleted from any object of a valid document is
+        refused by name. An optional one loads, or is refused for another
+        reason; a writer then gives the key back with its default."""
+        path = workdir / "in.json"
+        for steps in object_paths(valid_docs[kind]):
+            required = required_keys(kind, steps)
+            for key in at(valid_docs[kind], steps):
+                doc = json.loads(json.dumps(valid_docs[kind]))
+                del at(doc, steps)[key]
+                path.write_text(json.dumps(doc))
+                where = (*steps, key)
+                if key in required:
+                    with pytest.raises(ValidationError) as caught:
+                        JSON_LOADERS[kind](path)
+                    assert f"missing keys [{key!r}] in" in str(caught.value), where
+                    continue
+                try:
+                    loaded = JSON_LOADERS[kind](path)
+                except ValidationError as exc:
+                    assert "missing" not in str(exc), where
+                    continue
+                if kind in JSON_WRITERS:
+                    written = json.loads(json.dumps(JSON_WRITERS[kind](loaded)))
+                    assert at(written, where) == at(default_docs[kind], where), where
 
     @pytest.mark.parametrize("kind", sorted(JSON_LOADERS))
     def test_valid_documents_load(self, workdir, valid_docs, kind):
