@@ -115,6 +115,7 @@ class PolyModel:
     nearest_wins = False
     block = _BLOCK
     screen = None
+    label_table = cached_property(lambda self: _poly_table(self))
 
     def __post_init__(self):
         _set_weights(self, "weights", N_CLASSES, 10)
@@ -185,6 +186,7 @@ class MlpModel:
     classes = _CLASS_CODES
     nearest_wins = False
     block = _MLP_BLOCK
+    label_table = cached_property(lambda self: _mlp_table(self))
 
     def __post_init__(self):
         _set_weights(self, "hidden_weights", MLP_HIDDEN, 4)
@@ -415,6 +417,7 @@ class SomModel:
     nearest_wins = True
     block = _BLOCK
     screen = None
+    label_table = cached_property(lambda self: _som_table(self))
 
     def __post_init__(self):
         _set_weights(self, "neurons", SOM_NEURONS, None)
@@ -540,17 +543,15 @@ def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
 # Each model class carries what classify needs of its kind: ``kind``, its
 # name in a model file; ``classes``, the codes of the three rows that its
 # float64 pass ``exact_pass(cols)`` ranks, ``block`` pixels at a time, the
-# nearest first where ``nearest_wins``; and the MLP's float32 ``screen``.
+# nearest first where ``nearest_wins``; the MLP's float32 ``screen``; and
+# ``label_table``, the _LabelTable or None that its kind's builder makes
+# on first use, kept in the instance, outside its fields.
 Model = PolyModel | MlpModel | SomModel
 
 
 def _feature_planes(model: Model, image: SpectralStack | Band) -> np.ndarray:
-    """Feature planes (d, n): a stack's ``planes``, built once per stack;
-    an ADC map as it is."""
-    if isinstance(image, SpectralStack):
-        x = image.planes
-    else:
-        x = image.data.reshape(1, -1)
+    """The image's feature planes (d, n), which a stack builds once."""
+    x = image.planes
     if x.shape[0] != model.feature_dim:
         raise ValidationError(
             f"model expects {model.feature_dim} features, "
@@ -690,8 +691,8 @@ class _LabelTable:
     a closed box of half-width 1/128 in each band.
 
     Each kind gives the table its ``bounds``, ``tau`` and ``classes``
-    (_poly_table, _mlp_table, _som_table). The model's float64 pass ranks
-    three rows at each pixel: scores, the largest first, or neuron
+    (_quadratic_table for PO and KO, _mlp_table). The model's float64 pass
+    ranks three rows at each pixel: scores, the largest first, or neuron
     distances, the smallest first. ``bounds(centres, half)`` (6, m) holds a
     B_kl for each pair (k, l) of _PAIRS and each box of half-width ``half``
     with centres (3, m), such that where the computed B_kl exceeds ``tau``,
@@ -762,9 +763,10 @@ class _LabelTable:
         return labels
 
 
-def _poly_table(model: PolyModel) -> _LabelTable | None:
-    """The PO model's label table, or None where a weight is neither 0 nor
-    of magnitude in _SCREEN_RANGE.
+def _quadratic_table(w: np.ndarray, classes: np.ndarray) -> _LabelTable:
+    """The label table of a float64 pass that ranks three degree-2 scores,
+    the largest first: s_k = w_k . m(x), with rows ``w`` (3, 10) over the
+    monomials m of _quadratic_planes, row k taking ``classes[k]``.
 
     The bound. Over a box with centre c and half-width r, x_i lies in
     [lo_i, hi_i] = [c_i - r, c_i + r], and lo_i >= 0 on the cube. So each
@@ -776,25 +778,19 @@ def _poly_table(model: PolyModel) -> _LabelTable | None:
         s_k - s_l >= B_kl = sum_m d+_m L_m + d-_m H_m.
 
     Rounding. u = 2^-53 and W_k = sum_m |w_km|; tau = 128u * max_k W_k >=
-    64u (W_k + W_l).
-    - The float64 pass rounds each monomial once, |m| <= 1 on the cube,
-      and takes the 10-term product with w_k in any order, FMA allowed:
-      s_k is off by at most u W_k + 10.01u W_k, so s_k - s_l by 12u (W_k +
-      W_l).
+    64u (W_k + W_l). The caller's float64 pass must give s_k - s_l within
+    12u (W_k + W_l) of w_k . m - w_l . m on the cube (_poly_table,
+    _som_table), and its range must keep tau above 2^-1000 unless every
+    weight is 0, when every B_kl is 0.
     - In ``bounds``, lo and hi are multiples of 1/64 in [0, 1], so L and H
       are exact; d is rounded once, which keeps its signs, and the 20-term
       product adds at most 20.01u: B_kl is off by at most 22u (W_k + W_l).
-    - In the range, what underflow loses in either is below 2^-1000, while
-      tau >= 2^-106 unless every weight is 0, when every B_kl is 0.
+    - What underflow loses in ``bounds`` or the pass is below 2^-1000.
     So where the computed B_kl exceeds tau, s_k - s_l exceeds 42u (W_k +
     W_l) - 2^-1000 at every point of the box, more than the float64 pass's
     error: its s_k is strictly larger than its s_l. The factor of 2 spare
-    in tau covers rounding tau itself. In the range no float64 score or
-    bound over the cube is non-finite: |s_k| <= 10 * 2^60.
+    in tau covers rounding tau itself.
     """
-    w = model.weights
-    if not _in_range(np.abs(w)):
-        return None
     d = w[_PAIRS[0]] - w[_PAIRS[1]]
     gap = np.hstack([np.maximum(d, 0.0), np.minimum(d, 0.0)])
 
@@ -802,7 +798,23 @@ def _poly_table(model: PolyModel) -> _LabelTable | None:
         low, high = _quadratic_planes(centres - half), _quadratic_planes(centres + half)
         return gap @ np.concatenate([low, high])
 
-    return _LabelTable(bounds, 2.0**-46 * float(np.abs(w).sum(axis=1).max()), model.classes)
+    return _LabelTable(bounds, 2.0**-46 * float(np.abs(w).sum(axis=1).max()), classes)
+
+
+def _poly_table(model: PolyModel) -> _LabelTable | None:
+    """The PO model's label table (_quadratic_table), or None where a
+    weight is neither 0 nor of magnitude in _SCREEN_RANGE.
+
+    The float64 pass rounds each monomial once, |m| <= 1 on the cube, and
+    takes the 10-term product with w_k in any order, FMA allowed: s_k is
+    off by at most u W_k + 10.01u W_k, so s_k - s_l by 12u (W_k + W_l). In
+    the range tau >= 2^-106 unless every weight is 0, and no float64 score
+    or bound over the cube is non-finite: |s_k| <= 10 * 2^60.
+    """
+    w = model.weights
+    if not _in_range(np.abs(w)):
+        return None
+    return _quadratic_table(w, model.classes)
 
 
 def _mlp_table(model: MlpModel) -> _LabelTable | None:
@@ -860,52 +872,30 @@ def _mlp_table(model: MlpModel) -> _LabelTable | None:
 
 
 def _som_table(model: SomModel) -> _LabelTable | None:
-    """The label table of a labeled KO model of 3 features, or None where
-    a neuron coordinate's magnitude exceeds 2^60, the top of _SCREEN_RANGE.
+    """The label table of a labeled KO model (_quadratic_table), or None
+    where it has other than 3 features or a neuron coordinate's magnitude
+    exceeds 2^60, the top of _SCREEN_RANGE.
 
-    The bound. Row k is neuron k, at distance d_k = |x - w_k|^2, and it
-    takes class_of_neuron[k]; two neurons may share a class. d_l - d_k =
-    a . x + b, with a = 2 (w_k - w_l) and b = |w_l|^2 - |w_k|^2, is linear
-    in x, so over a box with centre c and half-width r its minimum is
-    exactly
-        B_kl = a . c + b - r * sum_i |a_i|.
-
-    Rounding. u = 2^-53 and D_k = sum_i (1 + |w_ki|)^2, which bounds d_k
-    on the cube and is at least 3; tau = 64u * max_k D_k >= 32u (D_k +
-    D_l).
-    - _som_distances rounds x_i - w_ki and its square once each and sums
-      the 3 squares in feature order: d_k is off by at most 6u D_k.
-    - In ``bounds``, a_i is rounded once (doubling is exact), each |w_k|^2
-      sums 3 rounded squares and b is one more subtraction, r is a power
-      of two, the 3-term product a . c is taken in any order, FMA allowed,
-      and two additions follow: with A = sum_i |a_i| + |w_k|^2 + |w_l|^2 <=
-      D_k + D_l, B_kl is off by at most 8u A.
-    - What underflow loses in either is below 2^-1000, and tau >= 192u.
-    So where the computed B_kl exceeds tau, d_l - d_k exceeds 24u (D_k +
-    D_l) - 2^-1000 at every point of the box, more than the float64 pass's
-    error of 6u (D_k + D_l): neuron k is strictly nearer than neuron l
-    there, and no tie is left to break. The factor of 2 spare in tau covers
-    rounding tau itself. With coordinates of at most 2^60 no distance or
-    bound over the cube is non-finite.
+    Neuron k is nearest where -|x - w_k|^2 = -|w_k|^2 + 2 w_k . x - |x|^2
+    is largest, and -|x|^2 is the same for every neuron: its row is w'_k =
+    [-|w_k|^2, 2 w_k, -1, -1, -1, 0, 0, 0], and it takes
+    class_of_neuron[k]; two neurons may share a class. Then W'_k = D_k =
+    sum_i (1 + |w_ki|)^2, which bounds the distance d_k on the cube.
+    _som_distances rounds x_i - w_ki and its square once each and sums the
+    3 squares in feature order, so d_k is off by at most 6u D_k, and
+    rounding |w_k|^2 in w'_k adds 3u D_k: 9u (D_k + D_l) in all. W'_k >= 3
+    keeps tau above any underflow loss with no floor on the coordinates,
+    and with coordinates of at most 2^60 no distance or bound over the cube
+    is non-finite.
     """
     w = model.neurons
-    if not np.abs(w).max() <= _SCREEN_RANGE[1]:
+    if w.shape[1] != 3 or not np.abs(w).max() <= _SCREEN_RANGE[1]:
         return None
-    slope = 2.0 * (w[_PAIRS[0]] - w[_PAIRS[1]])
-    sq = np.square(w).sum(axis=1)
-    offset = (sq[_PAIRS[1]] - sq[_PAIRS[0]])[:, None]
-    reach = np.abs(slope).sum(axis=1, keepdims=True)
-
-    def bounds(centres: np.ndarray, half: float) -> np.ndarray:
-        b = slope @ centres
-        b += offset - half * reach
-        return b
-
-    tau = 2.0**-47 * float(np.square(1.0 + np.abs(w)).sum(axis=1).max())
-    return _LabelTable(bounds, tau, model.classes)
-
-
-_TABLES = {PolyModel: _poly_table, MlpModel: _mlp_table, SomModel: _som_table}
+    rows = np.zeros((SOM_NEURONS, 10))
+    rows[:, 0] = -np.square(w).sum(axis=1)
+    rows[:, 1:4] = 2.0 * w
+    rows[:, 4:7] = -1.0
+    return _quadratic_table(rows, model.classes)
 
 
 def _cube_cells(stack: SpectralStack) -> np.ndarray:
@@ -924,19 +914,13 @@ def _cube_cells(stack: SpectralStack) -> np.ndarray:
 def _table_for(model: Model, image: SpectralStack | Band):
     """The model's label table and the cells of ``image``'s pixels, or
     None: on the model's first classify call, so that a one-shot caller
-    such as the CLI makes no table and builds no cells; for a model of
-    other than 3 features; and where the model makes no table. The table is
-    made by the model's builder in _TABLES when first needed and kept in
-    the instance, outside its fields, as ``_label_table``."""
+    such as the CLI makes no table and builds no cells; and where the model
+    makes no table (``label_table``)."""
     state = model.__dict__
     if not state.get("_classified"):
         state["_classified"] = True
         return None
-    if model.feature_dim != 3:
-        return None
-    if "_label_table" not in state:
-        state["_label_table"] = _TABLES[type(model)](model)
-    table = state["_label_table"]
+    table = model.label_table
     return None if table is None else (table, _cube_cells(image))
 
 

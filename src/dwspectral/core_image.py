@@ -111,6 +111,12 @@ class Band:
     def height(self) -> int:
         return self.data.shape[0]
 
+    @property
+    def planes(self) -> np.ndarray:
+        """The map as one feature plane (1, height*width), unscaled: a Band
+        such as an ADC map has no full scale."""
+        return self.data.reshape(1, -1)
+
 
 @dataclass(frozen=True)
 class SpectralStack:

@@ -392,9 +392,7 @@ def kappa_curve_svg(result: SweepResult, cfg: ExperimentConfig) -> str:
     legend_y = mt + 10
     for name in cfg.classifiers:
         series = result.median_kappa(name)
-        if not series:
-            continue
-        color = _SVG_COLORS.get(name, "black")
+        color = _SVG_COLORS[name]
         points = " ".join(
             f"{sx(lvl):.2f},{sy(k):.2f}" for lvl, k in sorted(series.items())
         )

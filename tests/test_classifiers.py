@@ -906,7 +906,7 @@ def crossing_model(kind, rng, scale):
 def assert_proven_cells_hold(model, rng):
     """Prove the whole cube for ``model``; every proven cell must hold the
     float64 pass's label at its 8 corners and at random points inside it."""
-    table = classifiers._TABLES[type(model)](model)
+    table = model.label_table
     with np.errstate(over="ignore"):
         table.prove(np.array(np.unravel_index(np.arange(64), (4, 4, 4))))
     labels = table.labels.reshape(64, 64, 64)
@@ -1156,7 +1156,7 @@ class TestFloat32Screen:
             for model in models:
                 got = classify(model, image).labels.ravel()
                 np.testing.assert_array_equal(got, exact_labels(model, image.planes))
-        assert all(model.__dict__["_label_table"] is not None for model in models)
+        assert all(model.__dict__["label_table"] is not None for model in models)
 
     def test_boundary_cell_stays_undecided(self, monkeypatch):
         # z_0 - z_1 = 2 * sigmoid(64 * (x_0 - c)) - 1 with c the middle of
@@ -1187,7 +1187,7 @@ class TestFloat32Screen:
                 x = _feature_planes(model, image)
                 assert np.all(float64_labels(model, x) == int(label))
                 assert np.all(classify(model, image).labels == int(label))
-        table = model.__dict__["_label_table"]
+        table = model.__dict__["label_table"]
         cell = (np.array([10, 12]) * 64 + 20) * 64 + 20
         want = [classifiers._UNDECIDED, int(ClassLabel.CSF)]
         np.testing.assert_array_equal(table.labels[cell], want)
@@ -1219,7 +1219,7 @@ class TestFloat32Screen:
             model = MlpModel(wh, wo)
             for i in order:
                 classify(model, images[i])
-            tables.append(model.__dict__["_label_table"].labels)
+            tables.append(model.__dict__["label_table"].labels)
         cells = np.array(np.unravel_index(np.flatnonzero(tables[0]), (64, 64, 64)))
         reached = np.unique(cells // 16, axis=1)
         assert reached.shape[1] == 22  # 3 * 2^3 boxes, two of them twice
@@ -1252,7 +1252,7 @@ class TestFloat32Screen:
         for _ in range(2):
             assert np.all(classify(model, image).labels == int(ClassLabel.BACKGROUND))
         assert halves == [1 / 8]
-        table = model.__dict__["_label_table"].labels
+        table = model.__dict__["label_table"].labels
         assert np.count_nonzero(table) == 64**3
         assert np.all(table == int(ClassLabel.BACKGROUND))
 
@@ -1263,10 +1263,10 @@ class TestFloat32Screen:
             doc = model_to_json(model)
             image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
             first = classify(model, image).labels
-            assert "_label_table" not in model.__dict__
+            assert "label_table" not in model.__dict__
             assert "_cells" not in image.__dict__
             np.testing.assert_array_equal(classify(model, image).labels, first)
-            assert model.__dict__["_label_table"].labels.nbytes == 64**3
+            assert model.__dict__["label_table"].labels.nbytes == 64**3
             assert image.__dict__["_cells"] is not None
             assert model_to_json(model) == doc
             assert [f.name for f in fields(model)] == [f.name for f in fields(type(model))]
@@ -1354,17 +1354,34 @@ class TestLabelTables:
         # B_kl = a . c + b - sum |a_i| / 8 with a = 2 (w_k - w_l) and b =
         # |w_l|^2 - |w_k|^2: B_01 = -1/4 + 1 - 1/4, B_02 = -7/4 + 1 - 1/4,
         # B_10 = 1/4 - 1 - 1/4, B_12 = 1/4 - 7/4 - 1/2, B_20 = 7/4 - 1 - 1/4,
-        # B_21 = -1/4 + 7/4 - 1/2. D = (3, 6, 6), so tau = 2^-47 * 6. B_20
+        # B_21 = -1/4 + 7/4 - 1/2. D = (3, 6, 6), so tau = 2^-46 * 6. B_20
         # and B_21 exceed it: the box is neuron 2's, whose class is MATTER.
         neurons = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         table = classifiers._som_table(SomModel(neurons, class_of_neuron=(3, 1, 2)))
-        assert table.tau == 2.0**-47 * 6
+        assert table.tau == 2.0**-46 * 6
         got = table.bounds(np.array([[1 / 8], [7 / 8], [1 / 8]]), 1 / 8)
         assert got[:, 0].tolist() == [0.5, -1.0, -1.0, -2.0, 0.5, 1.0]
         table.prove(np.array([[0], [3], [0]]))
         cube = table.labels.reshape(64, 64, 64)
         assert np.all(cube[:16, 48:, :16] == int(ClassLabel.MATTER))
         assert np.count_nonzero(table.labels) == 16**3
+        # Random neurons, at scales from 2^-4 to 2^30, and random boxes of
+        # the grids of 4 to 64 boxes per band: the degree-2 bound is the
+        # exact linear minimum to within 4 ulps of D_k + D_l.
+        rng = np.random.default_rng(14)
+        k, l = classifiers._PAIRS
+        for scale in 2.0 ** np.arange(-4, 31, 2):
+            for grid in (4, 16, 64):
+                neurons = rng.uniform(-scale, scale, (3, 3))
+                table = classifiers._som_table(SomModel(neurons, class_of_neuron=(1, 2, 3)))
+                centres, half = (rng.integers(0, grid, (3, 8)) + 0.5) / grid, 0.5 / grid
+                a = 2.0 * (neurons[k] - neurons[l])
+                sq = np.square(neurons).sum(axis=1)
+                b = (sq[l] - sq[k])[:, None]
+                exact = a @ centres + b - half * np.abs(a).sum(axis=1)[:, None]
+                d = np.square(1.0 + np.abs(neurons)).sum(axis=1)
+                slack = 2.0**-50 * (d[k] + d[l])[:, None]
+                assert np.all(np.abs(table.bounds(centres, half) - exact) <= slack)
 
     def test_two_neurons_of_one_class(self):
         # Neurons 0 and 2 are both CSF. The cells nearest either one are
@@ -1413,7 +1430,7 @@ class TestLabelTables:
         for _ in range(3):
             with pytest.raises(NumericalError, match="non-finite"):
                 classify(model, image)
-        assert model.__dict__["_label_table"] is None
+        assert model.__dict__["label_table"] is None
 
     @pytest.mark.parametrize("weight", [2.0**61, 2.0**-61], ids=["above", "below"])
     def test_po_weights_out_of_range_make_no_table(self, weight):
