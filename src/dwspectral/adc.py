@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core_image import FULL_SCALE, Band, SpectralStack, finite_number, save_band
+from .core_image import FULL_SCALE, Band, SpectralStack, finite_number, payload_pixels, save_band
 from .errors import FormatError, ValidationError
 
 
@@ -90,16 +90,7 @@ def load_adc_raw(path) -> Band:
     width, height = struct.unpack("<II", data[4:12])
     if width == 0 or height == 0:
         raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
-    expected = width * height * 8
-    payload = data[12:]
-    if len(payload) != expected:
-        what = "truncated payload" if len(payload) < expected else "trailing bytes"
-        raise FormatError(
-            f"{path}: {what}, {len(payload)} payload bytes where {width}x{height} "
-            f"takes {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").reshape(height, width)
-    return Band(values)
+    return Band(payload_pixels(data[12:], width, height, "<f8", path))
 
 
 def save_adc_pgm(adc: Band, path) -> float:

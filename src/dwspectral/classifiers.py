@@ -51,8 +51,7 @@ def _quadratic_planes(x: np.ndarray) -> np.ndarray:
 
 def expand_quadratic(x: np.ndarray) -> np.ndarray:
     """Degree-2 monomials of the rows of an (n, 3) matrix, in the fixed
-    order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]. A SampleSet
-    does not check that its features are finite; this does."""
+    order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(

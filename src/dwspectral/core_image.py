@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import IntEnum
 from functools import cache, cached_property
@@ -214,8 +215,8 @@ class LabelMap:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Labeled feature vectors: ``features`` (n, d), ``labels`` (n,) uint8
-    class codes."""
+    """Labeled feature vectors: ``features`` (n, d) finite numbers, ``labels``
+    (n,) uint8 class codes."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -227,6 +228,8 @@ class SampleSet:
             raise ValidationError("features must be a 2-D (n, d) array")
         if feats.shape[0] == 0:
             raise ValidationError("sample set must be non-empty")
+        if not np.isfinite(feats).all():
+            raise ValidationError("sample set contains non-finite features")
         if labs.shape != (feats.shape[0],):
             raise ValidationError("labels must align one-to-one with features")
         labs = _class_codes(labs, "sample set")
@@ -246,64 +249,57 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 # PGM I/O (binary P5 only)
 
-def _read_pgm_header(data: bytes, path) -> tuple[int, int, int, int]:
-    """Parse a P5 header; returns (width, height, maxval, payload offset)."""
-    pos = 0
-    fields = []
+# The magic number and the three numeric fields, each one token after any
+# whitespace and '#' comments, then the one whitespace byte that ends the
+# header. A comment runs to the end of its line and a token cannot start
+# with '#', so a field not there matches None rather than a comment's tail.
+_PGM_HEADER = re.compile(rb"(?:(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]\S*))?" * 4 + rb"\s?")
 
-    def next_token():
-        nonlocal pos
-        while pos < len(data):
-            c = data[pos : pos + 1]
-            if c == b"#":  # comment runs to end of line
-                while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                    pos += 1
-            elif c.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated PGM header")
-        return data[start:pos]
 
-    magic = next_token()
-    if magic != b"P5":
+def payload_pixels(payload: bytes, width: int, height: int, dtype, path) -> np.ndarray:
+    """``payload`` as a read-only (height, width) array of ``dtype``; a
+    payload shorter or longer than width x height pixels raises FormatError
+    naming ``path``."""
+    expected = width * height * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        what = "truncated payload" if len(payload) < expected else "trailing bytes"
         raise FormatError(
-            f"{path}: magic number is {magic.decode('ascii', 'replace')!r}, "
-            "expected binary PGM 'P5'"
+            f"{path}: {what}, {len(payload)} payload bytes where {width}x{height} "
+            f"takes {expected}"
         )
-    for name in ("width", "height", "maxval"):
-        tok = next_token()
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric {name} field {tok!r}") from None
-    width, height, maxval = fields
-    if width <= 0 or height <= 0:
-        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
-    pos += 1  # exactly one whitespace byte separates header from payload
-    return width, height, maxval, pos
+    return np.frombuffer(payload, dtype=dtype).reshape(height, width)
 
 
 def _read_pgm(path, maxval: int, dtype) -> np.ndarray:
     """The (height, width) pixels of a binary PGM whose maxval must be
-    ``maxval``; 8-bit files hold label maps."""
+    ``maxval``; 8-bit files hold label maps. Width, height and maxval must
+    be ASCII decimal digits."""
     path = Path(path)
     data = path.read_bytes()
-    width, height, found, offset = _read_pgm_header(data, path)
+    header = _PGM_HEADER.match(data)
+    magic, *tokens = header.groups()
+    if magic not in (b"P5", None):
+        raise FormatError(
+            f"{path}: magic number is {magic.decode('ascii', 'replace')!r}, "
+            "expected binary PGM 'P5'"
+        )
+    fields = []
+    for name, token in zip(("width", "height", "maxval"), tokens):
+        if token is None:  # as every field is when the magic number is missing
+            raise FormatError(f"{path}: truncated PGM header")
+        try:
+            if not token.isdigit():  # int() would read b"+12" and b"1_2"
+                raise ValueError
+            fields.append(int(token))  # and refuses more digits than its limit
+        except ValueError:
+            raise FormatError(f"{path}: non-numeric {name} field {token!r}") from None
+    width, height, found = fields
+    if width <= 0 or height <= 0:
+        raise FormatError(f"{path}: non-positive dimensions {width}x{height}")
     if found != maxval:
         what = "label map maxval" if maxval == 255 else "maxval"
         raise FormatError(f"{path}: {what} is {found}, expected {maxval}")
-    expected = width * height * np.dtype(dtype).itemsize
-    payload = data[offset : offset + expected]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: truncated payload, {len(payload)} of {expected} bytes"
-        )
-    return np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    return payload_pixels(data[header.end():], width, height, dtype, path)
 
 
 def _write_pgm(path, pixels: np.ndarray, maxval: int) -> None:

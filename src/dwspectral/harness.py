@@ -42,6 +42,7 @@ from .metrics import (
     volumes,
 )
 from .physics import (
+    XI_MAX,
     AcquisitionParams,
     PhantomSpec,
     add_noise_to_stack,
@@ -100,8 +101,8 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)):
                 raise ValidationError(f"{name} must be a list, got {type(value).__name__}")
         levels = tuple(finite_number(v, "noise level") for v in self.noise_levels)
-        if any(not 0.0 <= v <= 0.20 for v in levels):
-            raise ValidationError(f"noise levels must lie in [0, 0.20]: {levels}")
+        if any(not 0.0 <= v <= XI_MAX for v in levels):
+            raise ValidationError(f"noise levels must lie in [0, {XI_MAX:.2f}]: {levels}")
         seeds = tuple(whole_number(s, "seed") for s in self.seeds)
         if not seeds:
             raise ValidationError("at least one seed is required")

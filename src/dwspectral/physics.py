@@ -365,13 +365,17 @@ def render_phantom(
 # ---------------------------------------------------------------------------
 # Additive Gaussian noise
 
+# The largest noise level: the paper's sweep ends at sigma = 20% of full scale.
+XI_MAX = 0.20
+
+
 def add_noise_to_stack(stack: SpectralStack, xi_max: float, seed: int) -> SpectralStack:
     """Seeded zero-mean Gaussian noise of sigma ``xi_max`` x full scale,
     clamped to [0, full scale]. Band i of slice s draws from the generator
     keyed (seed, s, i), so each band's noise is independent of the others
     and of the order they are drawn in."""
-    if not 0.0 <= finite_number(xi_max, "xi_max") <= 0.20:
-        raise ValidationError(f"xi_max must lie in [0, 0.20], got {xi_max}")
+    if not 0.0 <= finite_number(xi_max, "xi_max") <= XI_MAX:
+        raise ValidationError(f"xi_max must lie in [0, {XI_MAX:.2f}], got {xi_max}")
     seed = whole_number(seed, "seed")
     if xi_max == 0.0:
         return stack

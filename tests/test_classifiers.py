@@ -315,6 +315,24 @@ def best_linear_accuracy(samples):
     return best
 
 
+@pytest.mark.parametrize("train", [
+    train_polynomial,
+    lambda s: train_mlp(s, MlpConfig()),
+    lambda s: label_som(train_som(s, SomConfig()), s),
+], ids=["po", "mlp", "som"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trainers_refuse_non_finite_features(train, bad):
+    """A NaN passes the MLP's [0, 1] range check, and SOM training spreads
+    it to the neurons: each trainer must name the feature instead."""
+    samples = blob_samples(
+        [((0.2, 0.2, 0.2), ClassLabel.CSF), ((0.8, 0.8, 0.8), ClassLabel.MATTER)], 10, 0.05
+    )
+    features = samples.features.copy()
+    features[3, 1] = bad
+    with pytest.raises(ValidationError, match="sample set contains non-finite features"):
+        train(SampleSet(features, samples.labels))
+
+
 class TestHyperquadricSeparability:
     def test_annulus_poly_vs_best_linear(self):
         samples = annulus_dataset()

@@ -107,6 +107,25 @@ class TestAdcCommand:
         assert str(manifest) in err and message in err
         assert not (tmp_path / "x.adc").exists()
 
+    @pytest.mark.parametrize("edit", [
+        lambda pgm: pgm.replace(b"65535\n", b"65535\r\n", 1),
+        lambda pgm: pgm.replace(b"48 48", b"4_8 48", 1),
+        lambda pgm: pgm.replace(b"48 48", b"+48 48", 1),
+        lambda pgm: pgm + b"\x00",
+    ], ids=["crlf-header", "underscore-width", "signed-width", "trailing-byte"])
+    def test_edited_band_exits_2(self, phantom_dir, tmp_path, capsys, edit):
+        """int() reads 4_8 and +48 as 48, and a CRLF header would shift
+        every pixel by one byte: each is one error line naming the band."""
+        doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())
+        band = tmp_path / "edited.pgm"
+        band.write_bytes(edit((phantom_dir / doc["bands"][0]).read_bytes()))
+        doc["bands"] = [str(band)] + [str(phantom_dir / rel) for rel in doc["bands"][1:]]
+        manifest = tmp_path / "edited.json"
+        manifest.write_text(json.dumps(doc))
+        err = assert_one_error_line(["adc", "--stack", manifest, "--out", tmp_path / "x"], capsys)
+        assert err.startswith(f"error: {band}: ")
+        assert not (tmp_path / "x.adc").exists()
+
     def test_manifest_unknown_key_exits_2(self, phantom_dir, tmp_path, capsys):
         """A misspelled slice index would load as slice 0, whose noise the
         noise command would then draw."""

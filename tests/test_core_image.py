@@ -159,6 +159,53 @@ class TestPgmFormatErrors:
         path.write_bytes(b"P5\n# generated\n2 1\n65535\n" + bytes(4))
         assert read_band_pgm(path).shape == (1, 2)
 
+    # Each reader of a PGM: the 16-bit band reader and the 8-bit label map
+    # reader, with the maxval and the bytes per pixel it expects.
+    READERS = pytest.mark.parametrize("read, maxval, size", [
+        (read_band_pgm, b"65535", 2),
+        (lambda path: load_labelmap(path).labels, b"255", 1),
+    ], ids=["band", "labelmap"])
+
+    @READERS
+    @pytest.mark.parametrize("width", [b"1_2", b"+12", b"-1", b"1" * 5000],
+                             ids=["underscore", "plus", "minus", "5000-digits"])
+    def test_width_must_be_decimal_digits(self, tmp_path, read, maxval, size, width):
+        # int() reads the first two as 12 and the third as -1, and raises
+        # ValueError on more digits than its limit.
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5\n" + width + b" 1\n" + maxval + b"\n" + b"\x01" * 12 * size)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: non-numeric width field {width!r}")):
+            read(path)
+
+    @READERS
+    @pytest.mark.parametrize("header_end, payload_end", [(b"\r\n", b""), (b"\n", b"\x01")],
+                             ids=["crlf", "trailing-byte"])
+    def test_bytes_after_the_payload_rejected(
+        self, tmp_path, read, maxval, size, header_end, payload_end
+    ):
+        # After a CRLF the LF is read as the first payload byte, which would
+        # shift every pixel by one byte.
+        path = tmp_path / "t.pgm"
+        path.write_bytes(b"P5\n2 2\n" + maxval + header_end + b"\x01" * 4 * size + payload_end)
+        message = f"{path}: trailing bytes, {4 * size + 1} payload bytes where 2x2 takes {4 * size}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read(path)
+
+    @READERS
+    def test_comment_before_every_field_accepted(self, tmp_path, read, maxval, size):
+        path = tmp_path / "c.pgm"
+        header = b"# a\nP5 #b\n2\n#c\r1\t# d\n" + maxval + b"\n"
+        path.write_bytes(header + bytes(range(1, 2 * size + 1)))
+        expected = [[1, 2]] if size == 1 else [[0x0102, 0x0304]]
+        assert read(path).tolist() == expected
+
+    @READERS
+    def test_comment_at_end_of_header_is_truncation(self, tmp_path, read, maxval, size):
+        path = tmp_path / "e.pgm"
+        path.write_bytes(b"P5\n2 2\n#" + maxval)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: truncated PGM header")):
+            read(path)
+
 
 class TestStack:
     def test_b_values_must_start_at_zero(self):

@@ -3,7 +3,8 @@ used by the package itself, so that no API or helper exists for the tests
 alone. Only a read of a name counts as a use: importing it, as a re-export
 does, does not. Dunder methods are called by Python itself. And
 classifiers.py reads each model's kind from the model, never from its
-class. Every Python name README.md quotes is a name of the code."""
+class. No module reads another module's private name. Every Python name
+README.md quotes is a name of the code."""
 
 import ast
 import re
@@ -70,6 +71,25 @@ def test_every_public_name_is_used_in_src():
 
 def test_every_private_name_is_used_in_src():
     assert [name for name in unreferenced(SRC) if private(name)] == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    """A name that two modules of the package share is public: none
+    imports another's private name, or reads one from a module it
+    imported. Dunder names such as __version__ are not private."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                ours = node.level or node.module.split(".")[0] == SRC.name
+                names = [alias.name for alias in node.names] if ours else []
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                names = [node.attr]
+            else:
+                continue
+            found += [(path.stem, n) for n in names if private(n) and not n.endswith("__")]
+    assert found == []
 
 
 MODEL_CLASSES = {"PolyModel", "MlpModel", "SomModel"}
