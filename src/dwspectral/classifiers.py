@@ -37,7 +37,8 @@ SOM_NEIGHBOR_WEIGHT = 0.5
 
 def _quadratic_planes(x: np.ndarray) -> np.ndarray:
     """The degree-2 monomials (10, n) of feature planes x (3, n), one row
-    per monomial in expand_quadratic's order."""
+    per monomial in the fixed order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2,
+    x1x3, x2x3]."""
     x1, x2, x3 = x
     out = np.empty((10, x.shape[1]))
     out[0] = 1.0
@@ -47,19 +48,6 @@ def _quadratic_planes(x: np.ndarray) -> np.ndarray:
     np.multiply(x1, x3, out=out[8])
     np.multiply(x2, x3, out=out[9])
     return out
-
-
-def expand_quadratic(x: np.ndarray) -> np.ndarray:
-    """Degree-2 monomials of the rows of an (n, 3) matrix, in the fixed
-    order [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValidationError(
-            f"quadratic expansion expects (n, 3) feature rows, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("quadratic expansion requires finite input")
-    return np.ascontiguousarray(_quadratic_planes(arr.T).T)
 
 
 def _one_hot(labels: np.ndarray, low: float = 0.0, high: float = 1.0) -> np.ndarray:
@@ -109,7 +97,7 @@ class PolyModel:
 
     weights: np.ndarray
     kind = "po"
-    feature_dim = 3  # expand_quadratic takes exactly 3 features
+    feature_dim = 3  # _quadratic_planes takes exactly 3 features
     classes = _CLASS_CODES
     nearest_wins = False
     block = _BLOCK
@@ -135,7 +123,9 @@ def train_polynomial(samples: SampleSet) -> PolyModel:
         raise ValidationError(
             f"polynomial net expects 3 features, got {samples.feature_dim}"
         )
-    phi = expand_quadratic(samples.features)
+    # The monomials as (n, 10) rows: BLAS rounds the products below
+    # differently on other layouts.
+    phi = np.ascontiguousarray(_quadratic_planes(samples.features.T).T)
     targets = _one_hot(samples.labels)
     gram = phi.T @ phi
     lam = 1e-8 * np.trace(gram) / gram.shape[0]
@@ -193,30 +183,30 @@ class MlpModel:
         whole_number(self.epochs_run, "epochs_run")
 
     def exact_pass(self, cols: int):
-        """The float64 pass (_mlp_pass) for up to ``cols`` pixels."""
-        return _mlp_pass(self.hidden_weights, self.output_weights, cols)[0]
+        """The float64 pass for up to ``cols`` pixels (_layers): sigmoid
+        hidden units, and the output pre-activations."""
+        # (-wh) @ xb is bitwise -(wh @ xb)
+        return _layers(-self.hidden_weights, self.output_weights, cols, _sigmoid_of_negated)[0]
 
-    def screen(self, cols: int):
-        """The float32 screen's forward pass for feature planes (3, n) of
-        up to ``cols`` pixels: ``forward(x)`` returns the MLP's output
-        pre-activations (3, n) up to the error that _screen_bound bounds.
+    @cached_property
+    def screen(self) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """The float32 screen (_screened_labels), made on first use and kept
+        in the instance, outside its fields: _screen_bound's ``tau``, and
+        the halved hidden weights and folded output weights rounded from
+        float64; or None where _screen_bound gives no ``tau``.
 
         sigmoid(a) = 1/2 + tanh(a/2) / 2, so with hidden unit j in tanh
         form, t_j = tanh((wh_j / 2) . x), output k is sum_j (wo_kj / 2) *
         t_j + b'_k, where b'_k = b_k + sum_j wo_kj / 2, j over the 60 hidden
         units, rides on the hidden row of ones.
         """
-        return _layers(*self._screen_weights, cols, lambda a: np.tanh(a, out=a))[0]
-
-    @cached_property
-    def _screen_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """The float32 weights of ``screen``, halved hidden weights and
-        folded output weights rounded from float64, made on first use and
-        kept in the instance, outside its fields."""
+        tau = _screen_bound(self)
+        if tau is None:
+            return None
         wh, wo = self.hidden_weights, self.output_weights
         folded = wo / 2.0
         folded[:, -1] = wo[:, -1] + folded[:, :-1].sum(axis=1)
-        return (wh / 2.0).astype(np.float32), folded.astype(np.float32)
+        return tau, (wh / 2.0).astype(np.float32), folded.astype(np.float32)
 
 
 def _sigmoid_of_negated(a: np.ndarray) -> np.ndarray:
@@ -249,13 +239,6 @@ def _layers(wh: np.ndarray, wo: np.ndarray, cols: int, activate):
         return np.matmul(wo, hb[:, :n], out=z[:, :n])
 
     return forward, xb, hb
-
-
-def _mlp_pass(wh: np.ndarray, wo: np.ndarray, cols: int):
-    """The MLP's forward pass (see _layers): sigmoid hidden units, and the
-    output pre-activations."""
-    # (-wh) @ xb is bitwise -(wh @ xb)
-    return _layers(-wh, wo, cols, _sigmoid_of_negated)
 
 
 # Training's flat weight buffer: -wh (60, 4), then -wo (3, 61).
@@ -442,14 +425,6 @@ class SomModel:
         """The float64 pass: neuron distances (3, n) of feature planes (d, n)."""
         return partial(_som_distances, self.neurons)
 
-    def winners(self, features: np.ndarray) -> np.ndarray:
-        """Index of the nearest neuron for each feature row, ties going to
-        the lower index; non-finite distances raise NumericalError."""
-        x = np.asarray(features, dtype=np.float64).T
-        with np.errstate(over="ignore", invalid="ignore"):
-            d2 = _som_distances(self.neurons, x)
-        return _decide(self, d2, np.arange(SOM_NEURONS))
-
 
 def _class_label(code) -> ClassLabel:
     """A neuron's class code, a whole number, as its ClassLabel."""
@@ -474,7 +449,7 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
     ignored. Neurons start at 3 distinct seeded training samples; updates
     are winner-take-all with a radius-1 neighborhood during the early
     fraction of iterations and a linearly decaying learning rate. Distances
-    that overflow give no warning here: ``winners`` raises on them."""
+    that overflow give no warning here: label_som raises on them."""
     x = samples.features
     n = x.shape[0]
     if n < SOM_NEURONS:
@@ -507,14 +482,17 @@ def train_som(samples: SampleSet, cfg: SomConfig) -> SomModel:
 
 
 def label_som(model: SomModel, samples: SampleSet) -> SomModel:
-    """Label each neuron by majority vote over the samples it wins; ties go
-    to the lower class integer."""
+    """Label each neuron by majority vote over the samples it wins, the
+    lower neuron winning a tie; ties of votes go to the lower class integer.
+    Non-finite distances raise NumericalError."""
     if samples.feature_dim != model.feature_dim:
         raise ValidationError(
             f"samples have {samples.feature_dim} features, "
             f"model expects {model.feature_dim}"
         )
-    winners = model.winners(samples.features)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _som_distances(model.neurons, samples.features.T)
+    winners = _decide(model, d2, np.arange(SOM_NEURONS))
     assignment = []
     for j in range(SOM_NEURONS):
         won = samples.labels[winners == j]
@@ -542,9 +520,10 @@ def train_ko_adc(truth_samples: SampleSet, cfg: SomConfig) -> SomModel:
 # Each model class carries what classify needs of its kind: ``kind``, its
 # name in a model file; ``classes``, the codes of the three rows that its
 # float64 pass ``exact_pass(cols)`` ranks, ``block`` pixels at a time, the
-# nearest first where ``nearest_wins``; the MLP's float32 ``screen``; and
-# ``label_table``, the _LabelTable or None that its kind's builder makes
-# on first use, kept in the instance, outside its fields.
+# nearest first where ``nearest_wins``; ``screen``, the MLP's float32
+# screen or None; and ``label_table``, the _LabelTable or None that its
+# kind's builder makes. The MLP's screen and every label table are made on
+# first use and kept in the instance, outside its fields.
 Model = PolyModel | MlpModel | SomModel
 
 
@@ -817,8 +796,8 @@ def _poly_table(model: PolyModel) -> _LabelTable | None:
 
 
 def _mlp_table(model: MlpModel) -> _LabelTable | None:
-    """The MLP's label table, or None where _screen_bound gives none; its
-    ``tau`` is tau1, _screen_bound's.
+    """The MLP's label table, or None where it has no screen; its ``tau``
+    is tau1, the screen's.
 
     The bound. Over a box with centre c and half-width r, hidden unit j's
     pre-activation a_j = wh_j . (x, 1) lies in [lo_j, hi_j] = a_j(c) -+
@@ -846,9 +825,9 @@ def _mlp_table(model: MlpModel) -> _LabelTable | None:
     its z_k - z_l is off by at most tau1 / 2^31, and is positive. In the
     screen's range no float64 output or bound is non-finite.
     """
-    tau1 = _screen_bound(model)
-    if tau1 is None:
+    if model.screen is None:
         return None
+    tau1 = model.screen[0]
     wh, wo = model.hidden_weights, model.output_weights
     d = wo[_PAIRS[0]] - wo[_PAIRS[1]]
     hidden, hidden_bias = wh[:, :-1], wh[:, -1:]
@@ -941,15 +920,16 @@ def _table_labels(table: _LabelTable, cells: np.ndarray, x: np.ndarray, rest) ->
     return labels
 
 
-def _screened_labels(model: MlpModel, tau: float, x: np.ndarray) -> np.ndarray:
+def _screened_labels(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """The MLP's labels of feature planes ``x``: those of the float64 pass.
 
-    The float32 screen labels each pixel whose winner leads by more than
-    ``tau`` in its outputs; every pixel it leaves, a near-tie or a
-    non-finite score, goes to the float64 pass, which keeps the tie rule
-    and the NumericalError.
+    The float32 screen (MlpModel.screen) labels each pixel whose winner
+    leads by more than its ``tau`` in its outputs; every pixel it leaves, a
+    near-tie or a non-finite score, goes to the float64 pass, which keeps
+    the tie rule and the NumericalError.
     """
-    forward = model.screen(min(x.shape[1], _SCREEN_BLOCK))
+    tau, wh, wo = model.screen
+    forward = _layers(wh, wo, min(x.shape[1], _SCREEN_BLOCK), lambda a: np.tanh(a, out=a))[0]
 
     def decided(xs: np.ndarray) -> np.ndarray:
         z = forward(xs)
@@ -974,8 +954,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     From a model's second call on, a pixel of a PO, MLP or KO model whose
     cell of the feature cube bounds on the weights prove to hold one class
     takes that class (_LabelTable); only the others take the model's pass.
-    For the MLP that pass is the float32 screen at _screen_bound's ``tau``,
-    which the table keeps.
+    For the MLP that pass is its screen, which its table shares.
 
     Non-finite polynomial scores, MLP pre-activations or SOM distances
     raise NumericalError naming the model kind."""
@@ -984,11 +963,7 @@ def classify(model: Model, image: SpectralStack | Band) -> LabelMap:
     # is then exactly 0); only non-finite scores or distances are errors.
     with np.errstate(over="ignore", invalid="ignore"):
         found = _table_for(model, image)
-        rest = partial(_exact_labels, model)
-        if model.screen is not None:
-            tau = _screen_bound(model) if found is None else found[0].tau
-            if tau is not None:
-                rest = partial(_screened_labels, model, tau)
+        rest = partial(_exact_labels if model.screen is None else _screened_labels, model)
         labels = rest(x) if found is None else _table_labels(*found, x, rest)
     return LabelMap(labels.reshape(image.height, image.width))
 

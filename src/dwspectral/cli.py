@@ -135,8 +135,10 @@ def cmd_adc(args) -> Path:
     cfg = AdcConfig(
         c_const=args.c, normalize_by_terms=args.normalize, epsilon=args.epsilon
     )
-    band = adc_map(load_stack(args.stack), cfg)
     out = Path(args.out)
+    if out.name in ("", ".."):
+        raise ValidationError(f"--out must name a file, got {args.out!r}")
+    band = adc_map(load_stack(args.stack), cfg)
     # The PGM first: it checks its scale before either file is written.
     save_adc_pgm(band, out.with_suffix(".pgm"))
     save_adc_raw(band, out.with_suffix(".adc"))
@@ -223,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("adc", help="compute the ADC map of a stack")
     p.add_argument("--stack", required=True, help="stack manifest JSON")
-    p.add_argument("--c", type=float, default=1.0, help="proportionality constant")
+    p.add_argument("--c", type=float, default=AdcConfig.c_const, help="proportionality constant")
     p.add_argument(
         "--normalize",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=AdcConfig.normalize_by_terms,
         help="divide by the number of log-ratio terms",
     )
-    p.add_argument("--epsilon", type=float, default=1.0, help="signal floor")
+    p.add_argument("--epsilon", type=float, default=AdcConfig.epsilon, help="signal floor")
     p.add_argument("--out", required=True, help="output base path (.adc/.pgm)")
 
     p = add("train", help="train a classifier on a labeled image")

@@ -23,11 +23,11 @@ from dwspectral.classifiers import (
     _feature_planes,
     _first_best,
     _layer_views,
-    _mlp_pass,
+    _layers,
+    _quadratic_planes,
     _sigmoid_of_negated,
     _step_rates,
     classify,
-    expand_quadratic,
     label_som,
     model_from_json,
     model_to_json,
@@ -79,8 +79,18 @@ def reference_sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def reference_monomials(feats):
+    """The degree-2 monomials (n, 10) of feature rows (n, 3), in the order
+    [1, x1, x2, x3, x1^2, x2^2, x3^2, x1x2, x1x3, x2x3]."""
+    x1, x2, x3 = feats.T
+    return np.stack(
+        [np.ones_like(x1), x1, x2, x3, x1 * x1, x2 * x2, x3 * x3, x1 * x2, x1 * x3, x2 * x3],
+        axis=1,
+    )
+
+
 def reference_po_labels(model, feats):
-    return np.argmax(expand_quadratic(feats) @ model.weights.T, axis=1) + 1
+    return np.argmax(reference_monomials(feats) @ model.weights.T, axis=1) + 1
 
 
 def reference_mlp_preactivations(model, feats):
@@ -174,40 +184,22 @@ def backprop_step_errors(backprop, xi, ti, eta, coords, step=1e-5):
     return sq_err, applied, errors
 
 
-class TestExpandQuadratic:
+class TestQuadraticPlanes:
     def test_zero_input(self):
-        assert expand_quadratic(np.zeros((1, 3))).tolist() == [[1] + [0] * 9]
+        assert _quadratic_planes(np.zeros((3, 1))).T.tolist() == [[1] + [0] * 9]
 
     def test_all_ones(self):
-        assert expand_quadratic(np.ones((1, 3))).tolist() == [[1] * 10]
+        assert _quadratic_planes(np.ones((3, 1))).T.tolist() == [[1] * 10]
 
     def test_hand_expansion(self):
-        out = expand_quadratic(np.array([[1.0, 2.0, 3.0]]))
-        assert out.tolist() == [[1, 1, 2, 3, 1, 4, 9, 2, 3, 6]]
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValidationError, match=r"rows, got shape \(1, 4\)"):
-            expand_quadratic(np.zeros((1, 4)))
-
-    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
-    def test_rows_required(self, shape):
-        with pytest.raises(ValidationError, match=r"expects \(n, 3\) feature rows"):
-            expand_quadratic(np.zeros(shape))
+        out = _quadratic_planes(np.array([[1.0], [2.0], [3.0]]))
+        assert out.T.tolist() == [[1, 1, 2, 3, 1, 4, 9, 2, 3, 6]]
 
     def test_matches_stacked_expansion(self):
         x = np.random.default_rng(0).normal(scale=10.0, size=(500, 3))
-        x1, x2, x3 = x.T
-        stacked = np.stack(
-            [np.ones_like(x1), x1, x2, x3, x1 * x1, x2 * x2, x3 * x3,
-             x1 * x2, x1 * x3, x2 * x3],
-            axis=1,
-        )
-        assert expand_quadratic(x).tobytes() == stacked.tobytes()
-        assert expand_quadratic(x[7:8]).tobytes() == stacked[7].tobytes()
-
-    def test_non_finite_input_rejected(self):
-        with pytest.raises(ValidationError, match="requires finite input"):
-            expand_quadratic(np.array([[0.1, np.nan, 0.2]]))
+        want = np.ascontiguousarray(reference_monomials(x).T)
+        assert _quadratic_planes(x.T).tobytes() == want.tobytes()
+        assert _quadratic_planes(x[7:8].T).tobytes() == want[:, 7].tobytes()
 
 
 class TestPolynomial:
@@ -267,6 +259,17 @@ class TestPolynomial:
         s = SampleSet(np.random.default_rng(0).random((20, 3)), np.full(20, 2))
         with pytest.raises(ValidationError, match="at least 2 classes"):
             train_polynomial(s)
+
+    def test_wrong_arity_rejected(self):
+        s = SampleSet(np.random.default_rng(0).random((20, 4)), np.tile([1, 2], 10))
+        with pytest.raises(ValidationError, match="^polynomial net expects 3 features, got 4$"):
+            train_polynomial(s)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_rows_required(self, shape):
+        """Only (n, d) feature rows make a sample set to train on."""
+        with pytest.raises(ValidationError, match=r"^features must be a 2-D \(n, d\) array$"):
+            SampleSet(np.zeros(shape), np.ones(shape[:-1], dtype=int))
 
 
 def annulus_dataset(seed=0, n_per=400):
@@ -480,7 +483,7 @@ class TestMlpForwardPass:
         rng = np.random.default_rng(6)
         wh = rng.uniform(-5.0, 5.0, (60, 4))
         wo = rng.uniform(-5.0, 5.0, (3, 61))
-        forward, xb, hb = _mlp_pass(wh, wo, 1024)
+        forward, xb, hb = _layers(-wh, wo, 1024, _sigmoid_of_negated)
         # A full batch, then a partial one that must not see its columns.
         for n in (1024, 333):
             x = rng.random((n, 3))
@@ -531,7 +534,7 @@ class TestNonFiniteScores:
             with pytest.raises(NumericalError, match="som model gave non-finite distances"):
                 classify(model, image)
             with pytest.raises(NumericalError, match="som model gave non-finite distances"):
-                model.winners(np.full((4, d), 0.5))
+                label_som(model, SampleSet(np.full((4, d), 0.5), np.array([1, 2, 3, 1])))
 
     def test_saturated_hidden_units_are_not_an_error(self, small_volume):
         # exp overflows for every hidden unit: each sigmoid is exactly 0.
@@ -693,23 +696,43 @@ def broadcast_winners(neurons, features):
 SOM_VALUES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, -2.0]), st.floats(-1e3, 1e3))
 
 
+def reference_som_vote(neurons, samples):
+    """label_som's class of each neuron by a majority vote over the samples
+    that broadcast_winners gives it, or the first neuron that wins none."""
+    won = broadcast_winners(neurons, samples.features)
+    votes = [np.bincount(samples.labels[won == j], minlength=4) for j in range(3)]
+    empty = [j for j in range(3) if not votes[j].any()]
+    return empty[0] if empty else tuple(int(np.argmax(v)) for v in votes)
+
+
 class TestSomWinners:
+    """label_som's nearest neuron of each sample, against the broadcast
+    reference."""
+
     @settings(max_examples=200)
     @given(d=st.sampled_from([1, 3]), data=st.data())
     def test_matches_broadcast_reference(self, d, data):
         neurons = data.draw(arrays(np.float64, (3, d), elements=SOM_VALUES))
-        shape = st.tuples(st.integers(1, 40), st.just(d))
-        x = data.draw(arrays(np.float64, shape, elements=SOM_VALUES))
-        got = SomModel(neurons).winners(x)
-        np.testing.assert_array_equal(got, broadcast_winners(neurons, x))
+        n = data.draw(st.integers(1, 40))
+        x = data.draw(arrays(np.float64, (n, d), elements=SOM_VALUES))
+        labels = data.draw(arrays(np.int64, n, elements=st.integers(1, 3)))
+        samples = SampleSet(x, labels)
+        want = reference_som_vote(neurons, samples)
+        if isinstance(want, int):
+            with pytest.raises(NumericalError, match=f"^neuron {want} wins no samples"):
+                label_som(SomModel(neurons), samples)
+        else:
+            assert label_som(SomModel(neurons), samples).class_of_neuron == want
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_duplicate_neurons_tie_to_lower_index(self, d):
+        # Neurons 1 and 2 tie at every sample: neuron 1 wins the first two
+        # samples, neuron 0 the third, and neuron 2 none.
         neurons = np.array([[0.5] * d, [0.2] * d, [0.2] * d])
-        x = np.array([[0.2] * d, [0.1] * d, [0.9] * d])
-        got = SomModel(neurons).winners(x)
-        assert got.tolist() == [1, 1, 0]
-        np.testing.assert_array_equal(got, broadcast_winners(neurons, x))
+        samples = SampleSet(np.array([[0.2] * d, [0.1] * d, [0.9] * d]), np.array([1, 2, 3]))
+        assert broadcast_winners(neurons, samples.features).tolist() == [1, 1, 0]
+        with pytest.raises(NumericalError, match="^neuron 2 wins no samples"):
+            label_som(SomModel(neurons), samples)
 
 
 @pytest.fixture(scope="module", params=[(37, 41), (48, 48)], ids=["37x41", "48x48"])
@@ -807,7 +830,7 @@ class TestLayoutIdentities:
         cfg, models, stack = noisy_slice
         model = models["PO"][1]
         x = _feature_planes(model, stack)
-        want = expand_quadratic(pixel_features(stack)) @ model.weights.T
+        want = reference_monomials(pixel_features(stack)) @ model.weights.T
         got = model.exact_pass(x.shape[1])(x)
         assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
 
@@ -816,7 +839,9 @@ class TestLayoutIdentities:
         model = models["MLP"][1]
         x = _feature_planes(model, stack)
         feats = pixel_features(stack)
-        forward, _, hb = _mlp_pass(model.hidden_weights, model.output_weights, _MLP_BLOCK)
+        forward, _, hb = _layers(
+            -model.hidden_weights, model.output_weights, _MLP_BLOCK, _sigmoid_of_negated
+        )
         for start in range(0, x.shape[1], _MLP_BLOCK):
             cols = slice(start, start + _MLP_BLOCK)
             forward(x[:, cols])
@@ -848,18 +873,23 @@ class TestFirstBest:
 def float64_labels(model, x):
     """The float64 pass alone over feature planes x: the first largest
     pre-activation of each pixel."""
-    forward = _mlp_pass(model.hidden_weights, model.output_weights, x.shape[1])[0]
     with np.errstate(over="ignore"):
-        return _first_best(forward(x), largest=True) + 1
+        return _first_best(model.exact_pass(x.shape[1])(x), largest=True) + 1
+
+
+def screen_outputs(model, x):
+    """The outputs (3, n) of the MLP's float32 screen over feature planes x,
+    by the pass that _screened_labels runs."""
+    _, wh, wo = model.screen
+    return _layers(wh, wo, x.shape[1], lambda a: np.tanh(a, out=a))[0](x)
 
 
 def float32_gap(model, x):
     """The largest |z32 - z64| over x of the float32 screen that classify
     runs and the float64 pass."""
-    z32 = model.screen(x.shape[1])
-    z64 = _mlp_pass(model.hidden_weights, model.output_weights, x.shape[1])[0]
     with np.errstate(over="ignore"):
-        return float(np.abs(z32(x).astype(np.float64) - z64(x)).max())
+        z64 = model.exact_pass(x.shape[1])(x)
+    return float(np.abs(screen_outputs(model, x).astype(np.float64) - z64).max())
 
 
 def counting_fallback(monkeypatch):
@@ -892,7 +922,7 @@ def centred_model(rng, scale):
     that make its three outputs equal at the centre of the feature cube, so
     that class boundaries cross the cube."""
     wh, wo = rng.uniform(-scale, scale, (60, 4)), rng.uniform(-scale, scale, (3, 61))
-    z = _mlp_pass(wh, wo, 1)[0](np.full((3, 1), 0.5))[:, 0]
+    z = MlpModel(wh, wo.copy()).exact_pass(1)(np.full((3, 1), 0.5))[:, 0]
     wo[:, -1] -= z
     return MlpModel(wh, wo)
 
@@ -1070,7 +1100,7 @@ class TestFloat32Screen:
         image = stack_of(FULL_SCALE * x.reshape(3, 50, 50))
         x = _feature_planes(model, image)
         assert classifiers._screen_bound(model) is not None
-        z = model.screen(x.shape[1])(x)
+        z = screen_outputs(model, x)
         assert np.any(z[1] != z[2])
         seen = counting_fallback(monkeypatch)
         with warnings.catch_warnings():
@@ -1087,6 +1117,21 @@ class TestFloat32Screen:
         wh[:, -1] = -2.0
         model = MlpModel(wh, -np.ones((3, 61)))
         assert classifiers._screen_bound(model) == 8 * 2.0**-24 * (60 * 10 + 64 * 61)
+
+    def test_bound_is_computed_once_per_model(self, monkeypatch):
+        # A one-shot call, the call that makes the label table and a warm
+        # call all take the tau of the model's one screen.
+        calls = []
+        bound = classifiers._screen_bound
+        monkeypatch.setattr(classifiers, "_screen_bound", lambda m: calls.append(m) or bound(m))
+        rng = np.random.default_rng(4)
+        model = centred_model(rng, 2.0)
+        image = stack_of(FULL_SCALE * rng.uniform(0.0, 1.0, (3, 50, 50)))
+        want = float64_labels(model, image.planes)
+        for _ in range(3):
+            np.testing.assert_array_equal(classify(model, image).labels.ravel(), want)
+        assert model.__dict__["label_table"].tau == model.screen[0] == bound(model)
+        assert calls == [model]
 
     def test_tanh_error_within_bound(self):
         # Every 2179th float32 bit pattern in [0, 10], and its negation:
@@ -1211,7 +1256,7 @@ class TestFloat32Screen:
         np.testing.assert_array_equal(table.labels[cell], want)
         # No pixel has visited cell 12, and it is decided by the table alone.
         seen = []
-        monkeypatch.setattr(MlpModel, "screen", lambda *a: seen.append(a))
+        monkeypatch.setattr(classifiers, "_screened_labels", lambda *a: seen.append(a))
         assert np.all(classify(model, pixels(12, 13)).labels == int(ClassLabel.CSF))
         assert seen == []
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dwspectral import cli
-from dwspectral.adc import save_adc_raw
+from dwspectral.adc import AdcConfig, save_adc_raw
 from dwspectral.classifiers import SomModel, save_model
 from dwspectral.cli import main
 from dwspectral.core_image import (
@@ -64,6 +64,22 @@ class TestAdcCommand:
         sidecar = json.loads((tmp_path / "adc_03.pgm.json").read_text())
         assert sidecar["scale"] > 0
         assert (tmp_path / "adc_03.adc.run.json").exists()
+
+    @pytest.mark.parametrize("out", [".", "", "/", ".."])
+    def test_out_without_file_name_exits_2(self, phantom_dir, tmp_path, capsys, monkeypatch, out):
+        """The .adc and .pgm names are derived from --out's file name, so
+        one without a name is refused before any file is written: .. would
+        give hidden files named ...adc and ...pgm."""
+        monkeypatch.chdir(tmp_path)
+        manifest = phantom_dir / "slice_03_manifest.json"
+        err = assert_one_error_line(["adc", "--stack", manifest, "--out", out], capsys)
+        assert err == f"error: --out must name a file, got {out!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_parsed_defaults_build_the_default_config(self):
+        args = cli.build_parser().parse_args(["adc", "--stack", "s.json", "--out", "o"])
+        cfg = AdcConfig(c_const=args.c, normalize_by_terms=args.normalize, epsilon=args.epsilon)
+        assert cfg == AdcConfig()
 
     def test_single_band_manifest_exits_2(self, phantom_dir, tmp_path, capsys):
         doc = json.loads((phantom_dir / "slice_03_manifest.json").read_text())

@@ -2,14 +2,25 @@
 result files, of the four `dwspectral train` model files trained on that
 phantom, and of the image files `dwspectral phantom`, `noise` and `adc`
 write for it. A refactor must leave every digest unchanged; a change that alters
-outputs on purpose updates the digests below and says so."""
+outputs on purpose updates the digests below and says so.
+
+The digests hold on the build REFERENCE_BUILD records. On another numpy or
+SIMD dispatch target, np.exp and np.log may round differently, and the MLP
+weights and the raw ADC map with them; a mismatch names both builds."""
 
 import hashlib
 import json
 
-from dwspectral.cli import main
+from dwspectral.cli import _build_info, main
 from dwspectral.harness import ExperimentConfig, run_baseline, run_sweep
 from dwspectral.physics import phantom_spec_to_json
+
+# The numpy and SIMD dispatch targets that made the digests below and pass
+# them, as cli._build_info reads them.
+REFERENCE_BUILD = {
+    "numpy": "2.4.6",
+    "simd_dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
 
 RUN_DIGESTS = {
     "baseline.csv": "6ebe902d84c69942402833f87038c5d19abef3851245d43cb21729df13c72dc8",
@@ -106,6 +117,11 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def assert_digests(got: dict, want: dict) -> None:
+    build = {key: _build_info()[key] for key in REFERENCE_BUILD}
+    assert got == want, f"digests made on {REFERENCE_BUILD}, checked on {build}"
+
+
 def test_experiment_outputs(small_spec, tmp_path):
     cfg = ExperimentConfig(
         phantom=small_spec,
@@ -114,7 +130,7 @@ def test_experiment_outputs(small_spec, tmp_path):
         seeds=(1, 2, 3),
     )
     run_sweep(cfg, out_dir=tmp_path, baseline=run_baseline(cfg, out_dir=tmp_path))
-    assert {name: sha256(tmp_path / name) for name in RUN_DIGESTS} == RUN_DIGESTS
+    assert_digests({name: sha256(tmp_path / name) for name in RUN_DIGESTS}, RUN_DIGESTS)
 
 
 def test_trained_model_files(small_spec, tmp_path):
@@ -131,7 +147,7 @@ def test_trained_model_files(small_spec, tmp_path):
              "--labels", str(vol / "truth_03.pgm"), "--out", str(model)]
         ) == 0
         digests[method] = sha256(model)
-    assert digests == MODEL_DIGESTS
+    assert_digests(digests, MODEL_DIGESTS)
 
 
 def test_phantom_noise_adc_files(small_spec, tmp_path):
@@ -153,4 +169,4 @@ def test_phantom_noise_adc_files(small_spec, tmp_path):
         for path in sorted(tmp_path.glob("*/**/*"))
         if path.is_file() and not path.name.endswith("run.json")
     }
-    assert digests == CLI_FILE_DIGESTS
+    assert_digests(digests, CLI_FILE_DIGESTS)

@@ -1,6 +1,7 @@
-"""Every function, class and method of the package, public or private, is
-used by the package itself, so that no API or helper exists for the tests
-alone. Only a read of a name counts as a use: importing it, as a re-export
+"""Every function, class and method of the package, public or private,
+and every attribute a class body assigns, such as a model's ``kind``, is
+used by the package itself, so that no API, helper or model fact exists
+for the tests alone. Only a read of a name counts as a use: importing it, as a re-export
 does, does not. Dunder methods are called by Python itself. And
 classifiers.py reads each model's kind from the model, never from its
 class. No module reads another module's private name. Every Python name
@@ -21,9 +22,11 @@ ALLOWED = {
 
 
 def definitions(tree):
-    """(name, node) of each module-level function or class, and of each
-    method of a module-level class but its dunder methods, named
-    Class.method."""
+    """(name, node) of each module-level function or class; of each method
+    of a module-level class but its dunder methods, named Class.method; and
+    of each name its body assigns, named Class.name. A dataclass field is
+    declared, not assigned: model_to_json and asdict read fields by
+    fields()."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
@@ -34,6 +37,10 @@ def definitions(tree):
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
                     yield f"{node.name}.{item.name}", item
+                elif isinstance(item, ast.Assign):
+                    for target in item.targets:
+                        if isinstance(target, ast.Name):
+                            yield f"{node.name}.{target.id}", item
 
 
 def referenced_names(tree) -> Counter:
@@ -71,6 +78,13 @@ def test_every_public_name_is_used_in_src():
 
 def test_every_private_name_is_used_in_src():
     assert [name for name in unreferenced(SRC) if private(name)] == []
+
+
+def test_an_unread_class_attribute_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Model:\n    kind = 'po'\n    block = 8\n\n\nMODEL_BLOCK = Model.block\n"
+    )
+    assert unreferenced(tmp_path) == ["mod.Model.kind"]
 
 
 def test_no_module_reads_another_modules_private_name():
