@@ -271,6 +271,11 @@ class TestPolynomial:
         with pytest.raises(ValidationError, match=r"^features must be a 2-D \(n, d\) array$"):
             SampleSet(np.zeros(shape), np.ones(shape[:-1], dtype=int))
 
+    def test_non_finite_input_rejected(self):
+        """Only finite feature rows make a sample set to train on."""
+        with pytest.raises(ValidationError, match="^sample set contains non-finite features$"):
+            SampleSet(np.array([[0.1, np.nan, 0.2]]), np.ones(1, dtype=int))
+
 
 def annulus_dataset(seed=0, n_per=400):
     """Inner disk (CSF) vs surrounding ring (MATTER) in the x1-x2 plane."""
